@@ -1,9 +1,11 @@
 """Product-quantization codebook: base construction, quantization, reconstruction.
 
 A codebook holds M sub-codebooks, one per vector group. Each sub-codebook
-tracks per-centroid membership (record ids, the member sub-vectors, and a
-cache of member distances to the current centroid) because the incremental
-update thresholds are functions of those distances.
+keeps the member sub-vectors of every centroid: those it was clustered from,
+those that moved it by a streaming-mean update, and the one that seeded it if
+it was added incrementally. Documents that only take a centroid's index are
+not members. The incremental update thresholds are functions of the members'
+distances to the current centroid.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ PqCode = tuple[int, ...]
 
 @dataclass
 class SubCodebook:
-    """Centroids and membership statistics for one vector group."""
+    """Centroids and their member sub-vectors for one vector group."""
 
     centroids: np.ndarray  # (K_m, sub_dim)
-    member_ids: list[list] = field(default_factory=list)
     member_vecs: list[np.ndarray] = field(default_factory=list)
-    member_dists: list[np.ndarray] = field(default_factory=list)
 
     @property
     def n_centroids(self) -> int:
@@ -37,28 +37,19 @@ class SubCodebook:
         k = int(d2.argmin())
         return k, float(np.sqrt(d2[k]))
 
-    def add_member(self, k: int, record_id, vec: np.ndarray) -> None:
-        self.member_ids[k].append(record_id)
+    def add_member(self, k: int, vec: np.ndarray) -> None:
         self.member_vecs[k] = np.vstack([self.member_vecs[k], vec[None, :]])
 
-    def refresh_dists(self, k: int) -> None:
-        diffs = self.member_vecs[k] - self.centroids[k]
-        self.member_dists[k] = np.sqrt((diffs**2).sum(axis=1))
-
-    def add_centroid(self, vec: np.ndarray, record_id) -> int:
+    def add_centroid(self, vec: np.ndarray) -> int:
         """Append a new centroid seeded by `vec` with a singleton membership."""
         self.centroids = np.vstack([self.centroids, vec[None, :]])
-        self.member_ids.append([record_id])
         self.member_vecs.append(vec[None, :].copy())
-        self.member_dists.append(np.zeros(1))
         return self.n_centroids - 1
 
     def copy(self) -> "SubCodebook":
         return SubCodebook(
             centroids=self.centroids.copy(),
-            member_ids=[list(ids) for ids in self.member_ids],
             member_vecs=[v.copy() for v in self.member_vecs],
-            member_dists=[d.copy() for d in self.member_dists],
         )
 
 
@@ -119,7 +110,6 @@ def build_base_codebook(
     m: int,
     k: int,
     rng: RandomSource,
-    record_ids: list | None = None,
     max_iters: int = 50,
 ) -> Codebook:
     """Session-0 codebook: k-means per group with memberships from assignments."""
@@ -131,10 +121,6 @@ def build_base_codebook(
         raise ValueError(f"need at least k={k} documents, got {n}")
     if dim % m != 0:
         raise ValueError(f"dimension {dim} not divisible by {m} groups")
-    if record_ids is None:
-        record_ids = list(range(n))
-    if len(record_ids) != n:
-        raise ValueError("record_ids length must match embeddings")
 
     sub_dim = dim // m
     groups = []
@@ -143,10 +129,6 @@ def build_base_codebook(
         centroids, assign = kmeans(sub, k, rng.derive("kmeans", g), max_iters=max_iters)
         sc = SubCodebook(centroids=centroids)
         for c in range(k):
-            idx = np.where(assign == c)[0]
-            sc.member_ids.append([record_ids[i] for i in idx])
-            sc.member_vecs.append(sub[idx].copy())
-            sc.member_dists.append(np.zeros(0))
-            sc.refresh_dists(c)
+            sc.member_vecs.append(sub[assign == c])
         groups.append(sc)
     return Codebook(session=0, dim=dim, groups=groups)

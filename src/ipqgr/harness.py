@@ -132,6 +132,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         cfg = cls(**d)
         cfg.fractions = tuple(cfg.fractions)
         return cfg
@@ -201,7 +204,6 @@ class EngineState:
     session: int
     codebook: Codebook
     codes: dict
-    doc_session: dict
     doc_embs: dict
     decoder: DecoderParams
     fisher: FisherDiag | None
@@ -210,7 +212,7 @@ class EngineState:
 
 
 STATE_MAGIC = b"IPQS"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 def state_core_bytes(state: EngineState) -> int:
@@ -319,7 +321,7 @@ class Engine:
             codes = {doc_id: code for doc_id, code in zip(doc_ids, code_list)}
         else:
             embs = np.asarray(doc_embs, dtype=float)
-            cb = build_base_codebook(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"), record_ids=list(doc_ids))
+            cb = build_base_codebook(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"))
             codes = {doc_id: cb.quantize(e) for doc_id, e in zip(doc_ids, embs)}
 
         decoder = DecoderParams.zeros(cb.sizes(), cfg.dim, session=-1)
@@ -333,7 +335,6 @@ class Engine:
             session=0,
             codebook=cb,
             codes=codes,
-            doc_session={doc_id: 0 for doc_id in doc_ids},
             doc_embs={doc_id: np.asarray(e, dtype=float) for doc_id, e in zip(doc_ids, embs)},
             decoder=decoder,
             fisher=fisher,
@@ -359,6 +360,11 @@ class Engine:
         if st is None or st.session != t - 1:
             have = "no state" if st is None else f"session {st.session}"
             raise InvalidStateError(f"cannot ingest session {t} from {have}")
+        seen = set(st.codes)
+        for i in doc_ids:
+            if i in seen:
+                raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
+            seen.add(i)
         if token_docs is not None and st.projector is not None:
             embs = np.stack([doc_embedding(d, st.projector) for d in token_docs])
         else:
@@ -370,9 +376,7 @@ class Engine:
         if cfg.recluster_each_session:
             all_ids = list(st.codes.keys()) + list(doc_ids)
             all_embs = np.vstack([np.stack([st.doc_embs[i] for i in st.codes]), embs])
-            cb = build_base_codebook(
-                all_embs, cfg.m_groups, cfg.k_clusters, self._rng("ingest", t), record_ids=all_ids
-            )
+            cb = build_base_codebook(all_embs, cfg.m_groups, cfg.k_clusters, self._rng("ingest", t))
             cb.session = t
             st.codes = {i: cb.quantize(e) for i, e in zip(all_ids, all_embs)}
             new_code_map = {i: st.codes[i] for i in doc_ids}
@@ -432,7 +436,6 @@ class Engine:
         st.decoder = decoder
         st.session = t
         for i, e in zip(doc_ids, embs):
-            st.doc_session[i] = t
             st.doc_embs[i] = np.asarray(e, dtype=float)
         self._trie = None
         info = {
@@ -601,9 +604,7 @@ def run_synthetic_benchmark(
         dim=dim, m_groups=m_groups, k_clusters=k_clusters, seed=seed,
         decoder_steps=100, c_repeats=50,
     )
-    for key, value in config_overrides.items():
-        setattr(cfg, key, value)
-    cfg = cfg.with_variant(variant)
+    cfg = dataclasses.replace(cfg, **config_overrides).with_variant(variant)
     data = synthetic.generate(n_docs, dim, n_clusters, RandomSource(seed).derive("synthetic"))
     report, _ = run_experiment(cfg, ExperimentInputs.from_synthetic(data))
     return report

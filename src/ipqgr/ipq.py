@@ -51,9 +51,10 @@ class UpdateDecision:
 
 def compute_thresholds(sub_codebook, k: int, rng: RandomSource) -> Thresholds:
     """Adaptive thresholds for cluster k: ad = mean, md = max + U(0, ad)."""
-    dists = sub_codebook.member_dists[k]
-    if dists.size == 0:
+    members = sub_codebook.member_vecs[k]
+    if len(members) == 0:
         raise InvalidStateError(f"cluster {k} has no members")
+    dists = np.sqrt(((members - sub_codebook.centroids[k]) ** 2).sum(axis=1))
     ad = float(dists.mean())
     md = float(dists.max()) + float(rng.uniform(0.0, ad))
     return Thresholds(ad=ad, md=md)
@@ -125,13 +126,12 @@ def ingest_session(
             if kind is UpdateKind.UNCHANGED:
                 code.append(k)
             elif kind is UpdateKind.CHANGED:
-                group.add_member(k, doc_id, sub)
-                size = len(group.member_ids[k])
+                group.add_member(k, sub)
+                size = len(group.member_vecs[k])
                 group.centroids[k] = group.centroids[k] + (sub - group.centroids[k]) / size
-                group.refresh_dists(k)
                 code.append(k)
             else:
-                new_k = group.add_centroid(sub, doc_id)
+                new_k = group.add_centroid(sub)
                 code.append(new_k)
                 k = new_k
             log.append(UpdateDecision(doc_id, m, kind, k, dist, th.ad, th.md))

@@ -133,7 +133,7 @@ def test_criterion_04_streaming_mean_consistency():
     worst = 0.0
     for g in cb.groups:
         for k in range(g.n_centroids):
-            if len(g.member_ids[k]) == 0:
+            if len(g.member_vecs[k]) == 0:
                 continue
             mean = g.member_vecs[k].mean(axis=0)
             denom = max(float(np.linalg.norm(mean)), 1e-12)

@@ -75,7 +75,7 @@ class TestBuildBaseCodebook:
         cb = build_base_codebook(embs, 3, 4, RandomSource(5))
         for g in cb.groups:
             for k in range(g.n_centroids):
-                if len(g.member_ids[k]) == 0:
+                if len(g.member_vecs[k]) == 0:
                     continue
                 assert np.allclose(g.centroids[k], g.member_vecs[k].mean(axis=0), atol=1e-6)
 

@@ -14,6 +14,7 @@ from ipqgr.harness import (
     canonical_report_bytes,
     load_state,
     run_experiment,
+    run_synthetic_benchmark,
     save_state,
     split_benchmark,
 )
@@ -87,6 +88,14 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(seed=9).with_variant("no-ewc")
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_unknown_dict_keys_are_named(self):
+        with pytest.raises(ValueError, match="unknown config keys: dimm, zeta"):
+            ExperimentConfig.from_dict({"zeta": 1, "dim": 16, "dimm": 16})
+
+    def test_misspelled_benchmark_override_is_refused(self):
+        with pytest.raises(TypeError, match="decoder_stepz"):
+            run_synthetic_benchmark("full", seed=0, n_docs=60, decoder_stepz=1)
+
 
 class TestStatePersistence:
     def make_state(self, tmp_path):
@@ -126,6 +135,36 @@ class TestStatePersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="newer than supported"):
             load_state(path)
+
+    def test_version_1_state_loads_and_ingests(self, tmp_path):
+        state = self.make_state(tmp_path)
+        fresh = tmp_path / "fresh.state"
+        save_state(state, fresh)
+        # Version 1 also stored member ids, cached member distances and each
+        # doc's arrival session.
+        old = load_state(fresh)
+        old.doc_session = {d: 0 for d in old.codes}
+        for g in old.codebook.groups:
+            g.member_ids = [list(range(len(v))) for v in g.member_vecs]
+            g.member_dists = [
+                np.sqrt(((v - c) ** 2).sum(axis=1)) for v, c in zip(g.member_vecs, g.centroids)
+            ]
+        path = tmp_path / "v1.state"
+        save_state(old, path)
+        data = bytearray(path.read_bytes())
+        data[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+
+        new_ids = list(range(1000, 1010))
+        new_embs = np.random.default_rng(11).normal(size=(10, 16))
+        results = []
+        for st in (load_state(path), load_state(fresh)):
+            issued = dict(st.codes)
+            engine = Engine(small_config(), st)
+            info, _ = engine.ingest(st.session + 1, new_ids, new_embs)
+            assert all(engine.state.codes[d] == code for d, code in issued.items())
+            results.append((info, engine.state.codes))
+        assert results[0] == results[1]
 
 
 class TestRunExperiment:
@@ -204,6 +243,19 @@ class TestEngineGuards:
 
         with pytest.raises(InvalidStateError):
             engine.ingest(5, [999], np.zeros((1, 16)))
+
+    @pytest.mark.parametrize("repeat", ["issued", "within-session"])
+    def test_ingest_refuses_to_reissue_a_docid(self, repeat):
+        cfg = small_config()
+        _, state = run_experiment(cfg, small_inputs(), stop_after_session=1)
+        issued = dict(state.codes)
+        doc = next(iter(issued)) if repeat == "issued" else 999
+        embs = np.random.default_rng(3).normal(size=(3, 16))
+        engine = Engine(cfg, state)
+        with pytest.raises(ValueError, match=f"doc id {doc!r}"):
+            engine.ingest(2, [998, doc, doc], embs)
+        assert state.session == 1
+        assert state.codes == issued
 
 
 class TestCli:
@@ -284,6 +336,18 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "mrr@10" in printed
         assert (tmp_path / "run.tsv").read_text().count("\n") > 0
+
+    def test_unknown_config_key_is_a_clean_error(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"dimm": 16}))
+        code = cli.main(
+            [
+                "ingest", "--config", str(tmp_path / "cfg.json"),
+                "--state", str(tmp_path / "engine.state"),
+                "--docs", str(tmp_path / "new.emb"),
+            ]
+        )
+        assert code == 2
+        assert "error: unknown config keys: dimm" in capsys.readouterr().err
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         code = cli.main(

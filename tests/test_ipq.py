@@ -31,9 +31,7 @@ class TestComputeThresholds:
         cb, _ = base_codebook()
         g = cb.groups[0]
         # Rebuild cluster 0 as a singleton sitting exactly on its centroid.
-        g.member_ids[0] = ["d"]
         g.member_vecs[0] = g.centroids[0][None, :].copy()
-        g.refresh_dists(0)
         th = compute_thresholds(g, 0, RandomSource(1))
         assert th.ad == 0.0
         assert th.md == 0.0
@@ -44,9 +42,7 @@ class TestComputeThresholds:
         c = g.centroids[0]
         unit = np.zeros_like(c)
         unit[0] = 1.0
-        g.member_ids[0] = ["a", "b"]
         g.member_vecs[0] = np.stack([c + unit, c + 3 * unit])
-        g.refresh_dists(0)
         th = compute_thresholds(g, 0, RandomSource(2))
         assert abs(th.ad - 2.0) < 1e-12
         assert 3.0 <= th.md <= 5.0  # max 3 plus U(0, ad=2) slack
@@ -56,7 +52,7 @@ class TestComputeThresholds:
         rng = RandomSource(4)
         for g in cb.groups:
             for k in range(g.n_centroids):
-                if g.member_dists[k].size == 0:
+                if len(g.member_vecs[k]) == 0:
                     continue
                 th = compute_thresholds(g, k, rng)
                 assert th.ad <= th.md
@@ -64,9 +60,7 @@ class TestComputeThresholds:
     def test_empty_cluster_is_invalid_state(self):
         cb, _ = base_codebook()
         g = cb.groups[0]
-        g.member_ids[0] = []
         g.member_vecs[0] = np.zeros((0, cb.sub_dim))
-        g.refresh_dists(0)
         with pytest.raises(InvalidStateError):
             compute_thresholds(g, 0, RandomSource(0))
 
@@ -110,15 +104,13 @@ class TestIngestSession:
         cb, _ = base_codebook()
         g0 = cb.groups[0]
         z = g0.centroids[0].copy()
-        g0.member_ids[0] = ["old"]
         g0.member_vecs[0] = z[None, :].copy()
-        g0.refresh_dists(0)
         x = np.concatenate([z, cb.groups[1].centroids[0]])
         out, codes, log = ingest_session(cb, [("new", x)], RandomSource(0))
         assert codes["new"][0] == 0
         assert np.allclose(out.groups[0].centroids[0], z)
         assert log[0].kind is UpdateKind.CHANGED  # ad = md = dist = 0 branch
-        assert out.groups[0].member_ids[0] == ["old", "new"]
+        assert np.array_equal(out.groups[0].member_vecs[0], np.stack([z, x[: cb.sub_dim]]))
 
     def test_far_vector_appends_a_centroid(self):
         cb, _ = base_codebook()
@@ -128,7 +120,7 @@ class TestIngestSession:
         assert codes["far"][0] == old_k
         assert out.groups[0].n_centroids == old_k + 1
         assert np.allclose(out.groups[0].centroids[old_k], split_groups(x, 2)[0])
-        assert out.groups[0].member_ids[old_k] == ["far"]
+        assert np.array_equal(out.groups[0].member_vecs[old_k], split_groups(x, 2)[0][None, :])
 
     def test_changed_update_is_streaming_mean(self):
         cb, embs = base_codebook(n=30, seed=5)
