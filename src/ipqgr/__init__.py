@@ -5,6 +5,8 @@ from .decoder import (
     DecoderParams,
     DocidTrie,
     FisherDiag,
+    PairBatch,
+    beam_search,
     constrained_beam_search,
     docid_log_prob,
     estimate_fisher,

@@ -28,7 +28,7 @@ from .decoder import (
     DocidTrie,
     FisherDiag,
     align_to_codebook,
-    constrained_beam_search,
+    beam_search,
     estimate_fisher,
     train_session,
 )
@@ -276,6 +276,11 @@ def load_state(path) -> EngineState:
     if hashlib.sha256(payload).digest() != digest:
         raise ValueError(f"{path}: checksum mismatch, file is corrupt")
     state = pickle.loads(payload)
+    if version < 2:  # version 1 also stored doc_session and per-cluster ids and distances
+        vars(state).pop("doc_session", None)
+        for g in state.codebook.groups:
+            vars(g).pop("member_ids", None)
+            vars(g).pop("member_dists", None)
     _canonicalize_loaded(state)
     return state
 
@@ -360,6 +365,9 @@ class Engine:
         if st is None or st.session != t - 1:
             have = "no state" if st is None else f"session {st.session}"
             raise InvalidStateError(f"cannot ingest session {t} from {have}")
+        for what, given in (("embedding rows", doc_embs), ("token docs", token_docs)):
+            if given is not None and len(given) != len(doc_ids):
+                raise ValueError(f"{len(doc_ids)} doc ids but {len(given)} {what}")
         seen = set(st.codes)
         for i in doc_ids:
             if i in seen:
@@ -458,12 +466,9 @@ class Engine:
 
     def evaluate(self, query_ids, query_embs) -> dict:
         """Scored rankings for each query: query id -> [(doc id, score), ...]."""
-        trie = self._get_trie()
         cfg = self.config
-        return {
-            qid: constrained_beam_search(qe, self.state.decoder, trie, cfg.beam, cfg.top_n)
-            for qid, qe in zip(query_ids, query_embs)
-        }
+        rankings = beam_search(query_embs, self.state.decoder, self._get_trie(), cfg.beam, cfg.top_n)
+        return dict(zip(query_ids, rankings))
 
 
 def canonical_report_bytes(report: dict) -> bytes:

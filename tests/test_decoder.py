@@ -5,13 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipqgr.codebook import Codebook, SubCodebook
 from ipqgr.decoder import (
+    BEAM_BLOCK,
     DecoderParams,
     DocidTrie,
     FisherDiag,
+    PairBatch,
     align_to_codebook,
+    beam_search,
     constrained_beam_search,
     docid_log_prob,
     estimate_fisher,
@@ -119,6 +124,17 @@ class TestMleLoss:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             mle_loss([], DecoderParams.zeros([2], dim=1))
+
+    def test_stacked_batch_matches_pair_list(self):
+        params = random_params([3, 4], dim=3, seed=32)
+        rng = np.random.default_rng(33)
+        pairs = [(rng.normal(size=3), (int(rng.integers(3)), int(rng.integers(4)))) for _ in range(7)]
+        batch = PairBatch.stack(pairs)
+        assert len(batch) == 7
+        loss, (gw, gb) = mle_loss(pairs, params)
+        b_loss, (b_gw, b_gb) = mle_loss(batch, params)
+        assert b_loss == loss
+        assert all(np.array_equal(a, b) for a, b in zip(gw + gb, b_gw + b_gb))
 
 
 class TestEstimateFisher:
@@ -263,6 +279,133 @@ class TestTrainSession:
             cur = train_session(cur, cb, pairs, [], [], None, 0.0, 0.05, 5)
             losses.append(mle_loss(pairs, cur)[0])
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+
+
+def reference_train_session(prev, cb, pair_groups, fisher, lam, step, steps):
+    """Descent on the sum of one mle_loss per pair list plus lam * ewc_loss."""
+
+    def total(p):
+        loss = 0.0
+        d_w = [np.zeros_like(w) for w in p.weights]
+        d_b = [np.zeros_like(b) for b in p.biases]
+        terms = [mle_loss(pairs, p) for pairs in pair_groups if pairs]
+        weights = [1.0] * len(terms)
+        if lam != 0.0 and fisher is not None:
+            terms.append(ewc_loss(p, prev, fisher))
+            weights.append(lam)
+        for c, (l, (gw, gb)) in zip(weights, terms):
+            loss += c * l
+            for m in range(p.n_groups):
+                d_w[m] += c * gw[m]
+                d_b[m] += c * gb[m]
+        return loss, (d_w, d_b)
+
+    params = align_to_codebook(prev, cb)
+    params.session = prev.session + 1
+    cur, (gw, gb) = total(params)
+    for _ in range(steps):
+        lr = step
+        for _ in range(40):
+            trial = DecoderParams(
+                [w - lr * g for w, g in zip(params.weights, gw)],
+                [b - lr * g for b, g in zip(params.biases, gb)],
+                params.session,
+            )
+            trial_loss, trial_grads = total(trial)
+            if trial_loss <= cur + 1e-9 * max(1.0, abs(cur)):
+                params, cur, (gw, gb) = trial, trial_loss, trial_grads
+                break
+            lr *= 0.5
+        else:
+            break
+    return params
+
+
+class TestTrainSessionMatchesReference:
+    @pytest.mark.parametrize(
+        "n_bank, anchored", [(5, True), (0, True), (5, False)], ids=["full", "empty-bank", "no-ewc"]
+    )
+    def test_stacked_batch_matches_per_list_descent(self, n_bank, anchored):
+        rng = np.random.default_rng(34)
+        sizes, dim = [4, 3, 5], 4
+        prev = random_params([3, 3, 4], dim, seed=35)
+        cb = toy_codebook(sizes)
+
+        def pairs(n, sizes=sizes):
+            return [
+                (rng.normal(size=dim), tuple(int(rng.integers(k)) for k in sizes))
+                for _ in range(n)
+            ]
+
+        groups = (pairs(8), pairs(n_bank), pairs(12))
+        if anchored:
+            fisher, lam = estimate_fisher(pairs(6, prev.sizes()), prev), 0.5
+        else:
+            fisher, lam = None, 0.0
+        got = train_session(prev, cb, *groups, fisher, lam, 0.05, 30)
+        want = reference_train_session(prev, cb, groups, fisher, lam, 0.05, 30)
+        assert got.session == want.session == prev.session + 1
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def reference_beam_search(q, params, codes, beam, top_n):
+    """The per-query list form: expand every kept prefix, sort, truncate."""
+    logps = group_log_probs(params, q)
+    beams = [(0.0, ())]
+    for m in range(params.n_groups):
+        cand = {
+            (score + float(logps[m][code[m]]), code[: m + 1])
+            for score, prefix in beams
+            for code in codes.values()
+            if code[:m] == prefix
+        }
+        beams = sorted(cand, key=lambda t: (-t[0], t[1]))[:beam]
+    results = [(d, score) for score, code in beams for d, c in codes.items() if c == code]
+    return sorted(results, key=lambda t: (-t[1], t[0]))[:top_n]
+
+
+@st.composite
+def decoding_problems(draw):
+    n_groups = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(1, 5)) for _ in range(n_groups)]
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        params = DecoderParams.zeros(sizes, dim)  # every score ties
+    else:
+        params = random_params(sizes, dim, seed=int(rng.integers(2**32)))
+    # Few distinct codes for many docs, so codes collide.
+    n_docs = draw(st.integers(1, 30))
+    ids = rng.permutation(1000)[:n_docs].tolist()
+    codes = {d: tuple(int(rng.integers(k)) for k in sizes) for d in ids}
+    n_queries = draw(st.sampled_from([0, 1, BEAM_BLOCK - 1, BEAM_BLOCK, BEAM_BLOCK + 1, 2 * BEAM_BLOCK + 2]))
+    queries = rng.normal(size=(n_queries, dim))
+    return params, codes, queries, draw(st.integers(1, 6)), draw(st.integers(1, 12))
+
+
+class TestBatchedBeamSearch:
+    @given(decoding_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_single_queries_and_the_oracles(self, problem):
+        params, codes, queries, beam, top_n = problem
+        trie = DocidTrie.from_codes(codes)
+        got = beam_search(queries, params, trie, beam, top_n)
+        assert len(got) == len(queries)
+        for q, ranking in zip(queries, got):
+            assert ranking == constrained_beam_search(q, params, trie, beam, top_n)
+            assert ranking == reference_beam_search(q, params, codes, beam, top_n)
+            if beam >= len(trie):
+                oracle = sorted(
+                    ((d, docid_log_prob(q, c, params)) for d, c in codes.items()),
+                    key=lambda t: (-t[1], t[0]),
+                )
+                assert ranking == oracle[:top_n]
+
+    def test_no_queries_and_empty_trie(self):
+        params = DecoderParams.zeros([2], dim=1)
+        assert beam_search(np.zeros((0, 1)), params, DocidTrie.from_codes({0: (1,)}), 3, 3) == []
+        assert beam_search(np.zeros((2, 1)), params, DocidTrie(), 3, 3) == [[], []]
 
 
 class TestBeamSearch:

@@ -155,6 +155,15 @@ class TestStatePersistence:
         data[4:8] = (1).to_bytes(4, "little")
         path.write_bytes(bytes(data))
 
+        loaded = load_state(path)
+        assert not hasattr(loaded, "doc_session")
+        for g in loaded.codebook.groups:
+            assert not hasattr(g, "member_ids") and not hasattr(g, "member_dists")
+        resaved_v1, resaved_fresh = tmp_path / "v1-resaved.state", tmp_path / "fresh-resaved.state"
+        save_state(loaded, resaved_v1)
+        save_state(load_state(fresh), resaved_fresh)
+        assert resaved_v1.read_bytes() == resaved_fresh.read_bytes()
+
         new_ids = list(range(1000, 1010))
         new_embs = np.random.default_rng(11).normal(size=(10, 16))
         results = []
@@ -254,6 +263,18 @@ class TestEngineGuards:
         engine = Engine(cfg, state)
         with pytest.raises(ValueError, match=f"doc id {doc!r}"):
             engine.ingest(2, [998, doc, doc], embs)
+        assert state.session == 1
+        assert state.codes == issued
+
+    @pytest.mark.parametrize("n_embs, n_tokens", [(2, None), (4, None), (3, 2)])
+    def test_ingest_refuses_mismatched_lengths(self, n_embs, n_tokens):
+        cfg = small_config()
+        _, state = run_experiment(cfg, small_inputs(), stop_after_session=1)
+        issued = dict(state.codes)
+        embs = np.random.default_rng(3).normal(size=(n_embs, 16))
+        tokens = None if n_tokens is None else [np.zeros((6, 16))] * n_tokens
+        with pytest.raises(ValueError, match="3 doc ids but"):
+            Engine(cfg, state).ingest(2, [900, 901, 902], embs, token_docs=tokens)
         assert state.session == 1
         assert state.codes == issued
 
