@@ -116,6 +116,12 @@ class ExperimentConfig:
             raise ValueError("re-clustering requires threshold_mode 'none'")
         if self.random_bank and not self.enable_memory_bank:
             raise ValueError("random_bank requires the memory bank to be enabled")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.g_spans < 1:
+            raise ValueError(f"g_spans must be at least 1, got {self.g_spans}")
+        if self.v_epochs < 0:
+            raise ValueError(f"v_epochs must be non-negative, got {self.v_epochs}")
 
     def with_variant(self, name: str) -> "ExperimentConfig":
         if name not in VARIANTS:

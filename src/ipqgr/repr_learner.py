@@ -138,31 +138,46 @@ def contrastive_loss(reps: np.ndarray, n_docs: int, n_spans: int, tau: float):
     whole-document anchors, rows [n_docs + i*n_spans, n_docs + (i+1)*n_spans)
     are the spans of document i. Similarity is the dot product. Returns
     (loss, gradient wrt reps).
+
+    Only the anchor rows carry a loss term, so only their (n_docs, total)
+    block of logits is built.
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
+    if n_spans < 1:
+        raise ValueError(f"need at least one span per document, got {n_spans}")
     reps = np.asarray(reps, dtype=float)
     total = n_docs * (n_spans + 1)
     if reps.shape[0] != total:
         raise ValueError(f"expected {total} representations, got {reps.shape[0]}")
+    if n_docs == 0:
+        return 0.0, np.zeros_like(reps)
 
-    logits = reps @ reps.T / tau
+    anchors = reps[:n_docs]
+    diag = np.arange(n_docs)
+    rows = diag[:, None]
+    # Anchor i's positives are its own n_spans span columns.
+    pos = n_docs + rows * n_spans + np.arange(n_spans)
+    logits = anchors @ reps.T
+    logits /= tau
+    logits[diag, diag] = -np.inf
+    mx = logits.max(axis=1, keepdims=True)
+    soft = logits - mx
+    np.exp(soft, out=soft)
+    lse = mx + np.log(soft.sum(axis=1, keepdims=True))
+    # Python floats added in document order, so the total does not depend on
+    # numpy's pairwise summation.
     loss = 0.0
-    g_logits = np.zeros_like(logits)
-    for i in range(n_docs):
-        pos = np.arange(n_docs + i * n_spans, n_docs + (i + 1) * n_spans)
-        row = logits[i].copy()
-        row[i] = -np.inf
-        mx = row.max()
-        lse = mx + np.log(np.exp(row - mx).sum())
-        loss += float(-(row[pos] - lse).sum() / n_spans)
-        soft = np.exp(row - lse)
-        soft[i] = 0.0
-        # d(loss_i)/d(logits[i, j]) summed over the n_spans positive terms.
-        g = soft.copy()
-        g[pos] -= 1.0 / n_spans
-        g_logits[i] = g
-    grad = (g_logits @ reps + g_logits.T @ reps) / tau
+    for term in (-(logits[rows, pos] - lse).sum(axis=1) / n_spans).tolist():
+        loss += term
+    # d(loss)/d(logits): the softmax (0 on the diagonal) minus 1/n_spans at
+    # each positive.
+    np.subtract(logits, lse, out=soft)
+    np.exp(soft, out=soft)
+    soft[rows, pos] -= 1.0 / n_spans
+    grad = soft.T @ anchors
+    grad[:n_docs] += soft @ reps
+    grad /= tau
     return loss, grad
 
 

@@ -74,6 +74,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(random_bank=True, enable_memory_bank=False).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tau", 0.0), ("tau", -0.1), ("tau", float("nan")), ("g_spans", 0), ("v_epochs", -1)],
+    )
+    def test_span_settings_are_validated(self, field, value):
+        # Each of these would otherwise surface only partway through a token run.
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value}).validate()
+
     def test_variants_cover_the_ablation_grid(self):
         assert set(VARIANTS) == {
             "full", "base", "pq", "pq-re", "pq-dis", "pq-dis-ad", "pq-dis-md",
@@ -369,6 +378,18 @@ class TestCli:
         )
         assert code == 2
         assert "error: unknown config keys: dimm" in capsys.readouterr().err
+
+    def test_bad_span_setting_is_a_clean_error(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"g_spans": 0}))
+        code = cli.main(
+            [
+                "ingest", "--config", str(tmp_path / "cfg.json"),
+                "--state", str(tmp_path / "engine.state"),
+                "--docs", str(tmp_path / "new.emb"),
+            ]
+        )
+        assert code == 2
+        assert "error: g_spans must be at least 1, got 0" in capsys.readouterr().err
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         code = cli.main(

@@ -1,6 +1,7 @@
 """Tests for span sampling, pooling, the projector, and the two losses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,85 @@ class TestContrastiveLoss:
             contrastive_loss(reps, 1, 4, tau=0.0)
         with pytest.raises(ValueError):
             contrastive_loss(reps, 2, 4, tau=1.0)
+
+    def test_zero_spans_is_a_value_error(self):
+        with pytest.raises(ValueError, match="span"):
+            contrastive_loss(np.zeros((3, 2)), 3, 0, tau=1.0)
+
+    def test_empty_batch(self):
+        loss, grad = contrastive_loss(np.zeros((0, 3)), 0, 5, tau=0.1)
+        assert loss == 0.0
+        assert grad.shape == (0, 3)
+
+    def test_memory_is_linear_in_rows(self):
+        # Only the n_docs anchor rows of the logits are built: the bound is
+        # four (n_docs, total) float64 matrices, far below one (total, total).
+        n_docs, n_spans, dim = 200, 20, 8
+        total = n_docs * (n_spans + 1)
+        reps = np.random.default_rng(3).normal(size=(total, dim))
+        tracemalloc.start()
+        try:
+            contrastive_loss(reps, n_docs, n_spans, tau=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n_docs * total * 8
+
+
+def dense_contrastive_loss(reps, n_docs, n_spans, tau):
+    """The full (total, total) logit matrix with a loop over the anchors."""
+    if tau <= 0:
+        raise ValueError("temperature must be positive")
+    reps = np.asarray(reps, dtype=float)
+    total = n_docs * (n_spans + 1)
+    if reps.shape[0] != total:
+        raise ValueError(f"expected {total} representations, got {reps.shape[0]}")
+
+    logits = reps @ reps.T / tau
+    loss = 0.0
+    g_logits = np.zeros_like(logits)
+    for i in range(n_docs):
+        pos = np.arange(n_docs + i * n_spans, n_docs + (i + 1) * n_spans)
+        row = logits[i].copy()
+        row[i] = -np.inf
+        mx = row.max()
+        lse = mx + np.log(np.exp(row - mx).sum())
+        loss += float(-(row[pos] - lse).sum() / n_spans)
+        soft = np.exp(row - lse)
+        soft[i] = 0.0
+        # d(loss_i)/d(logits[i, j]) summed over the n_spans positive terms.
+        g = soft.copy()
+        g[pos] -= 1.0 / n_spans
+        g_logits[i] = g
+    grad = (g_logits @ reps + g_logits.T @ reps) / tau
+    return loss, grad
+
+
+@st.composite
+def contrastive_batches(draw):
+    n_docs = draw(st.integers(1, 40))
+    n_spans = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 8))
+    tau = draw(st.floats(0.05, 2.0))
+    total = n_docs * (n_spans + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    reps = rng.uniform(-1, 1, size=(total, dim))
+    # Copy some rows over others so that logits tie exactly.
+    n_dups = draw(st.integers(0, total - 1))
+    reps[total - n_dups :] = reps[rng.integers(0, total, size=n_dups)]
+    return reps, n_docs, n_spans, tau
+
+
+class TestContrastiveLossMatchesDenseReference:
+    @given(contrastive_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_loss_and_gradient_agree(self, batch):
+        reps, n_docs, n_spans, tau = batch
+        loss, grad = contrastive_loss(reps, n_docs, n_spans, tau)
+        ref_loss, ref_grad = dense_contrastive_loss(reps, n_docs, n_spans, tau)
+        assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+        assert grad.shape == ref_grad.shape
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * max(1.0, np.abs(ref_grad).max())
 
 
 class TestClusteringLoss:
