@@ -5,6 +5,7 @@ from .decoder import (
     DecoderParams,
     DocidTrie,
     FisherDiag,
+    FlatParams,
     PairBatch,
     beam_search,
     constrained_beam_search,

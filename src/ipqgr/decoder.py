@@ -20,6 +20,8 @@ Pair = tuple[np.ndarray, PqCode]  # (conditioning vector, target code)
 
 # Queries decoded together by `beam_search`; bounds the size of its score arrays.
 BEAM_BLOCK = 64
+# Pairs per block of the training loss; bounds its (block x ΣK) logit buffers.
+LOSS_BLOCK = 64
 
 
 @dataclass
@@ -103,6 +105,10 @@ class PairBatch:
 
     @classmethod
     def stack(cls, pairs: list[Pair]) -> "PairBatch":
+        width = len(pairs[0][1]) if pairs else 0
+        for i, (_, code) in enumerate(pairs):
+            if len(code) != width:
+                raise ValueError(f"pair {i}: code {tuple(code)} has {len(code)} positions, pair 0 has {width}")
         vecs = np.stack([np.asarray(v, dtype=float) for v, _ in pairs])
         return cls(vecs, np.array([c for _, c in pairs], dtype=int))
 
@@ -116,69 +122,157 @@ def _as_batch(pairs: PairBatch | list[Pair]) -> PairBatch:
     return pairs if isinstance(pairs, PairBatch) else PairBatch.stack(pairs)
 
 
-def _group_softmax(params: DecoderParams, vecs: np.ndarray, m: int):
-    logits = vecs @ params.weights[m].T + params.biases[m]
-    mx = logits.max(axis=1, keepdims=True)
-    ex = np.exp(logits - mx)
-    z = ex.sum(axis=1, keepdims=True)
-    log_probs = logits - mx - np.log(z)
-    ex /= z
-    return log_probs, ex
+@dataclass(frozen=True)
+class FlatParams:
+    """Every group's score rows in one matrix: W (ΣK x D) and b (ΣK).
+
+    Group m owns `sizes[m]` rows from `starts[m]`; `group[j]` is the group of
+    row j. Training descends on this layout, so a step is one array op.
+    """
+
+    weights: np.ndarray
+    biases: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    group: np.ndarray
+
+    @classmethod
+    def of(cls, params: DecoderParams) -> "FlatParams":
+        sizes = np.array(params.sizes())
+        return cls(
+            np.concatenate(params.weights),
+            np.concatenate(params.biases),
+            np.cumsum(sizes) - sizes,
+            sizes,
+            np.repeat(np.arange(len(sizes)), sizes),
+        )
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.sizes)
+
+    def split(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Per-group views of an array laid out like `weights` or `biases`."""
+        return [rows[s : s + k] for s, k in zip(self.starts.tolist(), self.sizes.tolist())]
+
+    def step(self, lr: float, d_w: np.ndarray, d_b: np.ndarray) -> "FlatParams":
+        return FlatParams(self.weights - lr * d_w, self.biases - lr * d_b, self.starts, self.sizes, self.group)
+
+    def to_params(self, session: int) -> DecoderParams:
+        return DecoderParams(self.split(self.weights), self.split(self.biases), session)
 
 
-def mle_loss(pairs: PairBatch | list[Pair], params: DecoderParams):
-    """Negative log-likelihood of the target codes; analytic gradients."""
+def _as_flat(params: DecoderParams | FlatParams) -> FlatParams:
+    return params if isinstance(params, FlatParams) else FlatParams.of(params)
+
+
+def _in_layout_of(params, flat: FlatParams, d_w: np.ndarray, d_b: np.ndarray):
+    """Flat gradients as given, or split per group when `params` is DecoderParams."""
+    return (d_w, d_b) if params is flat else (flat.split(d_w), flat.split(d_b))
+
+
+def _target_columns(batch: PairBatch, flat: FlatParams) -> np.ndarray:
+    """Each pair's target row per group in the flat layout (`codes + starts`).
+
+    Raises ValueError naming the first pair whose code does not have one
+    position per group or has a position outside [0, K_m).
+    """
+    codes = batch.codes
+    if codes.shape[1] != flat.n_groups:
+        raise ValueError(
+            f"pair 0: code {tuple(codes[0].tolist())} has {codes.shape[1]} positions, "
+            f"the decoder has {flat.n_groups} groups"
+        )
+    bad = (codes < 0) | (codes >= flat.sizes)
+    if bad.any():
+        i = int(bad.any(axis=1).argmax())
+        raise ValueError(
+            f"pair {i}: code {tuple(codes[i].tolist())} is outside the group sizes {flat.sizes.tolist()}"
+        )
+    return codes + flat.starts
+
+
+def _segmented_nll(vecs: np.ndarray, cols: np.ndarray, flat: FlatParams, squared: bool = False):
+    """-Σ log p(targets) and the sums of G.T @ X and of G over the pairs.
+
+    G = softmax - onehot(targets), per group, is the gradient of -log p with
+    respect to the logits. With `squared`, G**2 and X**2 replace G and X: the
+    sums the diagonal Fisher needs. Pairs go in blocks of LOSS_BLOCK, each
+    through two preallocated (block x ΣK) buffers, so memory does not grow
+    with the batch.
+    """
+    n, (total, dim) = len(vecs), flat.weights.shape
+    logits = np.empty((min(n, LOSS_BLOCK), total))
+    work = np.empty_like(logits)
+    # Each target's position in a block's raveled buffer.
+    at = cols + (np.arange(n) % LOSS_BLOCK * total)[:, None]
+    target_logp = np.empty((flat.n_groups, n))
+    d_w, d_b = np.zeros((total, dim)), np.zeros(total)
+    for lo in range(0, n, LOSS_BLOCK):
+        x, t = vecs[lo : lo + LOSS_BLOCK], at[lo : lo + LOSS_BLOCK]
+        z, g = logits[: len(x)], work[: len(x)]
+        np.matmul(x, flat.weights.T, out=z)
+        z += flat.biases
+        z -= np.take(np.maximum.reduceat(z, flat.starts, axis=1), flat.group, axis=1, out=g, mode="clip")
+        np.exp(z, out=g)
+        norm = np.add.reduceat(g, flat.starts, axis=1)
+        target_logp[:, lo : lo + len(x)] = (z.ravel()[t] - np.log(norm)).T
+        g /= np.take(norm, flat.group, axis=1, out=z, mode="clip")
+        g.ravel()[t] -= 1.0
+        if squared:
+            np.square(g, out=g)
+            x = x**2
+        d_w += g.T @ x
+        d_b += g.sum(axis=0)
+    # Per group, then across groups in order: the sums a per-group loop takes.
+    return -sum(target_logp.sum(axis=1).tolist()), d_w, d_b
+
+
+def mle_loss(pairs: PairBatch | list[Pair], params: DecoderParams | FlatParams):
+    """Negative log-likelihood of the target codes; analytic gradients.
+
+    The gradients come in the layout of `params`: per-group lists for
+    DecoderParams, single arrays for FlatParams.
+    """
     batch = _as_batch(pairs)
-    vecs, rows = batch.vecs, np.arange(len(batch))
-    loss = 0.0
-    d_w, d_b = [], []
-    for m in range(params.n_groups):
-        log_probs, g = _group_softmax(params, vecs, m)
-        targets = batch.codes[:, m]
-        loss -= float(log_probs[rows, targets].sum())
-        g[rows, targets] -= 1.0
-        d_w.append(g.T @ vecs)
-        d_b.append(g.sum(axis=0))
-        del log_probs, g
-    return loss, (d_w, d_b)
+    flat = _as_flat(params)
+    loss, d_w, d_b = _segmented_nll(batch.vecs, _target_columns(batch, flat), flat)
+    return loss, _in_layout_of(params, flat, d_w, d_b)
 
 
 def estimate_fisher(pairs: PairBatch | list[Pair], params: DecoderParams) -> FisherDiag:
     """Empirical diagonal Fisher: mean squared per-pair gradient of -log p."""
     batch = _as_batch(pairs)
-    vecs, rows, n = batch.vecs, np.arange(len(batch)), len(batch)
-    sq_vecs = vecs**2
-    f_w, f_b = [], []
-    for m in range(params.n_groups):
-        _, g = _group_softmax(params, vecs, m)
-        g[rows, batch.codes[:, m]] -= 1.0
-        g2 = g**2
-        f_w.append(g2.T @ sq_vecs / n)
-        f_b.append(g2.mean(axis=0))
-    return FisherDiag(f_w, f_b)
+    flat = FlatParams.of(params)
+    _, f_w, f_b = _segmented_nll(batch.vecs, _target_columns(batch, flat), flat, squared=True)
+    f_w /= len(batch)
+    f_b /= len(batch)
+    return FisherDiag(flat.split(f_w), flat.split(f_b))
 
 
-def ewc_loss(params: DecoderParams, prev: DecoderParams, fisher: FisherDiag):
+def ewc_loss(params: DecoderParams | FlatParams, prev: DecoderParams, fisher: FisherDiag):
     """Fisher-weighted squared distance to the previous parameters.
 
     Rows appended after `prev` was trained have no counterpart and are
-    excluded from both the loss and its gradient.
+    excluded from both the loss and its gradient. The gradients come in the
+    layout of `params`, as in `mle_loss`.
     """
     if params.n_groups != prev.n_groups:
         raise ValueError("group count mismatch")
+    flat = _as_flat(params)
+    grads = (np.zeros_like(flat.weights), np.zeros_like(flat.biases))
+    weights, biases, d_w, d_b = (flat.split(a) for a in (flat.weights, flat.biases, *grads))
     loss = 0.0
-    d_w = [np.zeros_like(w) for w in params.weights]
-    d_b = [np.zeros_like(b) for b in params.biases]
     for m in range(params.n_groups):
         r = prev.weights[m].shape[0]
-        if params.weights[m].shape[0] < r or params.weights[m].shape[1] != prev.weights[m].shape[1]:
+        if weights[m].shape[0] < r or weights[m].shape[1] != prev.weights[m].shape[1]:
             raise ValueError(f"group {m} shrank or changed width relative to previous params")
-        dw = params.weights[m][:r] - prev.weights[m]
-        db = params.biases[m][:r] - prev.biases[m]
+        dw = weights[m][:r] - prev.weights[m]
+        db = biases[m][:r] - prev.biases[m]
         loss += float((fisher.weights[m] * dw**2).sum() + (fisher.biases[m] * db**2).sum())
         d_w[m][:r] = 2.0 * fisher.weights[m] * dw
         d_b[m][:r] = 2.0 * fisher.biases[m] * db
-    return loss, (d_w, d_b)
+    return loss, _in_layout_of(params, flat, *grads)
 
 
 def align_to_codebook(params: DecoderParams, cb: Codebook) -> DecoderParams:
@@ -208,9 +302,10 @@ def train_session(
 ) -> DecoderParams:
     """Full-batch descent on MLE(new) + MLE(bank) + MLE(pseudo) + lam * EWC.
 
-    The three pair lists are stacked into one batch once per session. The
-    step size is halved (deterministically, per step) whenever the full step
-    would increase the loss, which keeps the loss non-increasing.
+    The three pair lists are stacked into one batch once per session, and
+    descent runs on the flat (ΣK x D) layout of the parameters. The step size
+    is halved (deterministically, per step) whenever the full step would
+    increase the loss, which keeps the loss non-increasing.
     """
     params = align_to_codebook(prev, cb)
     params.session = prev.session + 1
@@ -218,37 +313,36 @@ def train_session(
     if steps <= 0 or not pairs:
         return params
     batch = PairBatch.stack(pairs)
+    flat, session = FlatParams.of(params), params.session
+    del params  # `flat` holds a copy of its rows; drop the per-group one
     anchored = lam != 0.0 and fisher is not None
 
-    def objective(p: DecoderParams):
+    def objective(p: FlatParams):
         loss, (d_w, d_b) = mle_loss(batch, p)
         if anchored:
             l, (gw, gb) = ewc_loss(p, prev, fisher)
             loss += lam * l
-            for d, g in zip(d_w + d_b, gw + gb):
-                d += lam * g
+            gw *= lam
+            gb *= lam
+            d_w += gw
+            d_b += gb
         return loss, (d_w, d_b)
 
-    cur, grads = objective(params)
+    cur, grads = objective(flat)
     for _ in range(steps):
-        gw, gb = grads
         lr = step
         accepted = False
         for _ in range(40):
-            trial = DecoderParams(
-                [w - lr * g for w, g in zip(params.weights, gw)],
-                [b - lr * g for b, g in zip(params.biases, gb)],
-                params.session,
-            )
+            trial = flat.step(lr, *grads)
             trial_loss, trial_grads = objective(trial)
             if trial_loss <= cur + 1e-9 * max(1.0, abs(cur)):
-                params, cur, grads = trial, trial_loss, trial_grads
+                flat, cur, grads = trial, trial_loss, trial_grads
                 accepted = True
                 break
             lr *= 0.5
         if not accepted:
             break
-    return params
+    return flat.to_params(session)
 
 
 class DocidTrie:

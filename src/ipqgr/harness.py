@@ -276,7 +276,7 @@ def load_state(path) -> EngineState:
         raise ValueError(f"{path}: state version {version} is newer than supported {STATE_VERSION}")
     digest = data[8:40]
     (length,) = struct.unpack_from("<Q", data, 40)
-    payload = data[48:]
+    payload = memoryview(data)[48:]  # hashed and unpickled without a copy
     if len(payload) != length:
         raise ValueError(f"{path}: truncated payload ({len(payload)} of {length} bytes)")
     if hashlib.sha256(payload).digest() != digest:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ipqgr.codebook import Codebook, SubCodebook
 from ipqgr.decoder import (
     BEAM_BLOCK,
+    LOSS_BLOCK,
     DecoderParams,
     DocidTrie,
     FisherDiag,
@@ -347,6 +349,139 @@ class TestTrainSessionMatchesReference:
         assert got.session == want.session == prev.session + 1
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+class TestTargetCodesAreValidated:
+    SIZES = [3, 2]
+
+    @pytest.mark.parametrize(
+        "bad", [(-1, 0), (3, 0), (0, 2), (0,), (0, 0, 0)],
+        ids=["negative", "past-group", "past-last-group", "short", "long"],
+    )
+    @pytest.mark.parametrize("fn", ["mle_loss", "estimate_fisher", "train_session"])
+    def test_bad_code_names_the_pair(self, fn, bad):
+        params = random_params(self.SIZES, dim=2, seed=40)
+        vecs = np.random.default_rng(41).normal(size=(3, 2))
+        pairs = [(vecs[0], (1, 1)), (vecs[1], (2, 0)), (vecs[2], bad)]
+        calls = {
+            "mle_loss": lambda: mle_loss(pairs, params),
+            "estimate_fisher": lambda: estimate_fisher(pairs, params),
+            "train_session": lambda: train_session(
+                params, toy_codebook(self.SIZES), pairs[:2], [], pairs[2:], None, 0.0, 0.05, 3
+            ),
+        }
+        with pytest.raises(ValueError, match="pair 2"):
+            calls[fn]()
+
+    def test_all_codes_too_long(self):
+        params = random_params(self.SIZES, dim=1, seed=42)
+        with pytest.raises(ValueError, match="pair 0: code \\(0, 0, 0\\) has 3 positions"):
+            mle_loss([(np.ones(1), (0, 0, 0))] * 2, params)
+
+
+def reference_mle_loss(pairs, params):
+    """The per-group loop: one dense softmax over the whole batch per group."""
+    vecs = np.stack([v for v, _ in pairs])
+    codes = np.array([c for _, c in pairs])
+    rows = np.arange(len(pairs))
+    loss, d_w, d_b = 0.0, [], []
+    for m in range(params.n_groups):
+        logits = vecs @ params.weights[m].T + params.biases[m]
+        mx = logits.max(axis=1, keepdims=True)
+        z = np.exp(logits - mx).sum(axis=1, keepdims=True)
+        loss -= float((logits - mx - np.log(z))[rows, codes[:, m]].sum())
+        g = np.exp(logits - mx) / z
+        g[rows, codes[:, m]] -= 1.0
+        d_w.append(g.T @ vecs)
+        d_b.append(g.sum(axis=0))
+    return loss, (d_w, d_b)
+
+
+def close(got, want, bound=1e-12):
+    return len(got) == len(want) and all(
+        np.abs(a - b).max() <= bound * np.abs(b).max() for a, b in zip(got, want)
+    )
+
+
+@st.composite
+def block_problems(draw):
+    """Batches around the LOSS_BLOCK boundaries, uneven groups, one with a single row."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    sizes.insert(draw(st.integers(0, len(sizes))), 1)
+    prev_sizes = [draw(st.integers(1, k)) for k in sizes]
+    dim = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, LOSS_BLOCK - 1, LOSS_BLOCK, LOSS_BLOCK + 1, 2 * LOSS_BLOCK + 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(rng.normal(size=dim), tuple(int(rng.integers(k)) for k in sizes)) for _ in range(n)]
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    prev = random_params(prev_sizes, dim, seed=int(rng.integers(2**32)))
+    anchored = draw(st.booleans())
+    return sizes, prev, pairs, cuts, anchored
+
+
+class TestLossBlocks:
+    @given(block_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matches_the_per_group_loop(self, problem):
+        sizes, prev, pairs, cuts, anchored = problem
+        params = align_to_codebook(prev, toy_codebook(sizes))
+        loss, (gw, gb) = mle_loss(pairs, params)
+        want_loss, (want_gw, want_gb) = reference_mle_loss(pairs, params)
+        assert rel_err(loss, want_loss) <= 1e-12
+        assert close(gw + gb, want_gw + want_gb)
+        # The Fisher: the mean of squared per-pair gradients.
+        per_pair = [reference_mle_loss([pair], params)[1] for pair in pairs]
+        want_fw = [sum(g[0][m] ** 2 for g in per_pair) / len(pairs) for m in range(len(sizes))]
+        want_fb = [sum(g[1][m] ** 2 for g in per_pair) / len(pairs) for m in range(len(sizes))]
+        fisher = estimate_fisher(pairs, params)
+        assert close(fisher.weights + fisher.biases, want_fw + want_fb)
+
+    @given(block_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_train_session_matches_reference(self, problem):
+        sizes, prev, pairs, (a, b), anchored = problem
+        cb = toy_codebook(sizes)
+        groups = (pairs[:a], pairs[a:b], pairs[b:])
+        if anchored:
+            prev_pairs = [(v, tuple(min(k, p - 1) for k, p in zip(c, prev.sizes()))) for v, c in pairs]
+            fisher, lam = estimate_fisher(prev_pairs, prev), 0.5
+        else:
+            fisher, lam = None, 0.0
+        got = train_session(prev, cb, *groups, fisher, lam, 0.05, 10)
+        want = reference_train_session(prev, cb, groups, fisher, lam, 0.05, 10)
+        assert got.sizes() == want.sizes() == sizes
+        assert close(got.weights + got.biases, want.weights + want.biases)
+
+
+class TestLossMemory:
+    """Peak memory of training and of the Fisher stays below one n x ΣK matrix."""
+
+    N, SIZES, DIM = 400, [128] * 8, 32
+
+    def setup_problem(self):
+        rng = np.random.default_rng(43)
+        pairs = [
+            (rng.normal(size=self.DIM), tuple(int(c) for c in rng.integers(100, size=len(self.SIZES))))
+            for _ in range(self.N)
+        ]
+        prev = random_params([100] * len(self.SIZES), self.DIM, seed=44)
+        return pairs, prev, estimate_fisher(pairs, prev)
+
+    def peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_train_session_and_fisher_peaks(self):
+        pairs, prev, fisher = self.setup_problem()
+        cb = toy_codebook(self.SIZES)
+        limit = self.N * sum(self.SIZES) * 8
+        assert self.peak(lambda: train_session(prev, cb, pairs, [], [], fisher, 0.5, 0.05, 2)) < limit
+        params = align_to_codebook(prev, cb)
+        assert self.peak(lambda: estimate_fisher(pairs, params)) < limit
 
 
 def reference_beam_search(q, params, codes, beam, top_n):

@@ -1,6 +1,8 @@
 """End-to-end tests for the experiment driver, persistence, and the CLI."""
 
 import json
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +121,21 @@ class TestStatePersistence:
         save_state(load_state(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_load_does_not_copy_the_payload(self, tmp_path):
+        path = tmp_path / "m.state"
+        save_state(self.make_state(tmp_path), path)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        read_and_unpickle = peak(lambda: pickle.loads(memoryview(path.read_bytes())[48:]))
+        assert peak(lambda: load_state(path)) < read_and_unpickle + path.stat().st_size // 2
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "x.state"
         path.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 48)
@@ -133,6 +150,14 @@ class TestStatePersistence:
         data[-1] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="checksum mismatch"):
+            load_state(path)
+
+    def test_truncation_detected(self, tmp_path):
+        path = tmp_path / "t.state"
+        save_state(self.make_state(tmp_path), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-10])
+        with pytest.raises(ValueError, match=f"truncated payload \\({len(data) - 58} of {len(data) - 48} bytes\\)"):
             load_state(path)
 
     def test_newer_version_refused(self, tmp_path):
