@@ -9,20 +9,21 @@ rehearsal, pseudo queries, and an EWC anchor configurable per variant.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
-import pickle
+import os
 import struct
-import sys
 import time
-import dataclasses
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import synthetic
-from .codebook import Codebook, build_base_codebook
+from .codebook import Codebook, SubCodebook, build_base_codebook
 from .decoder import (
     DecoderParams,
     DocidTrie,
@@ -41,7 +42,7 @@ from .rehearsal import (
     build_memory_bank,
     generate_pseudo_queries,
 )
-from .repr_learner import doc_embedding, iterative_train
+from .repr_learner import ProjectorParams, doc_embedding, iterative_train
 from .rng import RandomSource
 
 REPORT_SCHEMA = "ipqgr-report/1"
@@ -218,76 +219,338 @@ class EngineState:
 
 
 STATE_MAGIC = b"IPQS"
-STATE_VERSION = 2
+STATE_VERSION = 3
+_HEADER = struct.Struct("<4sI32sQ")  # magic, version, SHA-256 of the payload, payload length
+_ALIGN = 16  # every array starts at a multiple of this many bytes into the file
+
+# Metadata fields and what each holds. "fisher" and "projector" may be null.
+_META_FIELDS = {
+    "session": "int",
+    "ids": "list",
+    "history": "list",
+    "codebook": {"session": "int", "dim": "count", "sizes": "counts"},
+    "decoder": {"session": "int", "sizes": "counts"},
+    "fisher": {"sizes": "counts"},
+    "projector": {"hidden": "count", "in_dim": "count"},
+    "arrays": "dict",
+}
+_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "count": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "counts": ("a list of integers >= 0", lambda v: isinstance(v, list)
+               and all(type(x) is int and x >= 0 for x in v)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def _stored_id(doc_id):
+    """`doc_id` as a state file holds it: an int or a str."""
+    if isinstance(doc_id, str):
+        return doc_id
+    if isinstance(doc_id, (int, np.integer)) and not isinstance(doc_id, bool):
+        return int(doc_id)
+    raise ValueError(
+        f"doc id {doc_id!r} has type {type(doc_id).__name__}; only int and str ids can be saved"
+    )
+
+
+def _array_layout(meta: dict) -> dict:
+    """Name -> (dtype, shape) of each array the metadata calls for, in file order.
+
+    The member rows (None) are the one free extent; the member counts fix it.
+    """
+    n, cb = len(meta["ids"]), meta["codebook"]
+    dim, m, k = cb["dim"], len(cb["sizes"]), sum(cb["sizes"])
+    k_dec = sum(meta["decoder"]["sizes"])
+    layout = {
+        "embeddings": ("<f8", (n, dim)),
+        "centroids": ("<f8", (k, dim // m)),
+        "members": ("<f8", (None, dim // m)),
+        "decoder_weights": ("<f8", (k_dec, dim)),
+        "decoder_biases": ("<f8", (k_dec,)),
+    }
+    if meta["fisher"] is not None:
+        k_fisher = sum(meta["fisher"]["sizes"])
+        layout["fisher_weights"] = ("<f8", (k_fisher, dim))
+        layout["fisher_biases"] = ("<f8", (k_fisher,))
+    if meta["projector"] is not None:
+        hidden, in_dim = meta["projector"]["hidden"], meta["projector"]["in_dim"]
+        layout["projector_w1"] = ("<f8", (hidden, in_dim))
+        layout["projector_b1"] = ("<f8", (hidden,))
+        layout["projector_w2"] = ("<f8", (dim, hidden))
+        layout["projector_b2"] = ("<f8", (dim,))
+    layout["member_counts"] = ("<i8", (k,))
+    layout["codes"] = ("<i4", (n, m))
+    return layout
+
+
+def _shape_fits(shape, want: tuple) -> bool:
+    return (
+        isinstance(shape, list)
+        and len(shape) == len(want)
+        and all(type(s) is int and s >= 0 and w in (None, s) for s, w in zip(shape, want))
+    )
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
+
+
+def _split_rows(a: np.ndarray, counts) -> list[np.ndarray]:
+    """Consecutive row blocks of `a` with the given row counts, as views."""
+    ends = list(itertools.accumulate(counts))
+    return [a[e - c : e] for c, e in zip(counts, ends)]
+
+
+def _payload(state: EngineState, history: list) -> list:
+    """The payload as buffers in file order: metadata length and JSON, then arrays.
+
+    Saving writes these buffers and `state_core_bytes` sums their sizes, so both
+    go through one encoder.
+    """
+    cb, decoder, fisher, projector = state.codebook, state.decoder, state.fisher, state.projector
+    ids = list(state.codes)
+    if not all(type(i) is int or type(i) is str for i in ids):
+        ids = [_stored_id(i) for i in ids]
+    if len(state.doc_embs) != len(ids):
+        raise ValueError(f"{len(ids)} coded docs but {len(state.doc_embs)} embeddings")
+    rows = [state.doc_embs[i] for i in state.codes] or [np.zeros(0)]
+    members = [v for g in cb.groups for v in g.member_vecs]
+    arrays = {
+        "embeddings": np.concatenate(rows).reshape(len(ids), cb.dim),
+        "centroids": np.concatenate([g.centroids for g in cb.groups]),
+        "members": np.concatenate(members),
+        "decoder_weights": np.concatenate(decoder.weights),
+        "decoder_biases": np.concatenate(decoder.biases),
+    }
+    if fisher is not None:
+        arrays["fisher_weights"] = np.concatenate(fisher.weights)
+        arrays["fisher_biases"] = np.concatenate(fisher.biases)
+    if projector is not None:
+        for name in ("w1", "b1", "w2", "b2"):
+            arrays[f"projector_{name}"] = getattr(projector, name)
+    arrays["member_counts"] = np.array([len(v) for v in members])
+    arrays["codes"] = np.array(list(state.codes.values()), "<i4").reshape(len(ids), cb.n_groups)
+    meta = {
+        "session": state.session,
+        "ids": ids,
+        "history": history,
+        "codebook": {"session": cb.session, "dim": cb.dim, "sizes": cb.sizes()},
+        "decoder": {"session": decoder.session, "sizes": decoder.sizes()},
+        "fisher": None if fisher is None else {"sizes": [len(b) for b in fisher.biases]},
+        "projector": None if projector is None else {
+            "hidden": projector.w1.shape[0], "in_dim": projector.w1.shape[1]
+        },
+    }
+    layout = _array_layout(meta)
+    meta["arrays"] = {}
+    buffers = []
+    for name, (dtype, want) in layout.items():
+        a = np.ascontiguousarray(arrays[name], dtype=dtype)
+        if not _shape_fits(list(a.shape), want):
+            raise ValueError(f"cannot save {name} of shape {a.shape}, expected {want}")
+        meta["arrays"][name] = [dtype, list(a.shape)]
+        buffers.append(a)
+    text = json.dumps(meta, separators=(",", ":")).encode()
+    out, end = [struct.pack("<Q", len(text)), text], _HEADER.size + 8 + len(text)
+    for a in buffers:
+        out.append(b"\0" * (_aligned(end) - end))
+        out.append(a)
+        end = _aligned(end) + a.nbytes
+    return out
 
 
 def state_core_bytes(state: EngineState) -> int:
-    """Serialized size of the model state, excluding run bookkeeping."""
-    core = (state.codebook, state.codes, state.decoder, state.fisher, state.projector)
-    return len(pickle.dumps(core, protocol=4))
+    """Size of the state file for `state` without its history (run bookkeeping)."""
+    return _HEADER.size + sum(memoryview(b).nbytes for b in _payload(state, history=[]))
 
 
 def save_state(state: EngineState, path) -> None:
-    payload = pickle.dumps(state, protocol=4)
-    digest = hashlib.sha256(payload).digest()
-    with open(path, "wb") as fh:
-        fh.write(STATE_MAGIC)
-        fh.write(struct.pack("<I", STATE_VERSION))
-        fh.write(digest)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
+    """Write `state` to `path` through a temporary file, so a failed save leaves the old file."""
+    payload = _payload(state, state.history)
+    digest = hashlib.sha256()
+    for b in payload:
+        digest.update(b)
+    length = sum(memoryview(b).nbytes for b in payload)
+    header = _HEADER.pack(STATE_MAGIC, STATE_VERSION, digest.digest(), length)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for b in payload:
+                fh.write(b)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _canonicalize_loaded(obj, seen: set | None = None) -> None:
-    """Restore interned identities that unpickling loses.
+def _check_fields(obj, fields: dict, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise ValueError(f"{where} lacks {key!r}")
+        value, name = obj[key], f"{where}.{key}"
+        if isinstance(kind, dict):
+            if value is not None or key not in ("fisher", "projector"):
+                _check_fields(value, kind, name)
+        elif not _KINDS[kind][1](value):
+            raise ValueError(f"{name} must be {_KINDS[kind][0]}")
 
-    A freshly built state holds interned str keys and numpy's singleton dtype
-    instances; unpickling produces equal-but-distinct copies. The mix changes
-    how pickle memoizes a later save, so without this pass a resumed run would
-    serialize to slightly different bytes than an uninterrupted one.
+
+class _HashedReader:
+    """Sequential reads from a file that feed every byte read to a SHA-256."""
+
+    def __init__(self, fh):
+        self.fh, self.digest = fh, hashlib.sha256()
+
+    def read(self, n: int) -> bytes:
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise ValueError("file shrank while being read")
+        self.digest.update(data)
+        return data
+
+    def read_array(self, dtype: str, shape: list) -> np.ndarray:
+        a = np.empty(shape, dtype)
+        if self.fh.readinto(a) != a.nbytes:
+            raise ValueError("file shrank while being read")
+        self.digest.update(a)
+        return a
+
+    def finish(self) -> bytes:
+        """SHA-256 of everything read plus the rest of the file."""
+        self.digest.update(self.fh.read())
+        return self.digest.digest()
+
+
+def _decode(reader: _HashedReader, length: int) -> EngineState:
+    """Read a payload of `length` bytes into a state, checking it against its metadata.
+
+    Each array is read straight into its own buffer, so no copy of the whole
+    file is held and a stale part of the file does not pin the rest.
     """
-    if seen is None:
-        seen = set()
-    if id(obj) in seen:
-        return
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        obj.dtype = np.dtype(obj.dtype.str)
-    elif isinstance(obj, dict):
-        for k in list(obj):
-            v = obj.pop(k)
-            obj[sys.intern(k) if isinstance(k, str) else k] = v
-            _canonicalize_loaded(v, seen)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _canonicalize_loaded(v, seen)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            _canonicalize_loaded(getattr(obj, f.name), seen)
+    if length < 8:
+        raise ValueError("payload too short to hold its metadata length")
+    (n_text,) = struct.unpack("<Q", reader.read(8))
+    if n_text > length - 8:
+        raise ValueError(f"metadata length {n_text} runs past the payload")
+    try:
+        meta = json.loads(reader.read(n_text))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"unreadable metadata: {exc}") from None
+    _check_fields(meta, _META_FIELDS, "metadata")
+    cb = meta["codebook"]
+    sizes, dim, ids = cb["sizes"], cb["dim"], meta["ids"]
+    if not sizes or dim % len(sizes):
+        raise ValueError(f"codebook dim {dim} does not split into {len(sizes)} groups")
+    if not all(type(i) is int or type(i) is str for i in ids):
+        raise ValueError("doc ids must be integers or strings")
+    if len(set(ids)) != len(ids):
+        raise ValueError("doc ids repeat")
+
+    layout = _array_layout(meta)
+    described = meta["arrays"]
+    for name in layout:
+        if name not in described:
+            raise ValueError(f"missing array {name!r}")
+    for name in described:
+        if name not in layout:
+            raise ValueError(f"unexpected array {name!r}")
+    arrays, end = {}, _HEADER.size + 8 + n_text
+    for name, entry in described.items():  # in file order
+        want_dtype, want_shape = layout[name]
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValueError(f"array {name!r} is not described as [dtype, shape]")
+        dtype, shape = entry
+        if dtype != want_dtype:
+            raise ValueError(f"array {name!r} has dtype {dtype!r}, expected {want_dtype!r}")
+        if not _shape_fits(shape, want_shape):
+            raise ValueError(f"array {name!r} has shape {shape}, expected {list(want_shape)}")
+        start = _aligned(end)
+        if start + math.prod(shape) * int(dtype[2:]) > _HEADER.size + length:
+            raise ValueError(f"array {name!r} runs past the payload")
+        reader.read(start - end)
+        arrays[name] = reader.read_array(dtype, shape)
+        end = start + arrays[name].nbytes
+    if end != _HEADER.size + length:
+        raise ValueError(f"{_HEADER.size + length - end} bytes after the last array")
+
+    counts, members = arrays["member_counts"].tolist(), arrays["members"]
+    if min(counts, default=0) < 0 or sum(counts) != len(members):
+        raise ValueError(f"member counts sum to {sum(counts)}, not {len(members)} member rows")
+    codes = arrays["codes"]
+    if len(codes) and ((codes.min(axis=0) < 0) | (codes.max(axis=0) >= sizes)).any():
+        raise ValueError("a code is out of range of its group's centroids")
+
+    member_vecs = _split_rows(members, counts)
+    groups, first = [], 0
+    for k, centroids in zip(sizes, _split_rows(arrays["centroids"], sizes)):
+        groups.append(SubCodebook(centroids, member_vecs[first : first + k]))
+        first += k
+    dec = meta["decoder"]
+    decoder = DecoderParams(
+        _split_rows(arrays["decoder_weights"], dec["sizes"]),
+        _split_rows(arrays["decoder_biases"], dec["sizes"]),
+        dec["session"],
+    )
+    fisher = None
+    if meta["fisher"] is not None:
+        fisher = FisherDiag(
+            _split_rows(arrays["fisher_weights"], meta["fisher"]["sizes"]),
+            _split_rows(arrays["fisher_biases"], meta["fisher"]["sizes"]),
+        )
+    projector = None
+    if meta["projector"] is not None:
+        projector = ProjectorParams(*(arrays[f"projector_{n}"] for n in ("w1", "b1", "w2", "b2")))
+    return EngineState(
+        session=meta["session"],
+        codebook=Codebook(cb["session"], dim, groups),
+        codes=dict(zip(ids, map(tuple, codes.tolist()))),
+        doc_embs=dict(zip(ids, arrays["embeddings"])),
+        decoder=decoder,
+        fisher=fisher,
+        projector=projector,
+        history=meta["history"],
+    )
 
 
 def load_state(path) -> EngineState:
+    """Read a state file written by `save_state`.
+
+    Only the current version loads. Versions 1 and 2 held a pickle; they are
+    refused unread, so loading never runs code from the file.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 48 or data[:4] != STATE_MAGIC:
-        raise ValueError(f"{path}: not an engine state file (bad magic)")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version > STATE_VERSION:
-        raise ValueError(f"{path}: state version {version} is newer than supported {STATE_VERSION}")
-    digest = data[8:40]
-    (length,) = struct.unpack_from("<Q", data, 40)
-    payload = memoryview(data)[48:]  # hashed and unpickled without a copy
-    if len(payload) != length:
-        raise ValueError(f"{path}: truncated payload ({len(payload)} of {length} bytes)")
-    if hashlib.sha256(payload).digest() != digest:
-        raise ValueError(f"{path}: checksum mismatch, file is corrupt")
-    state = pickle.loads(payload)
-    if version < 2:  # version 1 also stored doc_session and per-cluster ids and distances
-        vars(state).pop("doc_session", None)
-        for g in state.codebook.groups:
-            vars(g).pop("member_ids", None)
-            vars(g).pop("member_dists", None)
-    _canonicalize_loaded(state)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:4] != STATE_MAGIC:
+            raise ValueError(f"{path}: not an engine state file (bad magic)")
+        _, version, digest, length = _HEADER.unpack(head)
+        if version > STATE_VERSION:
+            raise ValueError(f"{path}: state version {version} is newer than supported {STATE_VERSION}")
+        if version < STATE_VERSION:
+            raise ValueError(
+                f"{path}: state version {version} holds a pickle, which is not loaded; "
+                f"rebuild the state (version {STATE_VERSION})"
+            )
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != length:
+            raise ValueError(f"{path}: truncated payload ({size} of {length} bytes)")
+        reader = _HashedReader(fh)
+        try:
+            state = _decode(reader, length)
+        except ValueError as exc:
+            problem = f"malformed state: {exc}"
+        else:
+            problem = None
+        # A corrupt file is reported as such, whatever its payload broke first.
+        if reader.finish() != digest:
+            problem = "checksum mismatch, file is corrupt"
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
     return state
 
 
@@ -313,6 +576,8 @@ class Engine:
         limited to base documents.
         """
         cfg = self.config
+        for i in doc_ids:
+            _stored_id(i)  # refuses an id that a state file cannot hold
         rng = self._rng("base")
         projector = None
         if token_docs is not None:
@@ -376,6 +641,7 @@ class Engine:
                 raise ValueError(f"{len(doc_ids)} doc ids but {len(given)} {what}")
         seen = set(st.codes)
         for i in doc_ids:
+            _stored_id(i)
             if i in seen:
                 raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
             seen.add(i)

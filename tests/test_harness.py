@@ -1,13 +1,16 @@
 """End-to-end tests for the experiment driver, persistence, and the CLI."""
 
+import errno
+import hashlib
 import json
 import pickle
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ipqgr import cli, synthetic
+from ipqgr import cli, harness, synthetic
 from ipqgr.harness import (
     VARIANTS,
     Engine,
@@ -124,17 +127,48 @@ class TestStatePersistence:
     def test_load_does_not_copy_the_payload(self, tmp_path):
         path = tmp_path / "m.state"
         save_state(self.make_state(tmp_path), path)
+        tracemalloc.start()
+        try:
+            load_state(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * path.stat().st_size
 
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.state"
+        save_state(self.make_state(tmp_path), path)
+        before = path.read_bytes()
+        _, newer = run_experiment(small_config(), small_inputs(), stop_after_session=2)
 
-        read_and_unpickle = peak(lambda: pickle.loads(memoryview(path.read_bytes())[48:]))
-        assert peak(lambda: load_state(path)) < read_and_unpickle + path.stat().st_size // 2
+        class DiskFull:
+            """A file that takes the 48-byte header, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 48
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                data = bytes(data)
+                self.fh.write(data[: self.room])
+                if len(data) > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(data)
+
+        def open_full(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return DiskFull(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(harness, "open", open_full, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_state(newer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "x.state"
@@ -170,44 +204,29 @@ class TestStatePersistence:
         with pytest.raises(ValueError, match="newer than supported"):
             load_state(path)
 
-    def test_version_1_state_loads_and_ingests(self, tmp_path):
-        state = self.make_state(tmp_path)
-        fresh = tmp_path / "fresh.state"
-        save_state(state, fresh)
-        # Version 1 also stored member ids, cached member distances and each
-        # doc's arrival session.
-        old = load_state(fresh)
-        old.doc_session = {d: 0 for d in old.codes}
-        for g in old.codebook.groups:
-            g.member_ids = [list(range(len(v))) for v in g.member_vecs]
-            g.member_dists = [
-                np.sqrt(((v - c) ** 2).sum(axis=1)) for v, c in zip(g.member_vecs, g.centroids)
-            ]
-        path = tmp_path / "v1.state"
-        save_state(old, path)
-        data = bytearray(path.read_bytes())
-        data[4:8] = (1).to_bytes(4, "little")
-        path.write_bytes(bytes(data))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pickle_state_is_refused_without_running(self, tmp_path, version):
+        # Versions 1 and 2 held a pickle. This one opens a marker file when unpickled.
+        marker = tmp_path / "ran"
+        payload = pickle.dumps(OpensOnUnpickle(str(marker)), protocol=4)
+        path = tmp_path / "old.state"
+        path.write_bytes(
+            b"IPQS" + struct.pack("<I", version) + hashlib.sha256(payload).digest()
+            + struct.pack("<Q", len(payload)) + payload
+        )
+        with pytest.raises(ValueError, match=f"state version {version} holds a pickle"):
+            load_state(path)
+        assert not marker.exists()
+        pickle.loads(payload).close()  # the payload is live: unpickling it runs code
+        assert marker.exists()
 
-        loaded = load_state(path)
-        assert not hasattr(loaded, "doc_session")
-        for g in loaded.codebook.groups:
-            assert not hasattr(g, "member_ids") and not hasattr(g, "member_dists")
-        resaved_v1, resaved_fresh = tmp_path / "v1-resaved.state", tmp_path / "fresh-resaved.state"
-        save_state(loaded, resaved_v1)
-        save_state(load_state(fresh), resaved_fresh)
-        assert resaved_v1.read_bytes() == resaved_fresh.read_bytes()
 
-        new_ids = list(range(1000, 1010))
-        new_embs = np.random.default_rng(11).normal(size=(10, 16))
-        results = []
-        for st in (load_state(path), load_state(fresh)):
-            issued = dict(st.codes)
-            engine = Engine(small_config(), st)
-            info, _ = engine.ingest(st.session + 1, new_ids, new_embs)
-            assert all(engine.state.codes[d] == code for d, code in issued.items())
-            results.append((info, engine.state.codes))
-        assert results[0] == results[1]
+class OpensOnUnpickle:
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 class TestRunExperiment:

@@ -1,0 +1,351 @@
+"""Properties of the state file: exact round trips, resumes and refused payloads."""
+
+import hashlib
+import json
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ipqgr import cli, synthetic
+from ipqgr.codebook import Codebook, SubCodebook
+from ipqgr.decoder import DecoderParams, FisherDiag
+from ipqgr.harness import (
+    EngineState,
+    ExperimentConfig,
+    ExperimentInputs,
+    canonical_report_bytes,
+    load_state,
+    run_experiment,
+    save_state,
+)
+from ipqgr.repr_learner import ProjectorParams
+from ipqgr.rng import RandomSource
+
+
+def build_state(ids, sizes, sub_dim, member_counts, fisher_sizes, projector_hidden, seed,
+                history=(), session=3):
+    """An EngineState filled with random values; `member_counts` has one entry per centroid."""
+    rng = np.random.default_rng(seed)
+    m = len(sizes)
+    dim = m * sub_dim
+    counts = iter(member_counts)
+    groups = [
+        SubCodebook(rng.normal(size=(k, sub_dim)),
+                    [rng.normal(size=(next(counts), sub_dim)) for _ in range(k)])
+        for k in sizes
+    ]
+    embs = rng.normal(size=(len(ids), dim))
+    if len(ids):
+        embs[0, 0], embs[-1, -1] = -0.0, np.nan  # bit patterns that == would not check
+    fisher = None
+    if fisher_sizes is not None:
+        fisher = FisherDiag([rng.random((k, dim)) for k in fisher_sizes],
+                            [rng.random(k) for k in fisher_sizes])
+    projector = None
+    if projector_hidden is not None:
+        h, e = projector_hidden
+        projector = ProjectorParams(rng.normal(size=(h, e)), rng.normal(size=h),
+                                    rng.normal(size=(dim, h)), rng.normal(size=dim))
+    return EngineState(
+        session=session,
+        codebook=Codebook(session - 1, dim, groups),
+        codes={i: tuple(int(rng.integers(k)) for k in sizes) for i in ids},
+        doc_embs={i: e for i, e in zip(ids, embs)},
+        decoder=DecoderParams([rng.normal(size=(k, dim)) for k in sizes],
+                              [rng.normal(size=k) for k in sizes], session=session - 2),
+        fisher=fisher,
+        projector=projector,
+        history=list(history),
+    )
+
+
+def bit_equal(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def all_bit_equal(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(bit_equal(x, y) for x, y in zip(xs, ys))
+
+
+def assert_same_state(a: EngineState, b: EngineState) -> None:
+    assert (a.session, a.codebook.session, a.codebook.dim) == (
+        b.session, b.codebook.session, b.codebook.dim)
+    assert [(type(i), i) for i in a.codes] == [(type(i), i) for i in b.codes]
+    assert list(a.codes.values()) == list(b.codes.values())
+    assert all(type(c) is int for code in b.codes.values() for c in code)
+    assert list(a.doc_embs) == list(b.doc_embs)
+    assert all_bit_equal(list(a.doc_embs.values()), list(b.doc_embs.values()))
+    for ga, gb in zip(a.codebook.groups, b.codebook.groups, strict=True):
+        assert bit_equal(ga.centroids, gb.centroids)
+        assert all_bit_equal(ga.member_vecs, gb.member_vecs)
+    assert a.decoder.session == b.decoder.session
+    assert all_bit_equal(a.decoder.weights, b.decoder.weights)
+    assert all_bit_equal(a.decoder.biases, b.decoder.biases)
+    assert (a.fisher is None) == (b.fisher is None)
+    if a.fisher is not None:
+        assert all_bit_equal(a.fisher.weights, b.fisher.weights)
+        assert all_bit_equal(a.fisher.biases, b.fisher.biases)
+    assert (a.projector is None) == (b.projector is None)
+    if a.projector is not None:
+        assert all_bit_equal([a.projector.w1, a.projector.b1, a.projector.w2, a.projector.b2],
+                             [b.projector.w1, b.projector.b1, b.projector.w2, b.projector.b2])
+    assert a.history == b.history
+    assert json.dumps(a.history) == json.dumps(b.history)  # key order too
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def engine_states(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    fisher = draw(st.none() | st.just([draw(st.integers(0, k)) for k in sizes]))
+    return build_state(
+        ids=draw(st.lists(st.integers(-(2**70), 2**70) | st.text(), max_size=6, unique=True)),
+        sizes=sizes,
+        sub_dim=draw(st.integers(1, 3)),
+        member_counts=draw(st.lists(st.integers(0, 3), min_size=sum(sizes), max_size=sum(sizes))),
+        fisher_sizes=fisher,
+        projector_hidden=draw(st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        history=draw(st.lists(st.dictionaries(st.text(), json_values, max_size=4), max_size=3)),
+        session=draw(st.integers(-1, 20)),
+    )
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(engine_states())
+    def test_load_of_save_is_the_same_state(self, tmp_path_factory, state):
+        path = tmp_path_factory.mktemp("rt") / "s.state"
+        save_state(state, path)
+        loaded = load_state(path)
+        assert_same_state(state, loaded)
+        first = path.read_bytes()
+        save_state(loaded, path)
+        assert path.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [3, 0, 17, 2**40],
+            ["doc-b", "ä-dok", "文档", "🙂", ""],
+            [5, "5", "ünï", -1, "x"],
+        ],
+        ids=["int", "str", "mixed"],
+    )
+    @pytest.mark.parametrize("fisher", [None, [2, 1]], ids=["no-fisher", "fisher"])
+    @pytest.mark.parametrize("projector", [None, (3, 5)], ids=["no-projector", "projector"])
+    def test_id_kinds_and_optional_parts(self, tmp_path, ids, fisher, projector):
+        # Group 0 has a one-member cluster and an empty one.
+        state = build_state(ids, [3, 2], 2, [1, 0, 4, 1, 2], fisher, projector, seed=len(ids),
+                            history=[{"z": 1, "a": [0.1, None], "m": {"vert": 0.5}}])
+        path = tmp_path / "s.state"
+        save_state(state, path)
+        assert_same_state(state, load_state(path))
+
+    def test_numpy_integer_ids_are_stored_as_int(self, tmp_path):
+        state = build_state([np.int64(4), np.int32(9)], [2], 2, [1, 1], None, None, seed=0)
+        save_state(state, tmp_path / "s.state")
+        loaded = load_state(tmp_path / "s.state")
+        assert [(type(i), i) for i in loaded.codes] == [(int, 4), (int, 9)]
+
+    @pytest.mark.parametrize("bad", [(1, 2), 1.5, True, None, b"id"])
+    def test_engine_refuses_ids_a_file_cannot_hold(self, bad):
+        from ipqgr.harness import Engine
+
+        cfg = ExperimentConfig(decoder_steps=5, v_epochs=0)
+        data = synthetic.generate(60, 16, 5, RandomSource(0).derive("synthetic"))
+        engine = Engine(cfg)
+        with pytest.raises(ValueError, match=f"has type {type(bad).__name__}"):
+            engine.build_base([*data.doc_ids[:-1], bad], data.doc_embs, [])
+        assert engine.state is None
+        engine.build_base(data.doc_ids[:50], data.doc_embs[:50], [])
+        issued = dict(engine.state.codes)
+        with pytest.raises(ValueError, match=f"has type {type(bad).__name__}"):
+            engine.ingest(1, [100, bad], data.doc_embs[50:52])
+        assert engine.state.session == 0 and engine.state.codes == issued
+
+
+# -- resume at every stop point ----------------------------------------------------
+
+
+def synthetic_run():
+    cfg = ExperimentConfig(decoder_steps=20, v_epochs=0, seed=7)
+    data = synthetic.generate(120, 16, 10, RandomSource(7).derive("synthetic"))
+    return cfg, ExperimentInputs.from_synthetic(data)
+
+
+def token_run():
+    cfg = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=10,
+                           proj_inner_iters=3, seed=3)
+    data = synthetic.generate(60, 8, 5, RandomSource(3).derive("synthetic"), with_tokens=True,
+                              token_range=(5, 12))
+    return cfg, ExperimentInputs.from_synthetic(data)
+
+
+RUNS = {"synthetic": synthetic_run, "tokens": token_run}
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """Report bytes and final state file of each run done in one go."""
+    out = {}
+    for name, make in RUNS.items():
+        report, state = run_experiment(*make())
+        path = tmp_path_factory.mktemp(name) / "final.state"
+        save_state(state, path)
+        out[name] = (canonical_report_bytes(report), path.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("stop", [0, 1, 2, 3])
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_resume_after_every_session_is_byte_identical(tmp_path, uninterrupted, run, stop):
+    cfg, inputs = RUNS[run]()
+    _, mid = run_experiment(cfg, inputs, stop_after_session=stop)
+    save_state(mid, tmp_path / "mid.state")
+    report, final = run_experiment(cfg, inputs, resume_state=load_state(tmp_path / "mid.state"))
+    save_state(final, tmp_path / "final.state")
+    assert (canonical_report_bytes(report), (tmp_path / "final.state").read_bytes()) == uninterrupted[run]
+
+
+# -- malformed payloads under a valid checksum ---------------------------------
+
+
+def rewrite(path, edit=None, cut_text=0):
+    """Re-encode the state file at `path` after `edit(meta, arrays)`, with a valid checksum.
+
+    The payload is an 8-byte metadata length, the JSON metadata, then each
+    array it lists, in that order, starting at a multiple of 16 bytes into the file.
+    """
+    data = path.read_bytes()
+    (n_text,) = struct.unpack_from("<Q", data, 48)
+    meta = json.loads(data[56 : 56 + n_text])
+    arrays, end = {}, 56 + n_text
+    for name, (dtype, shape) in meta["arrays"].items():
+        start = -(-end // 16) * 16
+        arrays[name] = np.frombuffer(data, dtype, math.prod(shape), start).reshape(shape).copy()
+        end = start + arrays[name].nbytes
+    assert end == len(data)
+    if edit is not None:
+        edit(meta, arrays)
+    text = json.dumps(meta).encode()
+    text = text[: len(text) - cut_text]
+    payload = struct.pack("<Q", len(text)) + text
+    for a in arrays.values():
+        payload += b"\0" * (-(48 + len(payload)) % 16) + a.tobytes()
+    path.write_bytes(b"IPQS" + struct.pack("<I", 3) + hashlib.sha256(payload).digest()
+                     + struct.pack("<Q", len(payload)) + payload)
+
+
+def drop_embeddings(meta, arrays):
+    del meta["arrays"]["embeddings"], arrays["embeddings"]
+
+
+def widen_centroids(meta, arrays):
+    meta["arrays"]["centroids"][1][1] += 1
+
+
+def miscount_members(meta, arrays):
+    arrays["member_counts"][0] += 1
+
+
+def object_centroids(meta, arrays):
+    meta["arrays"]["centroids"][0] = "|O"
+
+
+def code_out_of_range(meta, arrays):
+    arrays["codes"][0, 1] = meta["codebook"]["sizes"][1]
+
+
+MALFORMED = {
+    "missing-array": (dict(edit=drop_embeddings), "missing array 'embeddings'"),
+    "wrong-shape": (dict(edit=widen_centroids), "array 'centroids' has shape"),
+    "count-mismatch": (dict(edit=miscount_members), "member counts sum to"),
+    "object-dtype": (dict(edit=object_centroids), "array 'centroids' has dtype '|O'"),
+    "code-out-of-range": (dict(edit=code_out_of_range), "a code is out of range"),
+    "truncated-json": (dict(cut_text=7), "unreadable metadata"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_state(tmp_path_factory):
+    cfg, inputs = synthetic_run()
+    _, state = run_experiment(cfg, inputs, stop_after_session=1)
+    path = tmp_path_factory.mktemp("saved") / "s.state"
+    save_state(state, path)
+    return path.read_bytes()
+
+
+def test_rewrite_without_edits_loads(tmp_path, saved_state):
+    path = tmp_path / "s.state"
+    path.write_bytes(saved_state)
+    rewrite(path)
+    assert load_state(path).session == 1
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payload_is_a_named_value_error(tmp_path, capsys, saved_state, case):
+    kwargs, message = MALFORMED[case]
+    path = tmp_path / "s.state"
+    path.write_bytes(saved_state)
+    rewrite(path, **kwargs)
+    with pytest.raises(ValueError, match=f"malformed state: {message}"):
+        load_state(path)
+    code = cli.main(["ingest", "--state", str(path), "--docs", str(tmp_path / "new.emb")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed state: ")
+
+
+@pytest.mark.parametrize("where", [56, 60, -1], ids=["json-open", "json-body", "last-array"])
+def test_corruption_is_a_checksum_mismatch_wherever_it_lands(tmp_path, saved_state, where):
+    # Without the checksum, a flipped metadata byte would read as malformed metadata.
+    data = bytearray(saved_state)
+    data[where] ^= 0x55
+    path = tmp_path / "s.state"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="checksum mismatch"):
+        load_state(path)
+
+
+JSON_JUNK = [None, True, -1, 0, 2**70, 1.5, "x", [], [1, "a"], {}, {"a": 1}]
+
+
+def meta_paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from meta_paths(v, prefix + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj[:3]):
+            yield from meta_paths(v, prefix + (i,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pick=st.integers(0, 10**6), junk=st.sampled_from(JSON_JUNK))
+def test_any_metadata_edit_loads_or_is_a_value_error(tmp_path_factory, saved_state, pick, junk):
+    path = tmp_path_factory.mktemp("fuzz") / "s.state"
+    path.write_bytes(saved_state)
+
+    def replace_one(meta, arrays):
+        paths = [p for p in meta_paths(meta) if p]
+        *parents, last = paths[pick % len(paths)]
+        target = meta
+        for key in parents:
+            target = target[key]
+        target[last] = junk
+
+    rewrite(path, edit=replace_one)
+    try:
+        load_state(path)
+    except ValueError as exc:
+        assert "malformed state" in str(exc)
