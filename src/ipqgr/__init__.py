@@ -5,7 +5,6 @@ from .decoder import (
     DecoderParams,
     DocidTrie,
     FisherDiag,
-    FlatParams,
     PairBatch,
     beam_search,
     constrained_beam_search,

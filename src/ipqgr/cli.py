@@ -131,6 +131,7 @@ def cmd_ingest(args) -> int:
     ids = list(range(first_id, first_id + docs.shape[0]))
     engine = Engine(cfg, state)
     info, log = engine.ingest(state.session + 1, ids, docs)
+    engine.state.history.append(info)
     save_state(engine.state, args.state_out or args.state)
     if args.decision_log:
         from .ipq import decision_log_lines

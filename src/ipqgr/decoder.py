@@ -10,7 +10,7 @@ a prefix trie of assigned docids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,44 +24,108 @@ BEAM_BLOCK = 64
 LOSS_BLOCK = 64
 
 
-@dataclass
-class DecoderParams:
-    """Per-group score matrices W_m (K_m x D) and biases b_m (K_m)."""
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Where each group's rows sit in a flat (ΣK x D) matrix.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    session: int = 0
+    Group m owns `sizes[m]` rows from `starts[m]`; `group[j]` is the group of
+    row j. Every step of one training session shares one Layout object.
+    """
+
+    sizes: tuple[int, ...]
+    starts: np.ndarray
+    group: np.ndarray
 
     @classmethod
-    def zeros(cls, sizes: list[int], dim: int, session: int = 0) -> "DecoderParams":
-        return cls(
-            weights=[np.zeros((k, dim)) for k in sizes],
-            biases=[np.zeros(k) for k in sizes],
-            session=session,
-        )
+    def of(cls, sizes) -> "Layout":
+        sizes = tuple(int(k) for k in sizes)
+        return cls(sizes, np.cumsum((0,) + sizes)[:-1], np.repeat(np.arange(len(sizes)), sizes))
+
+
+class GroupRows:
+    """Every group's rows in one matrix `w` (ΣK x D) and one vector `b` (ΣK).
+
+    Built from per-group lists, or, with `layout`, around flat arrays as they
+    are. `weights[m]` and `biases[m]` are views of group m's rows: writing
+    into them writes into `w` and `b`, but replacing a list item does not.
+    """
+
+    def __init__(self, weights, biases, *, layout: Layout | None = None):
+        if layout is None:
+            layout = Layout.of([len(b) for b in biases])
+            weights, biases = np.concatenate(weights), np.concatenate(biases)
+        self.w, self.b, self.layout = weights, biases, layout
+
+    def _with(self, w: np.ndarray, b: np.ndarray, layout: Layout):
+        return type(self)(w, b, layout=layout)
 
     @property
     def n_groups(self) -> int:
-        return len(self.weights)
+        return len(self.layout.sizes)
 
     def sizes(self) -> list[int]:
-        return [w.shape[0] for w in self.weights]
+        return list(self.layout.sizes)
 
-    def copy(self) -> "DecoderParams":
-        return DecoderParams(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases], self.session
-        )
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return np.split(self.w, self.layout.starts[1:])
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return np.split(self.b, self.layout.starts[1:])
+
+    def copy(self):
+        return self._with(self.w.copy(), self.b.copy(), self.layout)
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.w.size + self.b.size
+
+    def padded(self, layout: Layout):
+        """A copy with zero rows appended to each group, up to the sizes of `layout`."""
+        have = self.layout.sizes
+        if len(have) != len(layout.sizes):
+            raise ValueError(f"{len(have)} groups, the layout has {len(layout.sizes)}")
+        grow = np.subtract(layout.sizes, have)
+        if (grow < 0).any():
+            m = int(np.argmax(grow < 0))
+            raise ValueError(f"group {m} has {have[m]} rows, more than the {layout.sizes[m]} to fill")
+        at = np.repeat(self.layout.starts + have, grow)
+        return self._with(np.insert(self.w, at, 0.0, axis=0), np.insert(self.b, at, 0.0), layout)
 
 
-@dataclass
-class FisherDiag:
-    """Diagonal Fisher estimate, shaped like the DecoderParams it was taken at."""
+class DecoderParams(GroupRows):
+    """Score matrices W_m (K_m x D) and biases b_m (K_m), one row per centroid."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, weights, biases, session: int = 0, *, layout: Layout | None = None):
+        super().__init__(weights, biases, layout=layout)
+        self.session = session
+
+    def _with(self, w, b, layout):
+        return DecoderParams(w, b, self.session, layout=layout)
+
+    @classmethod
+    def zeros(cls, sizes: list[int], dim: int, session: int = 0) -> "DecoderParams":
+        return cls([np.zeros((k, dim)) for k in sizes], [np.zeros(k) for k in sizes], session)
+
+    def step(self, lr: float, grad: "Gradient") -> "DecoderParams":
+        return self._with(self.w - lr * grad.w, self.b - lr * grad.b, self.layout)
+
+
+class FisherDiag(GroupRows):
+    """Diagonal Fisher estimate, laid out like the DecoderParams it was taken at."""
+
+
+class Gradient(GroupRows):
+    """A loss gradient in the layout of its parameters.
+
+    It unpacks and indexes as the pair (weights, biases) of per-group views.
+    """
+
+    def __iter__(self):
+        return iter((self.weights, self.biases))
+
+    def __getitem__(self, i: int) -> list[np.ndarray]:
+        return (self.weights, self.biases)[i]
 
 
 def _log_softmax_block(params: DecoderParams, queries: np.ndarray) -> list[np.ndarray]:
@@ -90,18 +154,20 @@ def docid_log_prob(e: np.ndarray, code: PqCode, params: DecoderParams) -> float:
     logps = group_log_probs(params, e)
     total = 0.0
     for m, k in enumerate(code):
-        if not 0 <= k < params.weights[m].shape[0]:
+        if not 0 <= k < params.layout.sizes[m]:
             raise ValueError(f"centroid index {k} out of range in group {m}")
         total += float(logps[m][k])
     return total
 
 
-@dataclass(frozen=True)
+@dataclass
 class PairBatch:
     """Training pairs stacked once: vectors (n x D) and target codes (n x M)."""
 
     vecs: np.ndarray
     codes: np.ndarray
+    # The layout last checked by `columns`, and the target rows in it.
+    _checked: tuple = field(default=(None, None), init=False, repr=False)
 
     @classmethod
     def stack(cls, pairs: list[Pair]) -> "PairBatch":
@@ -115,6 +181,30 @@ class PairBatch:
     def __len__(self) -> int:
         return len(self.vecs)
 
+    def columns(self, layout: Layout) -> np.ndarray:
+        """Each pair's target row per group in `layout` (`codes + starts`).
+
+        Checked once per layout: every step of a training session reuses it.
+        Raises ValueError naming the first pair whose code does not have one
+        position per group or has a position outside [0, K_m).
+        """
+        if self._checked[0] is layout:
+            return self._checked[1]
+        codes = self.codes
+        if codes.shape[1] != len(layout.sizes):
+            raise ValueError(
+                f"pair 0: code {tuple(codes[0].tolist())} has {codes.shape[1]} positions, "
+                f"the decoder has {len(layout.sizes)} groups"
+            )
+        bad = (codes < 0) | (codes >= layout.sizes)
+        if bad.any():
+            i = int(bad.any(axis=1).argmax())
+            raise ValueError(
+                f"pair {i}: code {tuple(codes[i].tolist())} is outside the group sizes {list(layout.sizes)}"
+            )
+        self._checked = (layout, codes + layout.starts)
+        return self._checked[1]
+
 
 def _as_batch(pairs: PairBatch | list[Pair]) -> PairBatch:
     if not len(pairs):
@@ -122,77 +212,7 @@ def _as_batch(pairs: PairBatch | list[Pair]) -> PairBatch:
     return pairs if isinstance(pairs, PairBatch) else PairBatch.stack(pairs)
 
 
-@dataclass(frozen=True)
-class FlatParams:
-    """Every group's score rows in one matrix: W (ΣK x D) and b (ΣK).
-
-    Group m owns `sizes[m]` rows from `starts[m]`; `group[j]` is the group of
-    row j. Training descends on this layout, so a step is one array op.
-    """
-
-    weights: np.ndarray
-    biases: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-    group: np.ndarray
-
-    @classmethod
-    def of(cls, params: DecoderParams) -> "FlatParams":
-        sizes = np.array(params.sizes())
-        return cls(
-            np.concatenate(params.weights),
-            np.concatenate(params.biases),
-            np.cumsum(sizes) - sizes,
-            sizes,
-            np.repeat(np.arange(len(sizes)), sizes),
-        )
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.sizes)
-
-    def split(self, rows: np.ndarray) -> list[np.ndarray]:
-        """Per-group views of an array laid out like `weights` or `biases`."""
-        return [rows[s : s + k] for s, k in zip(self.starts.tolist(), self.sizes.tolist())]
-
-    def step(self, lr: float, d_w: np.ndarray, d_b: np.ndarray) -> "FlatParams":
-        return FlatParams(self.weights - lr * d_w, self.biases - lr * d_b, self.starts, self.sizes, self.group)
-
-    def to_params(self, session: int) -> DecoderParams:
-        return DecoderParams(self.split(self.weights), self.split(self.biases), session)
-
-
-def _as_flat(params: DecoderParams | FlatParams) -> FlatParams:
-    return params if isinstance(params, FlatParams) else FlatParams.of(params)
-
-
-def _in_layout_of(params, flat: FlatParams, d_w: np.ndarray, d_b: np.ndarray):
-    """Flat gradients as given, or split per group when `params` is DecoderParams."""
-    return (d_w, d_b) if params is flat else (flat.split(d_w), flat.split(d_b))
-
-
-def _target_columns(batch: PairBatch, flat: FlatParams) -> np.ndarray:
-    """Each pair's target row per group in the flat layout (`codes + starts`).
-
-    Raises ValueError naming the first pair whose code does not have one
-    position per group or has a position outside [0, K_m).
-    """
-    codes = batch.codes
-    if codes.shape[1] != flat.n_groups:
-        raise ValueError(
-            f"pair 0: code {tuple(codes[0].tolist())} has {codes.shape[1]} positions, "
-            f"the decoder has {flat.n_groups} groups"
-        )
-    bad = (codes < 0) | (codes >= flat.sizes)
-    if bad.any():
-        i = int(bad.any(axis=1).argmax())
-        raise ValueError(
-            f"pair {i}: code {tuple(codes[i].tolist())} is outside the group sizes {flat.sizes.tolist()}"
-        )
-    return codes + flat.starts
-
-
-def _segmented_nll(vecs: np.ndarray, cols: np.ndarray, flat: FlatParams, squared: bool = False):
+def _segmented_nll(vecs: np.ndarray, cols: np.ndarray, params: DecoderParams, squared: bool = False):
     """-Σ log p(targets) and the sums of G.T @ X and of G over the pairs.
 
     G = softmax - onehot(targets), per group, is the gradient of -log p with
@@ -201,23 +221,24 @@ def _segmented_nll(vecs: np.ndarray, cols: np.ndarray, flat: FlatParams, squared
     through two preallocated (block x ΣK) buffers, so memory does not grow
     with the batch.
     """
-    n, (total, dim) = len(vecs), flat.weights.shape
+    n, (total, dim) = len(vecs), params.w.shape
+    starts, group = params.layout.starts, params.layout.group
     logits = np.empty((min(n, LOSS_BLOCK), total))
     work = np.empty_like(logits)
     # Each target's position in a block's raveled buffer.
     at = cols + (np.arange(n) % LOSS_BLOCK * total)[:, None]
-    target_logp = np.empty((flat.n_groups, n))
+    target_logp = np.empty((len(starts), n))
     d_w, d_b = np.zeros((total, dim)), np.zeros(total)
     for lo in range(0, n, LOSS_BLOCK):
         x, t = vecs[lo : lo + LOSS_BLOCK], at[lo : lo + LOSS_BLOCK]
         z, g = logits[: len(x)], work[: len(x)]
-        np.matmul(x, flat.weights.T, out=z)
-        z += flat.biases
-        z -= np.take(np.maximum.reduceat(z, flat.starts, axis=1), flat.group, axis=1, out=g, mode="clip")
+        np.matmul(x, params.w.T, out=z)
+        z += params.b
+        z -= np.take(np.maximum.reduceat(z, starts, axis=1), group, axis=1, out=g, mode="clip")
         np.exp(z, out=g)
-        norm = np.add.reduceat(g, flat.starts, axis=1)
+        norm = np.add.reduceat(g, starts, axis=1)
         target_logp[:, lo : lo + len(x)] = (z.ravel()[t] - np.log(norm)).T
-        g /= np.take(norm, flat.group, axis=1, out=z, mode="clip")
+        g /= np.take(norm, group, axis=1, out=z, mode="clip")
         g.ravel()[t] -= 1.0
         if squared:
             np.square(g, out=g)
@@ -228,65 +249,44 @@ def _segmented_nll(vecs: np.ndarray, cols: np.ndarray, flat: FlatParams, squared
     return -sum(target_logp.sum(axis=1).tolist()), d_w, d_b
 
 
-def mle_loss(pairs: PairBatch | list[Pair], params: DecoderParams | FlatParams):
-    """Negative log-likelihood of the target codes; analytic gradients.
-
-    The gradients come in the layout of `params`: per-group lists for
-    DecoderParams, single arrays for FlatParams.
-    """
+def mle_loss(pairs: PairBatch | list[Pair], params: DecoderParams) -> tuple[float, Gradient]:
+    """Negative log-likelihood of the target codes; analytic gradients."""
     batch = _as_batch(pairs)
-    flat = _as_flat(params)
-    loss, d_w, d_b = _segmented_nll(batch.vecs, _target_columns(batch, flat), flat)
-    return loss, _in_layout_of(params, flat, d_w, d_b)
+    loss, d_w, d_b = _segmented_nll(batch.vecs, batch.columns(params.layout), params)
+    return loss, Gradient(d_w, d_b, layout=params.layout)
 
 
 def estimate_fisher(pairs: PairBatch | list[Pair], params: DecoderParams) -> FisherDiag:
     """Empirical diagonal Fisher: mean squared per-pair gradient of -log p."""
     batch = _as_batch(pairs)
-    flat = FlatParams.of(params)
-    _, f_w, f_b = _segmented_nll(batch.vecs, _target_columns(batch, flat), flat, squared=True)
+    _, f_w, f_b = _segmented_nll(batch.vecs, batch.columns(params.layout), params, squared=True)
     f_w /= len(batch)
     f_b /= len(batch)
-    return FisherDiag(flat.split(f_w), flat.split(f_b))
+    return FisherDiag(f_w, f_b, layout=params.layout)
 
 
-def ewc_loss(params: DecoderParams | FlatParams, prev: DecoderParams, fisher: FisherDiag):
+def ewc_loss(params: DecoderParams, prev: DecoderParams, fisher: FisherDiag) -> tuple[float, Gradient]:
     """Fisher-weighted squared distance to the previous parameters.
 
-    Rows appended after `prev` was trained have no counterpart and are
-    excluded from both the loss and its gradient. The gradients come in the
-    layout of `params`, as in `mle_loss`.
+    Rows appended after `prev` was trained have no counterpart: `prev` and
+    `fisher` are padded with zero rows to the layout of `params`, so those
+    rows add nothing to the loss or its gradient. `train_session` pads them
+    once per session.
     """
-    if params.n_groups != prev.n_groups:
-        raise ValueError("group count mismatch")
-    flat = _as_flat(params)
-    grads = (np.zeros_like(flat.weights), np.zeros_like(flat.biases))
-    weights, biases, d_w, d_b = (flat.split(a) for a in (flat.weights, flat.biases, *grads))
-    loss = 0.0
-    for m in range(params.n_groups):
-        r = prev.weights[m].shape[0]
-        if weights[m].shape[0] < r or weights[m].shape[1] != prev.weights[m].shape[1]:
-            raise ValueError(f"group {m} shrank or changed width relative to previous params")
-        dw = weights[m][:r] - prev.weights[m]
-        db = biases[m][:r] - prev.biases[m]
-        loss += float((fisher.weights[m] * dw**2).sum() + (fisher.biases[m] * db**2).sum())
-        d_w[m][:r] = 2.0 * fisher.weights[m] * dw
-        d_b[m][:r] = 2.0 * fisher.biases[m] * db
-    return loss, _in_layout_of(params, flat, *grads)
+    if prev.w.shape[1:] != params.w.shape[1:]:
+        raise ValueError(f"previous params have width {prev.w.shape[1:]}, not {params.w.shape[1:]}")
+    if prev.layout is not params.layout:
+        prev = prev.padded(params.layout)
+    if fisher.layout is not params.layout:
+        fisher = fisher.padded(params.layout)
+    d_w, d_b = params.w - prev.w, params.b - prev.b
+    loss = float((fisher.w * d_w**2).sum() + (fisher.b * d_b**2).sum())
+    return loss, Gradient(2.0 * fisher.w * d_w, 2.0 * fisher.b * d_b, layout=params.layout)
 
 
 def align_to_codebook(params: DecoderParams, cb: Codebook) -> DecoderParams:
     """Append zero rows for centroids added since the decoder was trained."""
-    out = params.copy()
-    for m, k in enumerate(cb.sizes()):
-        have = out.weights[m].shape[0]
-        if k < have:
-            raise ValueError(f"group {m}: codebook has fewer centroids ({k}) than decoder rows ({have})")
-        if k > have:
-            dim = out.weights[m].shape[1]
-            out.weights[m] = np.vstack([out.weights[m], np.zeros((k - have, dim))])
-            out.biases[m] = np.concatenate([out.biases[m], np.zeros(k - have)])
-    return out
+    return params.padded(Layout.of(cb.sizes()))
 
 
 def train_session(
@@ -303,8 +303,9 @@ def train_session(
     """Full-batch descent on MLE(new) + MLE(bank) + MLE(pseudo) + lam * EWC.
 
     The three pair lists are stacked into one batch once per session, and
-    descent runs on the flat (ΣK x D) layout of the parameters. The step size
-    is halved (deterministically, per step) whenever the full step would
+    its target rows checked once. The anchor and the Fisher are padded once
+    to the session's layout, zero where the codebook grew. The step size is
+    halved (deterministically, per step) whenever the full step would
     increase the loss, which keeps the loss non-increasing.
     """
     params = align_to_codebook(prev, cb)
@@ -313,36 +314,34 @@ def train_session(
     if steps <= 0 or not pairs:
         return params
     batch = PairBatch.stack(pairs)
-    flat, session = FlatParams.of(params), params.session
-    del params  # `flat` holds a copy of its rows; drop the per-group one
     anchored = lam != 0.0 and fisher is not None
+    if anchored:
+        prev, fisher = prev.padded(params.layout), fisher.padded(params.layout)
 
-    def objective(p: FlatParams):
-        loss, (d_w, d_b) = mle_loss(batch, p)
+    def objective(p: DecoderParams):
+        loss, grad = mle_loss(batch, p)
         if anchored:
-            l, (gw, gb) = ewc_loss(p, prev, fisher)
+            l, g = ewc_loss(p, prev, fisher)
             loss += lam * l
-            gw *= lam
-            gb *= lam
-            d_w += gw
-            d_b += gb
-        return loss, (d_w, d_b)
+            grad.w += lam * g.w
+            grad.b += lam * g.b
+        return loss, grad
 
-    cur, grads = objective(flat)
+    cur, grad = objective(params)
     for _ in range(steps):
         lr = step
         accepted = False
         for _ in range(40):
-            trial = flat.step(lr, *grads)
-            trial_loss, trial_grads = objective(trial)
+            trial = params.step(lr, grad)
+            trial_loss, trial_grad = objective(trial)
             if trial_loss <= cur + 1e-9 * max(1.0, abs(cur)):
-                flat, cur, grads = trial, trial_loss, trial_grads
+                params, cur, grad = trial, trial_loss, trial_grad
                 accepted = True
                 break
             lr *= 0.5
         if not accepted:
             break
-    return flat.to_params(session)
+    return params
 
 
 class DocidTrie:
@@ -371,14 +370,8 @@ class DocidTrie:
         self._docs.setdefault(tuple(code), []).append(doc_id)
         self._levels = None
 
-    def docs_for(self, code: PqCode) -> list:
-        return self._docs.get(tuple(code), [])
-
     def __len__(self) -> int:
         return len(self._docs)
-
-    def n_docs(self) -> int:
-        return sum(len(v) for v in self._docs.values())
 
     def levels(self) -> tuple:
         """(centroids, offsets, doc_ids, doc_rank); doc_rank orders doc_ids ascending."""

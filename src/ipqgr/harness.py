@@ -28,7 +28,7 @@ from .decoder import (
     DecoderParams,
     DocidTrie,
     FisherDiag,
-    align_to_codebook,
+    Layout,
     beam_search,
     estimate_fisher,
     train_session,
@@ -303,58 +303,59 @@ def _split_rows(a: np.ndarray, counts) -> list[np.ndarray]:
     return [a[e - c : e] for c, e in zip(counts, ends)]
 
 
-def _payload(state: EngineState, history: list) -> list:
-    """The payload as buffers in file order: metadata length and JSON, then arrays.
-
-    Saving writes these buffers and `state_core_bytes` sums their sizes, so both
-    go through one encoder.
-    """
+def _metadata(state: EngineState, history: list) -> dict:
+    """The state file's metadata, with each array's dtype and shape in file order."""
     cb, decoder, fisher, projector = state.codebook, state.decoder, state.fisher, state.projector
     ids = list(state.codes)
     if not all(type(i) is int or type(i) is str for i in ids):
         ids = [_stored_id(i) for i in ids]
     if len(state.doc_embs) != len(ids):
         raise ValueError(f"{len(ids)} coded docs but {len(state.doc_embs)} embeddings")
-    rows = [state.doc_embs[i] for i in state.codes] or [np.zeros(0)]
-    members = [v for g in cb.groups for v in g.member_vecs]
-    arrays = {
-        "embeddings": np.concatenate(rows).reshape(len(ids), cb.dim),
-        "centroids": np.concatenate([g.centroids for g in cb.groups]),
-        "members": np.concatenate(members),
-        "decoder_weights": np.concatenate(decoder.weights),
-        "decoder_biases": np.concatenate(decoder.biases),
-    }
-    if fisher is not None:
-        arrays["fisher_weights"] = np.concatenate(fisher.weights)
-        arrays["fisher_biases"] = np.concatenate(fisher.biases)
-    if projector is not None:
-        for name in ("w1", "b1", "w2", "b2"):
-            arrays[f"projector_{name}"] = getattr(projector, name)
-    arrays["member_counts"] = np.array([len(v) for v in members])
-    arrays["codes"] = np.array(list(state.codes.values()), "<i4").reshape(len(ids), cb.n_groups)
     meta = {
         "session": state.session,
         "ids": ids,
         "history": history,
         "codebook": {"session": cb.session, "dim": cb.dim, "sizes": cb.sizes()},
         "decoder": {"session": decoder.session, "sizes": decoder.sizes()},
-        "fisher": None if fisher is None else {"sizes": [len(b) for b in fisher.biases]},
+        "fisher": None if fisher is None else {"sizes": fisher.sizes()},
         "projector": None if projector is None else {
             "hidden": projector.w1.shape[0], "in_dim": projector.w1.shape[1]
         },
     }
-    layout = _array_layout(meta)
-    meta["arrays"] = {}
-    buffers = []
-    for name, (dtype, want) in layout.items():
-        a = np.ascontiguousarray(arrays[name], dtype=dtype)
-        if not _shape_fits(list(a.shape), want):
-            raise ValueError(f"cannot save {name} of shape {a.shape}, expected {want}")
-        meta["arrays"][name] = [dtype, list(a.shape)]
-        buffers.append(a)
+    n_members = sum(len(v) for g in cb.groups for v in g.member_vecs)
+    meta["arrays"] = {
+        name: [dtype, [n_members if s is None else s for s in shape]]
+        for name, (dtype, shape) in _array_layout(meta).items()
+    }
+    return meta
+
+
+def _payload(state: EngineState, history: list) -> list:
+    """The payload as buffers in file order: metadata length and JSON, then arrays."""
+    meta = _metadata(state, history)
+    cb, projector = state.codebook, state.projector
+    rows = [state.doc_embs[i] for i in state.codes] or [np.zeros(0)]
+    members = [v for g in cb.groups for v in g.member_vecs]
+    arrays = {
+        "embeddings": np.concatenate(rows).reshape(len(state.codes), cb.dim),
+        "centroids": np.concatenate([g.centroids for g in cb.groups]),
+        "members": np.concatenate(members),
+        "decoder_weights": state.decoder.w,
+        "decoder_biases": state.decoder.b,
+        "member_counts": np.array([len(v) for v in members]),
+        "codes": np.array(list(state.codes.values()), "<i4").reshape(len(state.codes), cb.n_groups),
+    }
+    if state.fisher is not None:
+        arrays["fisher_weights"], arrays["fisher_biases"] = state.fisher.w, state.fisher.b
+    if projector is not None:
+        for name in ("w1", "b1", "w2", "b2"):
+            arrays[f"projector_{name}"] = getattr(projector, name)
     text = json.dumps(meta, separators=(",", ":")).encode()
     out, end = [struct.pack("<Q", len(text)), text], _HEADER.size + 8 + len(text)
-    for a in buffers:
+    for name, (dtype, shape) in meta["arrays"].items():
+        a = np.ascontiguousarray(arrays[name], dtype=dtype)
+        if list(a.shape) != shape:
+            raise ValueError(f"cannot save {name} of shape {a.shape}, expected {tuple(shape)}")
         out.append(b"\0" * (_aligned(end) - end))
         out.append(a)
         end = _aligned(end) + a.nbytes
@@ -362,8 +363,15 @@ def _payload(state: EngineState, history: list) -> list:
 
 
 def state_core_bytes(state: EngineState) -> int:
-    """Size of the state file for `state` without its history (run bookkeeping)."""
-    return _HEADER.size + sum(memoryview(b).nbytes for b in _payload(state, history=[]))
+    """Size of the state file for `state` without its history (run bookkeeping).
+
+    Computed from the metadata and the array shapes alone; nothing is encoded.
+    """
+    meta = _metadata(state, history=[])
+    end = _HEADER.size + 8 + len(json.dumps(meta, separators=(",", ":")).encode())
+    for dtype, shape in meta["arrays"].values():
+        end = _aligned(end) + math.prod(shape) * int(dtype[2:])
+    return end
 
 
 def save_state(state: EngineState, path) -> None:
@@ -491,18 +499,11 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     for k, centroids in zip(sizes, _split_rows(arrays["centroids"], sizes)):
         groups.append(SubCodebook(centroids, member_vecs[first : first + k]))
         first += k
-    dec = meta["decoder"]
-    decoder = DecoderParams(
-        _split_rows(arrays["decoder_weights"], dec["sizes"]),
-        _split_rows(arrays["decoder_biases"], dec["sizes"]),
-        dec["session"],
-    )
-    fisher = None
-    if meta["fisher"] is not None:
-        fisher = FisherDiag(
-            _split_rows(arrays["fisher_weights"], meta["fisher"]["sizes"]),
-            _split_rows(arrays["fisher_biases"], meta["fisher"]["sizes"]),
-        )
+    dec, fis = meta["decoder"], meta["fisher"]
+    decoder = DecoderParams(arrays["decoder_weights"], arrays["decoder_biases"], dec["session"],
+                            layout=Layout.of(dec["sizes"]))
+    fisher = None if fis is None else FisherDiag(
+        arrays["fisher_weights"], arrays["fisher_biases"], layout=Layout.of(fis["sizes"]))
     projector = None
     if meta["projector"] is not None:
         projector = ProjectorParams(*(arrays[f"projector_{n}"] for n in ("w1", "b1", "w2", "b2")))

@@ -214,9 +214,9 @@ class TestEwcLoss:
 
     def test_appended_rows_are_ignored(self):
         prev = random_params([2], dim=2, seed=17)
-        cur = prev.copy()
-        cur.weights[0] = np.vstack([cur.weights[0], np.full((1, 2), 99.0)])
-        cur.biases[0] = np.concatenate([cur.biases[0], [99.0]])
+        cur = align_to_codebook(prev, toy_codebook([3]))
+        cur.weights[0][2] = 99.0
+        cur.biases[0][2] = 99.0
         fisher = FisherDiag([np.ones((2, 2))], [np.ones(2)])
         loss, (gw, gb) = ewc_loss(cur, prev, fisher)
         assert loss == 0.0
@@ -283,8 +283,23 @@ class TestTrainSession:
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
+def reference_ewc_loss(params, prev, fisher):
+    """The per-group loop: rows appended after `prev` was trained are left out."""
+    loss, d_w, d_b = 0.0, [], []
+    for m in range(params.n_groups):
+        w, b = params.weights[m], params.biases[m]
+        r = len(prev.biases[m])
+        dw, db = w[:r] - prev.weights[m], b[:r] - prev.biases[m]
+        loss += float((fisher.weights[m] * dw**2).sum() + (fisher.biases[m] * db**2).sum())
+        d_w.append(np.zeros_like(w))
+        d_b.append(np.zeros_like(b))
+        d_w[m][:r] = 2.0 * fisher.weights[m] * dw
+        d_b[m][:r] = 2.0 * fisher.biases[m] * db
+    return loss, (d_w, d_b)
+
+
 def reference_train_session(prev, cb, pair_groups, fisher, lam, step, steps):
-    """Descent on the sum of one mle_loss per pair list plus lam * ewc_loss."""
+    """Descent on the sum of one mle_loss per pair list plus lam * the per-group EWC."""
 
     def total(p):
         loss = 0.0
@@ -293,7 +308,7 @@ def reference_train_session(prev, cb, pair_groups, fisher, lam, step, steps):
         terms = [mle_loss(pairs, p) for pairs in pair_groups if pairs]
         weights = [1.0] * len(terms)
         if lam != 0.0 and fisher is not None:
-            terms.append(ewc_loss(p, prev, fisher))
+            terms.append(reference_ewc_loss(p, prev, fisher))
             weights.append(lam)
         for c, (l, (gw, gb)) in zip(weights, terms):
             loss += c * l
@@ -453,6 +468,73 @@ class TestLossBlocks:
         assert close(got.weights + got.biases, want.weights + want.biases)
 
 
+@st.composite
+def anchor_problems(draw):
+    """`block_problems` with a Fisher taken at `prev`, a random current point and a weight."""
+    sizes, prev, pairs, cuts, _ = draw(block_problems())
+    prev_pairs = [(v, tuple(min(k, p - 1) for k, p in zip(c, prev.sizes()))) for v, c in pairs]
+    fisher = estimate_fisher(prev_pairs, prev)
+    cur = align_to_codebook(prev, toy_codebook(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cur.w += rng.normal(size=cur.w.shape)
+    cur.b += rng.normal(size=cur.b.shape)
+    return sizes, prev, pairs, cuts, fisher, cur, draw(st.sampled_from([0.0, 0.5, 50.0]))
+
+
+class TestFlatAnchor:
+    """The one-expression anchor against the per-group loop it replaced."""
+
+    @given(anchor_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_ewc_loss_matches_the_per_group_loop(self, problem):
+        sizes, prev, _, _, fisher, cur, _ = problem
+        loss, (gw, gb) = ewc_loss(cur, prev, fisher)
+        want_loss, (want_gw, want_gb) = reference_ewc_loss(cur, prev, fisher)
+        assert rel_err(loss, want_loss) <= 1e-12
+        assert close(gw + gb, want_gw + want_gb)
+        for m, k in enumerate(prev.sizes()):  # rows added since `prev` are free
+            assert not gw[m][k:].any() and not gb[m][k:].any()
+
+    @given(anchor_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_anchored_train_session_matches_reference(self, problem):
+        sizes, prev, pairs, (a, b), fisher, _, lam = problem
+        cb = toy_codebook(sizes)
+        groups = (pairs[:a], pairs[a:b], pairs[b:])
+        got = train_session(prev, cb, *groups, fisher, lam, 0.05, 10)
+        want = reference_train_session(prev, cb, groups, fisher, lam, 0.05, 10)
+        assert got.sizes() == want.sizes() == sizes
+        assert close(got.weights + got.biases, want.weights + want.biases)
+
+    def test_group_views_write_into_the_matrix(self):
+        params = random_params([3, 1, 2], dim=2, seed=45)
+        rng = np.random.default_rng(46)
+        pairs = [(rng.normal(size=2), (int(rng.integers(3)), 0, int(rng.integers(2)))) for _ in range(5)]
+        before, _ = mle_loss(pairs, params)
+        assert all(np.shares_memory(w, params.w) for w in params.weights)
+        assert all(np.shares_memory(b, params.b) for b in params.biases)
+        params.weights[2][1] += 1.0
+        params.biases[0][0] -= 0.5
+        assert params.w[5].tolist() == (params.weights[2][1]).tolist()
+        after, _ = mle_loss(pairs, params)
+        assert after != before
+        assert after == mle_loss(pairs, DecoderParams(params.weights, params.biases))[0]
+
+    def test_train_session_leaves_prev_and_fisher_alone(self):
+        prev = random_params([2, 1, 3], dim=3, seed=47)
+        rng = np.random.default_rng(48)
+        pairs = [(rng.normal(size=3), tuple(int(rng.integers(k)) for k in (4, 2, 3))) for _ in range(9)]
+        fisher = estimate_fisher([(v, (c[0] % 2, 0, c[2])) for v, c in pairs], prev)
+        saved = [a.copy() for a in (prev.w, prev.b, fisher.w, fisher.b)]
+        layouts = prev.layout, fisher.layout
+        out = train_session(prev, toy_codebook([4, 2, 3]), pairs, [], [], fisher, 50.0, 0.05, 5)
+        assert out.sizes() == [4, 2, 3]
+        assert (prev.layout, fisher.layout) == layouts
+        assert all(
+            a.tobytes() == b.tobytes() for a, b in zip((prev.w, prev.b, fisher.w, fisher.b), saved)
+        )
+
+
 class TestLossMemory:
     """Peak memory of training and of the Fisher stays below one n x ΣK matrix."""
 
@@ -607,5 +689,7 @@ class TestAlignAndTrie:
     def test_trie_counts(self):
         trie = DocidTrie.from_codes({1: (0, 0), 2: (0, 0), 3: (1, 1)})
         assert len(trie) == 2  # distinct codes
-        assert trie.n_docs() == 3
-        assert trie.docs_for((0, 0)) == [1, 2]
+        centroids, offsets, doc_ids, _ = trie.levels()
+        assert [c.tolist() for c in centroids] == [[0, 1], [0, 1]]
+        assert doc_ids == [1, 2, 3]  # leaf (0, 0) holds docs 1 and 2, in insertion order
+        assert offsets[-1].tolist() == [0, 2, 3]

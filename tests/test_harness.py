@@ -411,6 +411,32 @@ class TestCli:
         assert "mrr@10" in printed
         assert (tmp_path / "run.tsv").read_text().count("\n") > 0
 
+    def test_ingest_records_its_session_in_the_history(self, tmp_path):
+        self.gen(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
+        common = ["--config", str(tmp_path / "cfg.json"), "--seed", "3"]
+        state = tmp_path / "engine.state"
+        assert cli.main(
+            [
+                "build-base", *common,
+                "--docs", str(tmp_path / "docs.emb"),
+                "--queries", str(tmp_path / "queries.emb"),
+                "--qrels", str(tmp_path / "qrels.tsv"),
+                "--state-out", str(state),
+            ]
+        ) == 0
+        from ipqgr.io_formats import read_embeddings, write_embeddings
+
+        docs = read_embeddings(tmp_path / "docs.emb")
+        for shift in (0.05, -0.05):
+            write_embeddings(tmp_path / "new.emb", docs[:4] + shift)
+            assert cli.main(
+                ["ingest", *common, "--state", str(state), "--docs", str(tmp_path / "new.emb")]
+            ) == 0
+        history = load_state(state).history
+        assert [rec["session"] for rec in history] == [0, 1, 2]
+        assert history[2]["n_new_docs"] == 4
+
     def test_unknown_config_key_is_a_clean_error(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"dimm": 16}))
         code = cli.main(

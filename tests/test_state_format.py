@@ -1,5 +1,6 @@
 """Properties of the state file: exact round trips, resumes and refused payloads."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ from ipqgr.harness import (
     load_state,
     run_experiment,
     save_state,
+    state_core_bytes,
 )
 from ipqgr.repr_learner import ProjectorParams
 from ipqgr.rng import RandomSource
@@ -132,6 +134,13 @@ class TestRoundTrip:
         first = path.read_bytes()
         save_state(loaded, path)
         assert path.read_bytes() == first
+
+    @settings(max_examples=60, deadline=None)
+    @given(engine_states())
+    def test_core_bytes_is_the_size_of_a_save_without_history(self, tmp_path_factory, state):
+        path = tmp_path_factory.mktemp("core") / "s.state"
+        save_state(dataclasses.replace(state, history=[]), path)
+        assert state_core_bytes(state) == path.stat().st_size
 
     @pytest.mark.parametrize(
         "ids",
