@@ -48,6 +48,6 @@ from .repr_learner import (
     sample_span,
 )
 from .rng import RandomSource
-from .vector_core import beta_sample, euclidean_dist, kmeans
+from .vector_core import beta_sample, kmeans
 
 __version__ = "0.1.0"

@@ -122,16 +122,3 @@ def write_run(path, run_scores: dict) -> None:
             for rank, (doc_id, score) in enumerate(ranking, start=1):
                 fh.write(f"{qid}\t{doc_id}\t{rank}\t{score:.8g}\n")
 
-
-def read_run(path) -> dict:
-    run: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            run.setdefault(_parse_id(parts[0]), []).append(_parse_id(parts[1]))
-    return run

@@ -57,9 +57,6 @@ class MemoryBank:
             seen.setdefault(e.old_id, None)
         return list(seen)
 
-    def export_lines(self) -> list[str]:
-        return [f"{self.session}\t{e.old_id}\t{e.source_id}\t{e.o}" for e in self.entries]
-
 
 def max_perturb_dims(m: int) -> int:
     """Largest number of code positions the bank search may flip."""

@@ -96,22 +96,33 @@ class ProjectorParams:
         return ProjectorParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
 
-def sample_span(doc: np.ndarray, spec: GranularitySpec, rng: RandomSource,
-                alpha: float = 4.0, beta: float = 2.0) -> tuple[int, int]:
-    """Sample a 1-based (start, end) window; tokens covered are [start, end).
+def _sample_epoch_spans(docs, g_per_level, granularities, rng: RandomSource,
+                        alpha: float = 4.0, beta: float = 2.0):
+    """Draw `g_per_level` 1-based [start, end) spans per granularity of every document.
 
     Length is round(p * (l_max - l_min)) + l_min with p ~ Beta(alpha, beta),
-    clamped so a span is non-empty and never the whole document.
+    clamped so a span is non-empty and never the whole document. All Beta
+    fractions, then all starts, come from one call each on `rng`. Returns
+    (start, end) arrays of shape (n_docs, levels, g_per_level).
     """
-    doc = np.asarray(doc, dtype=float)
-    n = doc.shape[0]
-    if n < 2:
-        raise ValueError("document must have at least 2 tokens to hold a proper span")
-    p = beta_sample(alpha, beta, rng)
-    length = int(round(p * (spec.l_max - spec.l_min))) + spec.l_min
-    length = max(1, min(length, n - 1))
-    start = 1 + int(rng.integers(n - length))
+    sizes = np.array([len(d) for d in docs])
+    if (sizes < 2).any():
+        i = int(np.argmax(sizes < 2))
+        raise ValueError(f"document {i} has {sizes[i]} token(s); a proper span needs at least 2")
+    n = np.broadcast_to(sizes[:, None, None], (len(docs), len(granularities), g_per_level))
+    bounds = np.array([[s.l_min, s.l_max] for s in granularities])
+    l_min, l_max = bounds[:, :1], bounds[:, 1:]
+    p = beta_sample(alpha, beta, rng, size=n.shape)
+    length = np.clip(np.rint(p * (l_max - l_min)).astype(np.int64) + l_min, 1, n - 1)
+    start = 1 + rng.integers(n - length)
     return start, start + length
+
+
+def sample_span(doc: np.ndarray, spec: GranularitySpec, rng: RandomSource,
+                alpha: float = 4.0, beta: float = 2.0) -> tuple[int, int]:
+    """Sample one 1-based (start, end) window; tokens covered are [start, end)."""
+    start, end = _sample_epoch_spans([doc], 1, (spec,), rng, alpha, beta)
+    return int(start.item()), int(end.item())
 
 
 def pool_span(doc: np.ndarray, span: tuple[int, int]) -> np.ndarray:
@@ -121,6 +132,19 @@ def pool_span(doc: np.ndarray, span: tuple[int, int]) -> np.ndarray:
     if not (1 <= start < end <= doc.shape[0] + 1):
         raise ValueError(f"empty or out-of-bounds span {span} for {doc.shape[0]} tokens")
     return doc[start - 1 : end - 1].mean(axis=0)
+
+
+def _pool_spans(docs, start, end):
+    """Span means from one cumulative sum over the concatenated tokens.
+
+    One row per span, by document, then granularity, then draw, as
+    `contrastive_loss` expects.
+    """
+    tokens = np.concatenate([np.asarray(d, dtype=float) for d in docs])
+    csum = np.vstack([np.zeros((1, tokens.shape[1])), np.cumsum(tokens, axis=0)])
+    offset = np.cumsum([0] + [len(d) for d in docs[:-1]])[:, None, None] - 1
+    pooled = (csum[offset + end] - csum[offset + start]) / (end - start)[..., None]
+    return pooled.reshape(-1, tokens.shape[1])
 
 
 def doc_embedding(doc: np.ndarray, proj: ProjectorParams) -> np.ndarray:
@@ -195,17 +219,6 @@ def mse_to_targets(reps: np.ndarray, targets: np.ndarray):
     return float((diff**2).sum()), 2.0 * diff
 
 
-def _sample_epoch_spans(docs, g_per_level, granularities, rng):
-    pooled = []
-    for i, doc in enumerate(docs):
-        doc_rng = rng.derive(i)
-        for spec in granularities:
-            for j in range(g_per_level):
-                span = sample_span(doc, spec, doc_rng.derive(spec.level, j))
-                pooled.append(pool_span(doc, span))
-    return np.stack(pooled)
-
-
 def iterative_train(
     docs: list[np.ndarray],
     m: int,
@@ -243,8 +256,8 @@ def iterative_train(
         reps = proj.forward(pooled_docs)
         cb = build_base_codebook(reps, m, k, rng.derive("kmeans", epoch), max_iters=max_kmeans_iters)
         frozen = np.stack([cb.reconstruct(cb.quantize(r)) for r in reps])
-        pooled_spans = _sample_epoch_spans(docs, g_per_level, granularities, rng.derive("spans", epoch))
-        pooled_all = np.vstack([pooled_docs, pooled_spans])
+        spans = _sample_epoch_spans(docs, g_per_level, granularities, rng.derive("spans", epoch))
+        pooled_all = np.vstack([pooled_docs, _pool_spans(docs, *spans)])
 
         def total_loss(p):
             reps_all = p.forward(pooled_all)

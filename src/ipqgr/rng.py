@@ -2,8 +2,9 @@
 
 Every stochastic operation in the package draws from a RandomSource so that
 a (seed, call order) pair fully determines the output on any platform.
-Derived sources let independent units of work (e.g. per-document sampling)
-use their own streams, which makes results order-independent and resumable.
+Derived sources let independent units of work (e.g. one epoch's span
+sampling, or one document's pseudo-queries) use their own streams, which
+makes results order-independent and resumable.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ class RandomSource:
     def normal(self, size=None):
         return self._gen.standard_normal(size)
 
-    def gamma(self, shape: float) -> float:
-        return float(self._gen.standard_gamma(shape))
+    def gamma(self, shape: float, size=None):
+        g = self._gen.standard_gamma(shape, size)
+        return float(g) if size is None else g
 
     def integers(self, high: int, size=None):
         # Uniform over [0, high).

@@ -1,4 +1,4 @@
-"""Numeric primitives: distances, k-means clustering, beta sampling."""
+"""Numeric primitives: k-means clustering and beta sampling."""
 
 from __future__ import annotations
 
@@ -7,21 +7,12 @@ import numpy as np
 from .rng import RandomSource
 
 
-def euclidean_dist(a, b) -> float:
-    """Euclidean distance between two equal-dimension vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
-
-
-def beta_sample(alpha: float, beta: float, rng: RandomSource) -> float:
-    """Draw from Beta(alpha, beta) via the two-gamma sum-ratio construction."""
+def beta_sample(alpha: float, beta: float, rng: RandomSource, size=None):
+    """Beta(alpha, beta) as g1 / (g1 + g2) of two gammas: a float, or an array of shape `size`."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("beta shape parameters must be positive")
-    g1 = rng.gamma(alpha)
-    g2 = rng.gamma(beta)
+    g1 = rng.gamma(alpha, size)
+    g2 = rng.gamma(beta, size)
     return g1 / (g1 + g2)
 
 

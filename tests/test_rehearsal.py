@@ -152,14 +152,6 @@ class TestBuildMemoryBank:
         assert len(entries) == 1
         assert entries[0].o == 1
 
-    def test_export_lines(self):
-        cb = toy_codebook([2, 2, 2, 2])
-        bank = build_memory_bank(
-            {100: (1, 0, 0, 0)}, CodeIndex.from_codes({3: (0, 0, 0, 0)}), 20, cb,
-            RandomSource(10), session=2,
-        )
-        assert bank.export_lines() == ["2\t3\t100\t1"]
-
 
 class TestGeneratePseudoQueries:
     def test_noiseless_queries_equal_the_document(self):

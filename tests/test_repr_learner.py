@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from ipqgr.codebook import build_base_codebook
 from ipqgr.repr_learner import (
     DEFAULT_GRANULARITIES,
+    _pool_spans,
+    _sample_epoch_spans,
     GranularitySpec,
     ProjectorParams,
     clustering_loss,
@@ -62,6 +64,88 @@ class TestSampleSpan:
     def test_single_token_document_rejected(self):
         with pytest.raises(ValueError):
             sample_span(np.zeros((1, 2)), DEFAULT_GRANULARITIES[0], RandomSource(0))
+
+
+def reference_sample_span(doc, spec, rng, alpha=4.0, beta=2.0):
+    """The scalar sampler: one draw per call, with Python rounding and clamping."""
+    n = np.asarray(doc).shape[0]
+    g1 = rng.gamma(alpha)
+    g2 = rng.gamma(beta)
+    p = g1 / (g1 + g2)
+    length = int(round(p * (spec.l_max - spec.l_min))) + spec.l_min
+    length = max(1, min(length, n - 1))
+    start = 1 + int(rng.integers(n - length))
+    return start, start + length
+
+
+class TestSampleSpanMatchesScalarReference:
+    @given(st.integers(2, 200), st.integers(1, 300), st.integers(0, 300), st.integers(0, 2**63 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_draws(self, n, l_min, extra, seed):
+        # Five draws in a row from one stream, so the stream stays aligned too.
+        doc = np.zeros((n, 1))
+        spec = GranularitySpec("fuzz", l_min, l_min + extra)
+        got, ref = RandomSource(seed), RandomSource(seed)
+        for _ in range(5):
+            span = sample_span(doc, spec, got)
+            assert span == reference_sample_span(doc, spec, ref)
+            assert all(type(x) is int for x in span)
+
+
+SPECS = (GranularitySpec("short", 1, 3), GranularitySpec("mid", 4, 16),
+         GranularitySpec("long", 40, 90))
+
+
+def mixed_docs(sizes, dim=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(n, dim)) + rng.normal(size=dim) for n in sizes]
+
+
+class TestEpochSpans:
+    @given(st.lists(st.integers(2, 120), min_size=1, max_size=12), st.integers(1, 4),
+           st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_spans_are_proper_and_in_bounds(self, sizes, g, seed):
+        start, end = _sample_epoch_spans(mixed_docs(sizes, 1), g, SPECS, RandomSource(seed))
+        assert start.shape == end.shape == (len(sizes), len(SPECS), g)
+        n = np.array(sizes)[:, None, None]
+        assert (start >= 1).all() and (start < end).all() and (end <= n).all()
+
+    def test_array_pooling_matches_pool_span(self):
+        # n = 2 and n below every l_min except the shortest level's.
+        sizes = [2, 3, 5, 17, 2, 64, 130, 39, 7]
+        docs = mixed_docs(sizes, dim=4, seed=5)
+        for seed in range(5):
+            start, end = _sample_epoch_spans(docs, 3, SPECS, RandomSource(seed))
+            pooled = _pool_spans(docs, start, end).reshape(start.shape + (4,))
+            for idx in np.ndindex(start.shape):
+                oracle = pool_span(docs[idx[0]], (int(start[idx]), int(end[idx])))
+                assert np.abs(pooled[idx] - oracle).max() <= 1e-10
+
+    def test_rows_are_ordered_by_document_then_level_then_draw(self):
+        docs = mixed_docs([6, 9], dim=2, seed=1)
+        start, end = _sample_epoch_spans(docs, 2, SPECS[:2], RandomSource(4))
+        pooled = _pool_spans(docs, start, end)
+        assert pooled.shape == (2 * 2 * 2, 2)
+        row = 1 * 4 + 1 * 2 + 0  # document 1, level 1, draw 0
+        oracle = pool_span(docs[1], (int(start[1, 1, 0]), int(end[1, 1, 0])))
+        assert np.abs(pooled[row] - oracle).max() <= 1e-12
+
+    def test_every_legal_start_occurs_at_a_fixed_length(self):
+        spec = GranularitySpec("fixed", 3, 3)
+        start, end = _sample_epoch_spans([np.zeros((10, 2))], 300, (spec,), RandomSource(0))
+        assert (end - start == 3).all()
+        assert set(start.ravel().tolist()) == set(range(1, 8))
+
+    def test_mean_phrase_length_is_in_the_criterion_13_band(self):
+        spec = GranularitySpec("phrase", 4, 16)
+        start, end = _sample_epoch_spans([np.zeros((64, 2))], 10_000, (spec,), RandomSource(13))
+        assert 11.7 <= float((end - start).mean()) <= 12.3
+
+    def test_short_document_is_named(self):
+        docs = [np.zeros((5, 2)), np.zeros((4, 2)), np.zeros((1, 2))]
+        with pytest.raises(ValueError, match="document 2 has 1 token"):
+            _sample_epoch_spans(docs, 1, SPECS, RandomSource(0))
 
 
 class TestPoolSpan:

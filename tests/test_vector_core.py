@@ -1,44 +1,10 @@
-"""Unit tests for distances, k-means, and seeded beta sampling."""
+"""Unit tests for k-means and seeded beta sampling."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ipqgr.rng import RandomSource
-from ipqgr.vector_core import beta_sample, euclidean_dist, kmeans
-
-
-class TestEuclideanDist:
-    def test_identity(self):
-        x = np.array([1.5, -2.0, 0.25])
-        assert euclidean_dist(x, x) == 0.0
-
-    def test_3_4_5_triangle(self):
-        assert euclidean_dist((0, 0), (3, 4)) == 5.0
-
-    def test_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            a, b = rng.normal(size=(2, 8))
-            oracle = sum((ai - bi) ** 2 for ai, bi in zip(a, b)) ** 0.5
-            assert abs(euclidean_dist(a, b) - oracle) < 1e-12
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.normal(size=(2, 5))
-        assert euclidean_dist(a, b) == euclidean_dist(b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_dist([1, 2], [1, 2, 3])
-
-    @given(st.integers(0, 2**31))
-    @settings(max_examples=50, deadline=None)
-    def test_triangle_inequality(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = rng.normal(size=(3, 6))
-        assert euclidean_dist(a, c) <= euclidean_dist(a, b) + euclidean_dist(b, c) + 1e-9
+from ipqgr.vector_core import beta_sample, kmeans
 
 
 class TestKmeans:
