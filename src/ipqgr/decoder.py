@@ -28,18 +28,17 @@ LOSS_BLOCK = 64
 class Layout:
     """Where each group's rows sit in a flat (ΣK x D) matrix.
 
-    Group m owns `sizes[m]` rows from `starts[m]`; `group[j]` is the group of
-    row j. Every step of one training session shares one Layout object.
+    Group m owns `sizes[m]` rows from `starts[m]`. Every step of one training
+    session shares one Layout object.
     """
 
     sizes: tuple[int, ...]
     starts: np.ndarray
-    group: np.ndarray
 
     @classmethod
     def of(cls, sizes) -> "Layout":
         sizes = tuple(int(k) for k in sizes)
-        return cls(sizes, np.cumsum((0,) + sizes)[:-1], np.repeat(np.arange(len(sizes)), sizes))
+        return cls(sizes, np.cumsum((0,) + sizes)[:-1])
 
 
 class GroupRows:
@@ -166,8 +165,8 @@ class PairBatch:
 
     vecs: np.ndarray
     codes: np.ndarray
-    # The layout last checked by `columns`, and the target rows in it.
-    _checked: tuple = field(default=(None, None), init=False, repr=False)
+    # The layout of the last `loss_state` call, and that state.
+    _state: tuple = field(default=(None, None), init=False, repr=False)
 
     @classmethod
     def stack(cls, pairs: list[Pair]) -> "PairBatch":
@@ -181,15 +180,15 @@ class PairBatch:
     def __len__(self) -> int:
         return len(self.vecs)
 
-    def columns(self, layout: Layout) -> np.ndarray:
-        """Each pair's target row per group in `layout` (`codes + starts`).
+    def loss_state(self, layout: Layout) -> "_LossState":
+        """The loss kernel's blocks and buffers for `layout`.
 
-        Checked once per layout: every step of a training session reuses it.
+        Built once per layout: every step of a training session reuses it.
         Raises ValueError naming the first pair whose code does not have one
         position per group or has a position outside [0, K_m).
         """
-        if self._checked[0] is layout:
-            return self._checked[1]
+        if self._state[0] is layout:
+            return self._state[1]
         codes = self.codes
         if codes.shape[1] != len(layout.sizes):
             raise ValueError(
@@ -202,8 +201,28 @@ class PairBatch:
             raise ValueError(
                 f"pair {i}: code {tuple(codes[i].tolist())} is outside the group sizes {list(layout.sizes)}"
             )
-        self._checked = (layout, codes + layout.starts)
-        return self._checked[1]
+        self._state = (layout, _LossState(self.vecs, codes + layout.starts, layout))
+        return self._state[1]
+
+
+class _LossState:
+    """What `_segmented_nll` needs of one batch in one layout, built once.
+
+    The pairs go in blocks of LOSS_BLOCK: each block's first pair, its
+    vectors, and its targets' positions in the raveled (block x ΣK) buffer
+    that every block reuses, so memory does not grow with the batch.
+    `target_logp` (M x n) receives each target's log-probability.
+    """
+
+    def __init__(self, vecs: np.ndarray, cols: np.ndarray, layout: Layout):
+        n, total = len(vecs), sum(layout.sizes)
+        at = cols + (np.arange(n) % LOSS_BLOCK * total)[:, None]
+        self.layout, self.sizes = layout, np.array(layout.sizes)
+        self.blocks = [
+            (lo, vecs[lo : lo + LOSS_BLOCK], at[lo : lo + LOSS_BLOCK]) for lo in range(0, n, LOSS_BLOCK)
+        ]
+        self.buf = np.empty((min(n, LOSS_BLOCK), total))
+        self.target_logp = np.empty((len(layout.sizes), n))
 
 
 def _as_batch(pairs: PairBatch | list[Pair]) -> PairBatch:
@@ -212,54 +231,48 @@ def _as_batch(pairs: PairBatch | list[Pair]) -> PairBatch:
     return pairs if isinstance(pairs, PairBatch) else PairBatch.stack(pairs)
 
 
-def _segmented_nll(vecs: np.ndarray, cols: np.ndarray, params: DecoderParams, squared: bool = False):
+def _segmented_nll(state: _LossState, params: DecoderParams, squared: bool = False):
     """-Σ log p(targets) and the sums of G.T @ X and of G over the pairs.
 
     G = softmax - onehot(targets), per group, is the gradient of -log p with
     respect to the logits. With `squared`, G**2 and X**2 replace G and X: the
-    sums the diagonal Fisher needs. Pairs go in blocks of LOSS_BLOCK, each
-    through two preallocated (block x ΣK) buffers, so memory does not grow
-    with the batch.
+    sums the diagonal Fisher needs. Each group's max and normaliser reach its
+    columns by repeating them over the group sizes; the target logits are
+    read before the buffer is exponentiated in place.
     """
-    n, (total, dim) = len(vecs), params.w.shape
-    starts, group = params.layout.starts, params.layout.group
-    logits = np.empty((min(n, LOSS_BLOCK), total))
-    work = np.empty_like(logits)
-    # Each target's position in a block's raveled buffer.
-    at = cols + (np.arange(n) % LOSS_BLOCK * total)[:, None]
-    target_logp = np.empty((len(starts), n))
-    d_w, d_b = np.zeros((total, dim)), np.zeros(total)
-    for lo in range(0, n, LOSS_BLOCK):
-        x, t = vecs[lo : lo + LOSS_BLOCK], at[lo : lo + LOSS_BLOCK]
-        z, g = logits[: len(x)], work[: len(x)]
+    starts, sizes = state.layout.starts, state.sizes
+    d_w, d_b = np.zeros(params.w.shape), np.zeros(len(params.b))
+    for lo, x, t in state.blocks:
+        z = state.buf[: len(x)]
         np.matmul(x, params.w.T, out=z)
         z += params.b
-        z -= np.take(np.maximum.reduceat(z, starts, axis=1), group, axis=1, out=g, mode="clip")
-        np.exp(z, out=g)
-        norm = np.add.reduceat(g, starts, axis=1)
-        target_logp[:, lo : lo + len(x)] = (z.ravel()[t] - np.log(norm)).T
-        g /= np.take(norm, group, axis=1, out=z, mode="clip")
-        g.ravel()[t] -= 1.0
+        z -= np.maximum.reduceat(z, starts, axis=1).repeat(sizes, axis=1)
+        target = z.ravel()[t]
+        np.exp(z, out=z)
+        norm = np.add.reduceat(z, starts, axis=1)
+        state.target_logp[:, lo : lo + len(x)] = (target - np.log(norm)).T
+        z /= norm.repeat(sizes, axis=1)
+        z.ravel()[t] -= 1.0
         if squared:
-            np.square(g, out=g)
+            np.square(z, out=z)
             x = x**2
-        d_w += g.T @ x
-        d_b += g.sum(axis=0)
+        d_w += z.T @ x
+        d_b += z.sum(axis=0)
     # Per group, then across groups in order: the sums a per-group loop takes.
-    return -sum(target_logp.sum(axis=1).tolist()), d_w, d_b
+    return -sum(state.target_logp.sum(axis=1).tolist()), d_w, d_b
 
 
 def mle_loss(pairs: PairBatch | list[Pair], params: DecoderParams) -> tuple[float, Gradient]:
     """Negative log-likelihood of the target codes; analytic gradients."""
     batch = _as_batch(pairs)
-    loss, d_w, d_b = _segmented_nll(batch.vecs, batch.columns(params.layout), params)
+    loss, d_w, d_b = _segmented_nll(batch.loss_state(params.layout), params)
     return loss, Gradient(d_w, d_b, layout=params.layout)
 
 
 def estimate_fisher(pairs: PairBatch | list[Pair], params: DecoderParams) -> FisherDiag:
     """Empirical diagonal Fisher: mean squared per-pair gradient of -log p."""
     batch = _as_batch(pairs)
-    _, f_w, f_b = _segmented_nll(batch.vecs, batch.columns(params.layout), params, squared=True)
+    _, f_w, f_b = _segmented_nll(batch.loss_state(params.layout), params, squared=True)
     f_w /= len(batch)
     f_b /= len(batch)
     return FisherDiag(f_w, f_b, layout=params.layout)

@@ -123,6 +123,14 @@ class ExperimentConfig:
             raise ValueError(f"g_spans must be at least 1, got {self.g_spans}")
         if self.v_epochs < 0:
             raise ValueError(f"v_epochs must be non-negative, got {self.v_epochs}")
+        # Checked here, not where they are read: `ingest` would fail after
+        # issuing the session's codes.
+        if self.c_repeats < 1:
+            raise ValueError(f"c_repeats must be at least 1, got {self.c_repeats}")
+        if self.n_q < 1:
+            raise ValueError(f"n_q must be at least 1, got {self.n_q}")
+        if not self.sigma >= 0:
+            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
     def with_variant(self, name: str) -> "ExperimentConfig":
         if name not in VARIANTS:
@@ -675,9 +683,10 @@ class Engine:
             for d in log:
                 decision_counts[d.kind.value] = decision_counts.get(d.kind.value, 0) + 1
 
-        index = CodeIndex.from_codes(old_codes)
         if cfg.enable_memory_bank:
-            bank = build_memory_bank(new_code_map, index, cfg.c_repeats, cb, self._rng("bank", t), t)
+            bank = build_memory_bank(
+                new_code_map, CodeIndex.from_codes(old_codes), cfg.c_repeats, cb, self._rng("bank", t), t
+            )
             if cfg.random_bank:
                 size = len(bank.doc_ids())
                 pool = list(old_codes.keys())

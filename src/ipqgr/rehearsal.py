@@ -108,15 +108,15 @@ def build_memory_bank(
     """Collect old documents reachable by perturbing each new document's code.
 
     The flip count o sweeps 1..max_perturb_dims(M); a document found at
-    several o values is kept at the smallest one. Each new document uses a
-    stream derived from its id, so the bank is independent of iteration order.
+    several o values is kept at the smallest one. Each (new document, o)
+    uses a stream derived from the id and o, so the bank is independent of
+    iteration order.
     """
     bank = MemoryBank(session=session)
     for doc_id, code in new_codes.items():
-        doc_rng = rng.derive(doc_id)
         found: set = set()
         for o in range(1, max_perturb_dims(cb.n_groups) + 1):
-            for cand in perturb_codes(code, o, c, cb, doc_rng.derive(o)):
+            for cand in perturb_codes(code, o, c, cb, rng.derive(doc_id, o)):
                 for old_id in index.lookup(cand):
                     if old_id not in found:
                         found.add(old_id)

@@ -155,13 +155,13 @@ def doc_embedding(doc: np.ndarray, proj: ProjectorParams) -> np.ndarray:
     return proj.forward(doc.mean(axis=0))[0]
 
 
-def contrastive_loss(reps: np.ndarray, n_docs: int, n_spans: int, tau: float):
+def contrastive_loss(reps: np.ndarray, n_docs: int, n_spans: int, tau: float, grad: bool = True):
     """Span-contrastive loss over a batch of projected representations.
 
     `reps` has shape (n_docs * (n_spans + 1), dim): rows [0, n_docs) are the
     whole-document anchors, rows [n_docs + i*n_spans, n_docs + (i+1)*n_spans)
     are the spans of document i. Similarity is the dot product. Returns
-    (loss, gradient wrt reps).
+    (loss, gradient wrt reps), or (loss, None) without `grad`.
 
     Only the anchor rows carry a loss term, so only their (n_docs, total)
     block of logits is built.
@@ -175,7 +175,7 @@ def contrastive_loss(reps: np.ndarray, n_docs: int, n_spans: int, tau: float):
     if reps.shape[0] != total:
         raise ValueError(f"expected {total} representations, got {reps.shape[0]}")
     if n_docs == 0:
-        return 0.0, np.zeros_like(reps)
+        return 0.0, np.zeros_like(reps) if grad else None
 
     anchors = reps[:n_docs]
     diag = np.arange(n_docs)
@@ -194,15 +194,17 @@ def contrastive_loss(reps: np.ndarray, n_docs: int, n_spans: int, tau: float):
     loss = 0.0
     for term in (-(logits[rows, pos] - lse).sum(axis=1) / n_spans).tolist():
         loss += term
+    if not grad:
+        return loss, None
     # d(loss)/d(logits): the softmax (0 on the diagonal) minus 1/n_spans at
     # each positive.
     np.subtract(logits, lse, out=soft)
     np.exp(soft, out=soft)
     soft[rows, pos] -= 1.0 / n_spans
-    grad = soft.T @ anchors
-    grad[:n_docs] += soft @ reps
-    grad /= tau
-    return loss, grad
+    d_reps = soft.T @ anchors
+    d_reps[:n_docs] += soft @ reps
+    d_reps /= tau
+    return loss, d_reps
 
 
 def clustering_loss(reps: np.ndarray, cb: Codebook):
@@ -259,12 +261,12 @@ def iterative_train(
         spans = _sample_epoch_spans(docs, g_per_level, granularities, rng.derive("spans", epoch))
         pooled_all = np.vstack([pooled_docs, _pool_spans(docs, *spans)])
 
-        def total_loss(p):
+        def total_loss(p, grad=True):
             reps_all = p.forward(pooled_all)
-            l_cl, g_cl = contrastive_loss(reps_all, n, n_spans, tau)
+            l_cl, g_all = contrastive_loss(reps_all, n, n_spans, tau, grad=grad)
             l_mse, g_mse = mse_to_targets(reps_all[:n], frozen)
-            g_all = g_cl
-            g_all[:n] += g_mse
+            if grad:
+                g_all[:n] += g_mse
             return l_cl + l_mse, g_all
 
         cur, grad_reps = total_loss(proj)
@@ -272,10 +274,12 @@ def iterative_train(
             grads = proj.backward(pooled_all, grad_reps)
             lr = step
             for _ in range(40):
+                # A trial is judged on its loss alone; only the accepted one
+                # pays for a gradient.
                 trial = proj.step(grads, lr)
-                trial_loss, trial_grad = total_loss(trial)
-                if trial_loss <= cur + 1e-9 * max(1.0, abs(cur)):
-                    proj, cur, grad_reps = trial, trial_loss, trial_grad
+                if total_loss(trial, grad=False)[0] <= cur + 1e-9 * max(1.0, abs(cur)):
+                    proj = trial
+                    cur, grad_reps = total_loss(proj)
                     break
                 lr *= 0.5
             else:

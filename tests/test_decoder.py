@@ -468,6 +468,57 @@ class TestLossBlocks:
         assert close(got.weights + got.biases, want.weights + want.biases)
 
 
+def reference_segmented_nll(vecs, cols, params, squared=False):
+    """The two-buffer kernel: group statistics broadcast with `np.take`."""
+    n, (total, dim) = len(vecs), params.w.shape
+    starts = params.layout.starts
+    group = np.repeat(np.arange(len(starts)), params.sizes())
+    logits = np.empty((min(n, LOSS_BLOCK), total))
+    work = np.empty_like(logits)
+    at = cols + (np.arange(n) % LOSS_BLOCK * total)[:, None]
+    target_logp = np.empty((len(starts), n))
+    d_w, d_b = np.zeros((total, dim)), np.zeros(total)
+    for lo in range(0, n, LOSS_BLOCK):
+        x, t = vecs[lo : lo + LOSS_BLOCK], at[lo : lo + LOSS_BLOCK]
+        z, g = logits[: len(x)], work[: len(x)]
+        np.matmul(x, params.w.T, out=z)
+        z += params.b
+        z -= np.take(np.maximum.reduceat(z, starts, axis=1), group, axis=1, out=g, mode="clip")
+        np.exp(z, out=g)
+        norm = np.add.reduceat(g, starts, axis=1)
+        target_logp[:, lo : lo + len(x)] = (z.ravel()[t] - np.log(norm)).T
+        g /= np.take(norm, group, axis=1, out=z, mode="clip")
+        g.ravel()[t] -= 1.0
+        if squared:
+            np.square(g, out=g)
+            x = x**2
+        d_w += g.T @ x
+        d_b += g.sum(axis=0)
+    return -sum(target_logp.sum(axis=1).tolist()), d_w, d_b
+
+
+class TestKernelBytes:
+    """The one-buffer kernel against the two-buffer one it replaced, byte for byte."""
+
+    @given(block_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_loss_gradient_and_fisher(self, problem):
+        sizes, prev, pairs, _, _ = problem
+        params = align_to_codebook(prev, toy_codebook(sizes))
+        batch = PairBatch.stack(pairs)
+        cols = batch.codes + params.layout.starts
+        # The second point shares the layout, so it reuses the batch's state.
+        for p in (params, params.step(0.3, mle_loss(batch, params)[1])):
+            loss, grad = mle_loss(batch, p)
+            want_loss, want_w, want_b = reference_segmented_nll(batch.vecs, cols, p)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.w.tobytes() == want_w.tobytes() and grad.b.tobytes() == want_b.tobytes()
+            fisher = estimate_fisher(batch, p)
+            _, want_w, want_b = reference_segmented_nll(batch.vecs, cols, p, squared=True)
+            assert fisher.w.tobytes() == (want_w / len(pairs)).tobytes()
+            assert fisher.b.tobytes() == (want_b / len(pairs)).tobytes()
+
+
 @st.composite
 def anchor_problems(draw):
     """`block_problems` with a Fisher taken at `prev`, a random current point and a weight."""

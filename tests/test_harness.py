@@ -319,6 +319,16 @@ class TestEngineGuards:
         assert state.session == 1
         assert state.codes == issued
 
+    @pytest.mark.parametrize("field, value", [("c_repeats", 0), ("n_q", 0), ("sigma", -0.1)])
+    def test_a_setting_ingest_would_fail_on_is_refused_up_front(self, field, value):
+        # `ingest` reads these only after it has issued the session's codes.
+        _, state = run_experiment(small_config(), small_inputs(), stop_after_session=0)
+        issued = dict(state.codes)
+        with pytest.raises(ValueError, match=field):
+            Engine(small_config(**{field: value}), state)
+        assert state.session == 0
+        assert state.codes == issued
+
     @pytest.mark.parametrize("n_embs, n_tokens", [(2, None), (4, None), (3, 2)])
     def test_ingest_refuses_mismatched_lengths(self, n_embs, n_tokens):
         cfg = small_config()

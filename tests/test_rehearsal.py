@@ -6,6 +6,8 @@ import pytest
 from ipqgr.codebook import Codebook, SubCodebook
 from ipqgr.rehearsal import (
     CodeIndex,
+    MemoryBank,
+    MemoryBankEntry,
     build_memory_bank,
     generate_pseudo_queries,
     max_perturb_dims,
@@ -25,6 +27,21 @@ def toy_codebook(sizes, sub_dim=2):
 
 def hamming(a, b):
     return sum(x != y for x, y in zip(a, b))
+
+
+def reference_build_memory_bank(new_codes, index, c, cb, rng, session):
+    """A stream per new document, and from it one per flip count."""
+    bank = MemoryBank(session=session)
+    for doc_id, code in new_codes.items():
+        doc_rng = rng.derive(doc_id)
+        found = set()
+        for o in range(1, max_perturb_dims(cb.n_groups) + 1):
+            for cand in perturb_codes(code, o, c, cb, doc_rng.derive(o)):
+                for old_id in index.lookup(cand):
+                    if old_id not in found:
+                        found.add(old_id)
+                        bank.entries.append(MemoryBankEntry(old_id, doc_id, o))
+    return bank
 
 
 class TestMaxPerturbDims:
@@ -140,6 +157,22 @@ class TestBuildMemoryBank:
             dict(reversed(list(new_codes.items()))), index, 10, cb, RandomSource(8), session=1
         )
         assert set(fwd.doc_ids()) == set(rev.doc_ids())
+
+    def test_bank_equals_the_two_step_derivation(self):
+        cb = toy_codebook([2] * 12)  # M=12 -> o_max=2
+        rng = np.random.default_rng(10)
+        old_codes = {i: tuple(rng.integers(0, 2, size=12).tolist()) for i in range(40)}
+        new_codes = {}
+        for i, code in enumerate(list(old_codes.values())[:25]):  # one or two positions away
+            new = np.array(code)
+            new[rng.choice(12, size=1 + i % 2, replace=False)] ^= 1
+            new_codes[f"new-{i}" if i % 3 else 500 + i] = tuple(new.tolist())
+        index = CodeIndex.from_codes(old_codes)
+        bank = build_memory_bank(new_codes, index, 100, cb, RandomSource(11), session=2)
+        want = reference_build_memory_bank(new_codes, index, 100, cb, RandomSource(11), session=2)
+        assert len(bank.entries) >= 20
+        assert {e.o for e in bank.entries} == {1, 2}
+        assert bank == want
 
     def test_duplicates_keep_smallest_o(self):
         cb = toy_codebook([2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2])  # M=12 -> o_max=2

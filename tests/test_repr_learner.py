@@ -348,6 +348,15 @@ class TestContrastiveLossMatchesDenseReference:
         assert grad.shape == ref_grad.shape
         assert np.abs(grad - ref_grad).max() <= 1e-12 * max(1.0, np.abs(ref_grad).max())
 
+    @given(contrastive_batches())
+    @settings(max_examples=50, deadline=None)
+    def test_loss_only_call_gives_the_same_loss(self, batch):
+        reps, n_docs, n_spans, tau = batch
+        loss, grad = contrastive_loss(reps, n_docs, n_spans, tau, grad=False)
+        assert grad is None
+        want, _ = contrastive_loss(reps, n_docs, n_spans, tau)
+        assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+
 
 class TestClusteringLoss:
     @pytest.fixture()
@@ -455,3 +464,53 @@ class TestIterativeTrain:
     def test_too_few_documents(self):
         with pytest.raises(ValueError):
             iterative_train(self.make_docs(n=3), 2, 4, 1, 0.1, 1, 1e-2, RandomSource(0), out_dim=8)
+
+    @pytest.mark.parametrize("seed, step", [(16, 1e-2), (17, 0.5), (18, 5.0)])
+    def test_loss_only_trials_keep_every_byte(self, seed, step):
+        docs = self.make_docs(n=20, seed=seed)
+        args = (docs, 2, 4, 2, 0.1, 2, step, RandomSource(seed), 8)
+        proj, cb, codes = iterative_train(*args, inner_iters=6)
+        want_proj, want_cb, want_codes = reference_iterative_train(*args, inner_iters=6)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(proj, name).tobytes() == getattr(want_proj, name).tobytes()
+        assert [g.centroids.tobytes() for g in cb.groups] == [g.centroids.tobytes() for g in want_cb.groups]
+        assert codes == want_codes
+
+
+def reference_iterative_train(docs, m, k, v, tau, g_per_level, step, rng, out_dim, inner_iters):
+    """The projector loop that computes the loss and its gradient at every trial step."""
+    in_dim = np.asarray(docs[0]).shape[1]
+    proj = ProjectorParams.init_random(in_dim, out_dim, out_dim, rng.derive("proj-init"))
+    pooled_docs = np.stack([np.asarray(d, dtype=float).mean(axis=0) for d in docs])
+    n = len(docs)
+    n_spans = len(DEFAULT_GRANULARITIES) * g_per_level
+    for epoch in range(v):
+        reps = proj.forward(pooled_docs)
+        cb = build_base_codebook(reps, m, k, rng.derive("kmeans", epoch), max_iters=50)
+        frozen = np.stack([cb.reconstruct(cb.quantize(r)) for r in reps])
+        spans = _sample_epoch_spans(docs, g_per_level, DEFAULT_GRANULARITIES, rng.derive("spans", epoch))
+        pooled_all = np.vstack([pooled_docs, _pool_spans(docs, *spans)])
+
+        def total_loss(p):
+            reps_all = p.forward(pooled_all)
+            l_cl, g_cl = contrastive_loss(reps_all, n, n_spans, tau)
+            l_mse, g_mse = mse_to_targets(reps_all[:n], frozen)
+            g_cl[:n] += g_mse
+            return l_cl + l_mse, g_cl
+
+        cur, grad_reps = total_loss(proj)
+        for _ in range(inner_iters):
+            grads = proj.backward(pooled_all, grad_reps)
+            lr = step
+            for _ in range(40):
+                trial = proj.step(grads, lr)
+                trial_loss, trial_grad = total_loss(trial)
+                if trial_loss <= cur + 1e-9 * max(1.0, abs(cur)):
+                    proj, cur, grad_reps = trial, trial_loss, trial_grad
+                    break
+                lr *= 0.5
+            else:
+                break
+    reps = proj.forward(pooled_docs)
+    cb = build_base_codebook(reps, m, k, rng.derive("kmeans", v), max_iters=50)
+    return proj, cb, [cb.quantize(r) for r in reps]
