@@ -358,53 +358,48 @@ def train_session(
 
 
 class DocidTrie:
-    """Prefix tree over assigned PQ codes; leaves keep insertion-ordered doc ids.
+    """Prefix tree over assigned PQ codes, held as flat per-level arrays.
 
-    Search reads the tree as flat per-level arrays, built on first use after
-    the last insert. Level m holds the distinct length-(m+1) prefixes in
-    lexicographic order. `centroids[m]` is each node's last centroid index,
-    and the children of node j of level m-1 (the root for m = 0) are the
-    level-m nodes `offsets[m][j]:offsets[m][j + 1]`. A final offsets array
-    maps each leaf to its doc ids in `doc_ids`, which is in leaf order.
+    Level m holds the distinct length-(m+1) prefixes in lexicographic order.
+    `centroids[m]` is each node's last centroid index, and the children of
+    node j of level m-1 (the root for m = 0) are the level-m nodes
+    `offsets[m][j]:offsets[m][j + 1]`. A final offsets array maps each leaf
+    to its doc ids in `doc_ids`, which is in leaf order; the doc ids of one
+    leaf keep the order of the codes they were built from. `doc_rank` is each
+    doc id's rank in ascending id order, ints before strings.
     """
 
-    def __init__(self):
-        self._docs: dict[PqCode, list] = {}
-        self._levels: tuple | None = None
+    def __init__(self, centroids=(), offsets=(), doc_ids=(), doc_rank=()):
+        self._levels = (list(centroids), list(offsets), list(doc_ids), np.asarray(doc_rank, dtype=np.int64))
 
     @classmethod
     def from_codes(cls, codes: dict) -> "DocidTrie":
-        trie = cls()
-        for doc_id, code in codes.items():
-            trie.insert(tuple(code), doc_id)
-        return trie
-
-    def insert(self, code: PqCode, doc_id) -> None:
-        self._docs.setdefault(tuple(code), []).append(doc_id)
-        self._levels = None
+        """The trie of a doc id -> code dict, built by one stable sort of the codes."""
+        if not codes:
+            return cls()
+        ids = list(codes)
+        stacked = np.array(list(codes.values()), dtype=np.int64)
+        order = np.lexsort(stacked.T[::-1])  # by code; equal codes keep dict order
+        stacked = stacked[order]
+        doc_ids = [ids[i] for i in order]
+        # changed[i, m]: row i + 1 and row i differ in their first m + 1 positions.
+        changed = np.logical_or.accumulate(stacked[1:] != stacked[:-1], axis=1)
+        # Per level, the row where each node's subtree starts; the last level's are the leaves.
+        firsts = [np.flatnonzero(np.r_[True, c]) for c in changed.T]
+        centroids = [stacked[first, m] for m, first in enumerate(firsts)]
+        offsets = [np.array([0, len(firsts[0])])]
+        for parent, child in zip(firsts, firsts[1:]):
+            offsets.append(np.append(np.searchsorted(child, parent), len(child)))
+        offsets.append(np.append(firsts[-1], len(doc_ids)))
+        by_id = sorted(range(len(doc_ids)), key=lambda i: (isinstance(doc_ids[i], str), doc_ids[i]))
+        return cls(centroids, offsets, doc_ids, np.argsort(by_id))  # the inverse permutation
 
     def __len__(self) -> int:
-        return len(self._docs)
+        """The number of distinct codes, i.e. of leaves."""
+        return len(self._levels[0][-1]) if self._levels[0] else 0
 
     def levels(self) -> tuple:
-        """(centroids, offsets, doc_ids, doc_rank); doc_rank orders doc_ids ascending."""
-        if self._levels is None:
-            leaves = sorted(self._docs)
-            codes = np.array(leaves, dtype=np.int64)
-            # changed[i, m]: leaf i + 1 and leaf i differ in their first m + 1 positions.
-            changed = np.logical_or.accumulate(codes[1:] != codes[:-1], axis=1)
-            # Per level, the leaf row where each node's subtree starts.
-            firsts = [np.flatnonzero(np.r_[True, c]) for c in changed.T]
-            centroids = [codes[first, m] for m, first in enumerate(firsts)]
-            offsets = [np.array([0, len(firsts[0])])]
-            for parent, child in zip(firsts, firsts[1:]):
-                offsets.append(np.append(np.searchsorted(child, parent), len(child)))
-            counts = [len(self._docs[code]) for code in leaves]
-            offsets.append(np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]))
-            doc_ids = [d for code in leaves for d in self._docs[code]]
-            doc_rank = np.empty(len(doc_ids), dtype=np.int64)
-            doc_rank[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
-            self._levels = (centroids, offsets, doc_ids, doc_rank)
+        """(centroids, offsets, doc_ids, doc_rank)."""
         return self._levels
 
 
@@ -456,8 +451,8 @@ def beam_search(
     Each level keeps the `beam` best prefixes per query by descending score,
     ties broken by ascending prefix. Returns, per query, up to top_n
     (doc_id, log-prob) entries sorted by score descending, ties broken by
-    ascending doc id. Code collisions expand to every carrier of the code, all
-    sharing the code's score. Queries run in blocks of BEAM_BLOCK.
+    ascending doc id, ints first. Code collisions expand to every carrier of
+    the code, all sharing the code's score. Queries run in blocks of BEAM_BLOCK.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")

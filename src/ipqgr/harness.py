@@ -103,6 +103,13 @@ class ExperimentConfig:
     variant: str = "full"
 
     def validate(self) -> None:
+        # Below 1, each count fails late or silently: m_groups divides by zero, beam
+        # and metric_cutoff fail after the base decoder has trained, g_spans partway
+        # through a token run, c_repeats and n_q in `ingest` after it has issued the
+        # session's codes, and top_n writes an all-zero report.
+        for name in ("m_groups", "beam", "top_n", "metric_cutoff", "g_spans", "c_repeats", "n_q"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.dim % self.m_groups != 0:
             raise ValueError(f"dim {self.dim} not divisible by {self.m_groups} groups")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
@@ -119,16 +126,8 @@ class ExperimentConfig:
             raise ValueError("random_bank requires the memory bank to be enabled")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.g_spans < 1:
-            raise ValueError(f"g_spans must be at least 1, got {self.g_spans}")
         if self.v_epochs < 0:
             raise ValueError(f"v_epochs must be non-negative, got {self.v_epochs}")
-        # Checked here, not where they are read: `ingest` would fail after
-        # issuing the session's codes.
-        if self.c_repeats < 1:
-            raise ValueError(f"c_repeats must be at least 1, got {self.c_repeats}")
-        if self.n_q < 1:
-            raise ValueError(f"n_q must be at least 1, got {self.n_q}")
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
@@ -463,6 +462,11 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     sizes, dim, ids = cb["sizes"], cb["dim"], meta["ids"]
     if not sizes or dim % len(sizes):
         raise ValueError(f"codebook dim {dim} does not split into {len(sizes)} groups")
+    if meta["decoder"]["sizes"] != sizes:
+        raise ValueError(f"decoder group sizes {meta['decoder']['sizes']} differ from the codebook's {sizes}")
+    fisher_sizes = sizes if meta["fisher"] is None else meta["fisher"]["sizes"]
+    if len(fisher_sizes) != len(sizes) or any(f > k for f, k in zip(fisher_sizes, sizes)):
+        raise ValueError(f"fisher group sizes {fisher_sizes} do not fit the decoder's {sizes}")
     if not all(type(i) is int or type(i) is str for i in ids):
         raise ValueError("doc ids must be integers or strings")
     if len(set(ids)) != len(ids):
@@ -570,8 +574,7 @@ class Engine:
         config.validate()
         self.config = config
         self.state = state
-        self._trie_session: int | None = None
-        self._trie: DocidTrie | None = None
+        self._trie: DocidTrie | None = None  # built by `evaluate`, dropped when the codes change
 
     def _rng(self, *keys) -> RandomSource:
         return RandomSource(self.config.seed).derive(*keys)
@@ -659,6 +662,7 @@ class Engine:
         else:
             embs = np.asarray(doc_embs, dtype=float)
 
+        self._trie = None
         old_codes = dict(st.codes)
         decision_counts: dict[str, int] = {}
         log: list = []
@@ -727,7 +731,6 @@ class Engine:
         st.session = t
         for i, e in zip(doc_ids, embs):
             st.doc_embs[i] = np.asarray(e, dtype=float)
-        self._trie = None
         info = {
             "session": t,
             "n_new_docs": len(doc_ids),
@@ -740,16 +743,12 @@ class Engine:
 
     # -- retrieval ---------------------------------------------------------
 
-    def _get_trie(self) -> DocidTrie:
-        if self._trie is None or self._trie_session != self.state.session:
-            self._trie = DocidTrie.from_codes(self.state.codes)
-            self._trie_session = self.state.session
-        return self._trie
-
     def evaluate(self, query_ids, query_embs) -> dict:
         """Scored rankings for each query: query id -> [(doc id, score), ...]."""
         cfg = self.config
-        rankings = beam_search(query_embs, self.state.decoder, self._get_trie(), cfg.beam, cfg.top_n)
+        if self._trie is None:
+            self._trie = DocidTrie.from_codes(self.state.codes)
+        rankings = beam_search(query_embs, self.state.decoder, self._trie, cfg.beam, cfg.top_n)
         return dict(zip(query_ids, rankings))
 
 

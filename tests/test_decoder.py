@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipqgr.codebook import Codebook, SubCodebook
@@ -713,9 +713,8 @@ class TestBeamSearch:
 
     def test_collisions_expand_in_insertion_order(self):
         params = DecoderParams.zeros([2], dim=1)
-        trie = DocidTrie()
-        trie.insert((0,), 9)
-        trie.insert((0,), 4)
+        trie = DocidTrie.from_codes({9: (0,), 4: (0,)})
+        assert trie.levels()[2] == [9, 4]
         out = constrained_beam_search(np.zeros(1), params, trie, beam=4, top_n=4)
         # Equal scores: sorted by doc id ascending.
         assert [doc for doc, _ in out] == [4, 9]
@@ -744,3 +743,65 @@ class TestAlignAndTrie:
         assert [c.tolist() for c in centroids] == [[0, 1], [0, 1]]
         assert doc_ids == [1, 2, 3]  # leaf (0, 0) holds docs 1 and 2, in insertion order
         assert offsets[-1].tolist() == [0, 2, 3]
+
+
+def reference_levels(codes: dict) -> tuple:
+    """The per-level arrays as a code -> doc ids dict built them, kept as the reference."""
+    docs: dict = {}
+    for doc_id, code in codes.items():
+        docs.setdefault(tuple(code), []).append(doc_id)
+    leaves = sorted(docs)
+    codes = np.array(leaves, dtype=np.int64)
+    changed = np.logical_or.accumulate(codes[1:] != codes[:-1], axis=1)
+    firsts = [np.flatnonzero(np.r_[True, c]) for c in changed.T]
+    centroids = [codes[first, m] for m, first in enumerate(firsts)]
+    offsets = [np.array([0, len(firsts[0])])]
+    for parent, child in zip(firsts, firsts[1:]):
+        offsets.append(np.append(np.searchsorted(child, parent), len(child)))
+    counts = [len(docs[code]) for code in leaves]
+    offsets.append(np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]))
+    doc_ids = [d for code in leaves for d in docs[code]]
+    doc_rank = np.empty(len(doc_ids), dtype=np.int64)
+    doc_rank[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
+    return centroids, offsets, doc_ids, doc_rank
+
+
+@st.composite
+def code_dicts(draw):
+    """1-5 groups, 1-40 docs on few distinct codes, with all-int or all-str ids in any order."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    n_docs = draw(st.integers(1, 40))
+    ids = st.integers(-(2**40), 2**40) if draw(st.booleans()) else st.text(max_size=4)
+    keys = draw(st.lists(ids, min_size=n_docs, max_size=n_docs, unique=True))
+    code = st.tuples(*(st.integers(0, k - 1) for k in sizes))
+    return {d: draw(code) for d in keys}
+
+
+class TestTrieBuild:
+    @given(code_dicts())
+    @example({"a": (2, 0, 1)})  # one code
+    @settings(max_examples=150, deadline=None)
+    def test_levels_match_the_dict_reference(self, codes):
+        trie = DocidTrie.from_codes(codes)
+        assert len(trie) == len(set(codes.values()))
+        centroids, offsets, doc_ids, doc_rank = trie.levels()
+        ref = reference_levels(codes)
+        assert len(centroids) == len(ref[0]) and len(offsets) == len(ref[1])
+        for got, want in zip(centroids + offsets, ref[0] + ref[1]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert doc_ids == ref[2]
+        assert np.array_equal(doc_rank, ref[3])
+
+    def test_empty_dict(self):
+        trie = DocidTrie.from_codes({})
+        assert len(trie) == 0 and len(DocidTrie()) == 0
+        centroids, offsets, doc_ids, doc_rank = trie.levels()
+        assert (centroids, offsets, doc_ids, doc_rank.tolist()) == ([], [], [], [])
+
+    def test_mixed_ids_rank_ints_before_strings(self):
+        trie = DocidTrie.from_codes({"b": (0,), 7: (0,), "a": (0,), -1: (0,)})
+        _, _, doc_ids, doc_rank = trie.levels()
+        assert doc_ids == ["b", 7, "a", -1]
+        assert doc_rank.tolist() == [3, 1, 2, 0]  # -1, 7, "a", "b"
+        out = constrained_beam_search(np.zeros(1), DecoderParams.zeros([1], dim=1), trie, 4, 4)
+        assert [doc for doc, _ in out] == [-1, 7, "a", "b"]

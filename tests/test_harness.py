@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ipqgr import cli, harness, synthetic
+from ipqgr.decoder import docid_log_prob
 from ipqgr.harness import (
     VARIANTS,
     Engine,
@@ -86,6 +87,13 @@ class TestExperimentConfig:
     def test_span_settings_are_validated(self, field, value):
         # Each of these would otherwise surface only partway through a token run.
         with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value", [("m_groups", 0), ("beam", 0), ("top_n", 0), ("metric_cutoff", 0)]
+    )
+    def test_counts_below_one_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
             ExperimentConfig(**{field: value}).validate()
 
     def test_variants_cover_the_ablation_grid(self):
@@ -341,6 +349,23 @@ class TestEngineGuards:
         assert state.session == 1
         assert state.codes == issued
 
+    def test_int_and_str_ids_evaluate_together(self):
+        # Equal scores rank int ids before str ids, which do not compare with each other.
+        cfg = small_config(beam=500, top_n=500)
+        data = small_inputs()
+        engine = Engine(cfg)
+        engine.build_base(data.doc_ids[:80], data.doc_embs[:80], [])
+        engine.ingest(1, [f"new-{i}" for i in range(40)], data.doc_embs[80:])
+        queries = data.doc_embs[78:82]
+        rankings = engine.evaluate(range(4), queries)
+        state = engine.state
+        for q, ranking in zip(queries, rankings.values()):
+            oracle = sorted(
+                ((d, docid_log_prob(q, c, state.decoder)) for d, c in state.codes.items()),
+                key=lambda t: (-t[1], isinstance(t[0], str), t[0]),
+            )
+            assert ranking == oracle
+
 
 class TestCli:
     def gen(self, tmp_path, n_docs=80):
@@ -470,6 +495,18 @@ class TestCli:
         )
         assert code == 2
         assert "error: g_spans must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_zero_groups_is_a_clean_error(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"m_groups": 0}))
+        code = cli.main(
+            [
+                "ingest", "--config", str(tmp_path / "cfg.json"),
+                "--state", str(tmp_path / "engine.state"),
+                "--docs", str(tmp_path / "new.emb"),
+            ]
+        )
+        assert code == 2
+        assert "error: m_groups must be at least 1, got 0" in capsys.readouterr().err
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         code = cli.main(

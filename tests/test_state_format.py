@@ -276,7 +276,27 @@ def code_out_of_range(meta, arrays):
     arrays["codes"][0, 1] = meta["codebook"]["sizes"][1]
 
 
+def resize_rows(part, new_sizes):
+    """An edit giving the decoder or Fisher these group sizes, its arrays cut or zero-padded to fit."""
+
+    def edit(meta, arrays):
+        meta[part]["sizes"] = new_sizes(meta[part]["sizes"])
+        rows = sum(meta[part]["sizes"])
+        for name in (f"{part}_weights", f"{part}_biases"):
+            a = arrays[name][:rows]
+            arrays[name] = np.concatenate([a, np.zeros((rows - len(a), *a.shape[1:]))])
+            meta["arrays"][name][1][0] = rows
+
+    return edit
+
+
 MALFORMED = {
+    "decoder-sizes": (dict(edit=resize_rows("decoder", lambda s: [2] * len(s))),
+                      "decoder group sizes .* differ from the codebook's"),
+    "fisher-groups": (dict(edit=resize_rows("fisher", lambda s: s[:-1])),
+                      "fisher group sizes .* do not fit the decoder's"),
+    "fisher-rows": (dict(edit=resize_rows("fisher", lambda s: [s[0] + 1, *s[1:]])),
+                    "fisher group sizes .* do not fit the decoder's"),
     "missing-array": (dict(edit=drop_embeddings), "missing array 'embeddings'"),
     "wrong-shape": (dict(edit=widen_centroids), "array 'centroids' has shape"),
     "count-mismatch": (dict(edit=miscount_members), "member counts sum to"),
