@@ -6,12 +6,12 @@ from .decoder import (
     DocidTrie,
     FisherDiag,
     PairBatch,
-    beam_search,
     constrained_beam_search,
     docid_log_prob,
     estimate_fisher,
     ewc_loss,
     mle_loss,
+    search,
     train_session,
 )
 from .harness import (

@@ -4,8 +4,8 @@ Docids are length-M PQ codes; the decoder factorizes the docid likelihood
 into M independent linear-softmax heads conditioned on the query or document
 embedding. Training is full-batch gradient descent on summed cross-entropy
 losses plus an optional Fisher-weighted quadratic anchor to the previous
-session's parameters. Retrieval decodes codes with beam search constrained to
-a prefix trie of assigned docids.
+session's parameters. Retrieval scores every assigned docid exactly and keeps
+the top N, which is trie-constrained decoding without a beam.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .codebook import Codebook, PqCode
 
 Pair = tuple[np.ndarray, PqCode]  # (conditioning vector, target code)
 
-# Queries decoded together by `beam_search`; bounds the size of its score arrays.
-BEAM_BLOCK = 64
+# Scores per query block of `search`; bounds the size of its (block x N) score arrays.
+SEARCH_SCORES = 2**17
 # Pairs per block of the training loss; bounds its (block x ΣK) logit buffers.
 LOSS_BLOCK = 64
 
@@ -358,113 +358,67 @@ def train_session(
 
 
 class DocidTrie:
-    """Prefix tree over assigned PQ codes, held as flat per-level arrays.
+    """The issued docids that decoding is constrained to, held flat.
 
-    Level m holds the distinct length-(m+1) prefixes in lexicographic order.
-    `centroids[m]` is each node's last centroid index, and the children of
-    node j of level m-1 (the root for m = 0) are the level-m nodes
-    `offsets[m][j]:offsets[m][j + 1]`. A final offsets array maps each leaf
-    to its doc ids in `doc_ids`, which is in leaf order; the doc ids of one
-    leaf keep the order of the codes they were built from. `doc_rank` is each
-    doc id's rank in ascending id order, ints before strings.
+    `doc_ids` lists the ids in ascending order, ints before strings, and
+    column i of `codes` (M x N) is the code of `doc_ids[i]`. A column's
+    position is therefore its doc id's rank, which breaks ties in `search`.
     """
 
-    def __init__(self, centroids=(), offsets=(), doc_ids=(), doc_rank=()):
-        self._levels = (list(centroids), list(offsets), list(doc_ids), np.asarray(doc_rank, dtype=np.int64))
+    def __init__(self, doc_ids=(), codes=None):
+        self.doc_ids = list(doc_ids)
+        self.codes = np.zeros((0, 0), dtype=np.int64) if codes is None else codes
 
     @classmethod
     def from_codes(cls, codes: dict) -> "DocidTrie":
-        """The trie of a doc id -> code dict, built by one stable sort of the codes."""
+        """The issued docids of a doc id -> code dict."""
         if not codes:
             return cls()
-        ids = list(codes)
-        stacked = np.array(list(codes.values()), dtype=np.int64)
-        order = np.lexsort(stacked.T[::-1])  # by code; equal codes keep dict order
-        stacked = stacked[order]
-        doc_ids = [ids[i] for i in order]
-        # changed[i, m]: row i + 1 and row i differ in their first m + 1 positions.
-        changed = np.logical_or.accumulate(stacked[1:] != stacked[:-1], axis=1)
-        # Per level, the row where each node's subtree starts; the last level's are the leaves.
-        firsts = [np.flatnonzero(np.r_[True, c]) for c in changed.T]
-        centroids = [stacked[first, m] for m, first in enumerate(firsts)]
-        offsets = [np.array([0, len(firsts[0])])]
-        for parent, child in zip(firsts, firsts[1:]):
-            offsets.append(np.append(np.searchsorted(child, parent), len(child)))
-        offsets.append(np.append(firsts[-1], len(doc_ids)))
-        by_id = sorted(range(len(doc_ids)), key=lambda i: (isinstance(doc_ids[i], str), doc_ids[i]))
-        return cls(centroids, offsets, doc_ids, np.argsort(by_id))  # the inverse permutation
+        ids = sorted(codes, key=lambda d: (isinstance(d, str), d))
+        return cls(ids, np.array([codes[d] for d in ids], dtype=np.int64).T)
 
     def __len__(self) -> int:
-        """The number of distinct codes, i.e. of leaves."""
-        return len(self._levels[0][-1]) if self._levels[0] else 0
-
-    def levels(self) -> tuple:
-        """(centroids, offsets, doc_ids, doc_rank)."""
-        return self._levels
+        """The number of issued docids."""
+        return len(self.doc_ids)
 
 
-def _expand(offsets: np.ndarray, node: np.ndarray, *carried: np.ndarray):
-    """Every child of each node, with the node's carried values repeated."""
-    lo, counts = offsets[node], offsets[node + 1] - offsets[node]
-    total = int(counts.sum())
-    child = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
-    return (child, *(np.repeat(c, counts) for c in carried))
-
-
-def _take_top(limit: int, query: np.ndarray, score: np.ndarray, tie: np.ndarray, *carried):
-    """Per query, the `limit` best entries by descending score, then ascending tie.
-
-    `query` must be sorted. The sort keeps it so, so an entry's rank within its
-    query is its distance from the query's first entry.
-    """
-    order = np.lexsort((tie, -score, query))
-    order = order[np.arange(len(query)) - np.searchsorted(query, query) < limit]
-    return tuple(a[order] for a in (query, score, tie, *carried))
-
-
-def _beam_block(logps, trie: DocidTrie, beam: int, top_n: int) -> list[list]:
-    centroids, offsets, doc_ids, doc_rank = trie.levels()
-    n_queries = len(logps[0])
-    query, score = np.arange(n_queries), np.zeros(n_queries)
-    node = np.zeros(n_queries, dtype=np.int64)  # the root, shared by every query
-    for m, logp in enumerate(logps):
-        node, query, score = _expand(offsets[m], node, query, score)
-        score = score + logp[query, centroids[m][node]]
-        query, score, node = _take_top(beam, query, score, node)
-    doc, query, score = _expand(offsets[-1], node, query, score)
-    query, score, _, doc = _take_top(top_n, query, score, doc_rank[doc], doc)
-    results: list[list] = [[] for _ in range(n_queries)]
-    for q, d, s in zip(query.tolist(), doc.tolist(), score.tolist()):
-        results[q].append((doc_ids[d], s))
-    return results
-
-
-def beam_search(
+def search(
     queries: np.ndarray,
     params: DecoderParams,
     trie: DocidTrie,
-    beam: int,
     top_n: int,
 ) -> list[list[tuple[object, float]]]:
-    """Decode docids for each query (rows of `queries`), restricted to the trie.
+    """The exact top_n issued docids for each query (rows of `queries`).
 
-    Each level keeps the `beam` best prefixes per query by descending score,
-    ties broken by ascending prefix. Returns, per query, up to top_n
-    (doc_id, log-prob) entries sorted by score descending, ties broken by
-    ascending doc id, ints first. Code collisions expand to every carrier of
-    the code, all sharing the code's score. Queries run in blocks of BEAM_BLOCK.
+    Every docid is scored as its summed per-group log-probability, in group
+    order from zero, so a score equals `docid_log_prob` bit for bit. Returns,
+    per query, up to top_n (doc_id, log-prob) entries sorted by score
+    descending, ties broken by ascending doc id, ints first; docids sharing
+    a code share its score. Queries go in blocks of about SEARCH_SCORES
+    scores, and a query's ranking does not depend on its block.
     """
-    if beam < 1:
-        raise ValueError("beam must be >= 1")
     queries = np.asarray(queries, dtype=float)
-    if len(trie) == 0:
-        return [[] for _ in range(len(queries))]
-    if len(trie.levels()[0]) != params.n_groups:
+    results: list[list] = [[] for _ in range(len(queries))]
+    n = len(trie)
+    if n == 0:
+        return results
+    if len(trie.codes) != params.n_groups:
         raise ValueError(f"trie codes do not have {params.n_groups} positions, one per decoder group")
-    results = []
-    for lo in range(0, len(queries), BEAM_BLOCK):
-        logps = _log_softmax_block(params, queries[lo : lo + BEAM_BLOCK])
-        results.extend(_beam_block(logps, trie, beam, top_n))
+    block, cut = max(1, SEARCH_SCORES // n), min(max(n - top_n, 0), n - 1)
+    for lo in range(0, len(queries), block):
+        logps = _log_softmax_block(params, queries[lo : lo + block])
+        score = np.zeros((len(logps[0]), n))
+        for logp, code in zip(logps, trie.codes):
+            score += np.take(logp, code, axis=1)
+        # Every score at least the top_n-th largest of its row, ties included.
+        query, doc = np.nonzero(score >= np.partition(score, cut, axis=1)[:, cut, None])
+        kept = score[query, doc]
+        order = np.lexsort((doc, -kept, query))
+        query, doc, kept = query[order], doc[order], kept[order]
+        # `query` is sorted, so an entry's place in its query is its distance from the first.
+        top = np.arange(len(query)) - np.searchsorted(query, query) < top_n
+        for q, d, s in zip(query[top].tolist(), doc[top].tolist(), kept[top].tolist()):
+            results[lo + q].append((trie.doc_ids[d], s))
     return results
 
 
@@ -475,5 +429,10 @@ def constrained_beam_search(
     beam: int,
     top_n: int,
 ) -> list[tuple[object, float]]:
-    """`beam_search` for a single query vector."""
-    return beam_search(np.asarray(q, dtype=float)[None], params, trie, beam, top_n)[0]
+    """`search` for a single query vector.
+
+    The search is exact, so every beam of at least 1 gives the same ranking.
+    """
+    if beam < 1:
+        raise ValueError("beam must be >= 1")
+    return search(np.asarray(q, dtype=float)[None], params, trie, top_n)[0]

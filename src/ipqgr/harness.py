@@ -29,8 +29,8 @@ from .decoder import (
     DocidTrie,
     FisherDiag,
     Layout,
-    beam_search,
     estimate_fisher,
+    search,
     train_session,
 )
 from .ipq import THRESHOLD_MODES, InvalidStateError, UpdateKind, ingest_session
@@ -82,7 +82,6 @@ class ExperimentConfig:
     sigma: float = 0.1
     n_q: int = 3
     lam: float = 0.5
-    beam: int = 15
     top_n: int = 10
     proj_step: float = 1e-2
     proj_inner_iters: int = 20
@@ -103,11 +102,11 @@ class ExperimentConfig:
     variant: str = "full"
 
     def validate(self) -> None:
-        # Below 1, each count fails late or silently: m_groups divides by zero, beam
-        # and metric_cutoff fail after the base decoder has trained, g_spans partway
+        # Below 1, each count fails late or silently: m_groups divides by zero,
+        # metric_cutoff fails after the base decoder has trained, g_spans partway
         # through a token run, c_repeats and n_q in `ingest` after it has issued the
         # session's codes, and top_n writes an all-zero report.
-        for name in ("m_groups", "beam", "top_n", "metric_cutoff", "g_spans", "c_repeats", "n_q"):
+        for name in ("m_groups", "top_n", "metric_cutoff", "g_spans", "c_repeats", "n_q"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.dim % self.m_groups != 0:
@@ -745,10 +744,11 @@ class Engine:
 
     def evaluate(self, query_ids, query_embs) -> dict:
         """Scored rankings for each query: query id -> [(doc id, score), ...]."""
-        cfg = self.config
+        if self.state is None:
+            raise InvalidStateError("cannot evaluate from no state")
         if self._trie is None:
             self._trie = DocidTrie.from_codes(self.state.codes)
-        rankings = beam_search(query_embs, self.state.decoder, self._trie, cfg.beam, cfg.top_n)
+        rankings = search(query_embs, self.state.decoder, self._trie, self.config.top_n)
         return dict(zip(query_ids, rankings))
 
 

@@ -1,30 +1,31 @@
-"""Tests for the factorized docid decoder, its training, and beam search."""
+"""Tests for the factorized docid decoder, its training, and constrained search."""
 
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ipqgr import decoder
 from ipqgr.codebook import Codebook, SubCodebook
 from ipqgr.decoder import (
-    BEAM_BLOCK,
     LOSS_BLOCK,
     DecoderParams,
     DocidTrie,
     FisherDiag,
     PairBatch,
     align_to_codebook,
-    beam_search,
     constrained_beam_search,
     docid_log_prob,
     estimate_fisher,
     ewc_loss,
     group_log_probs,
     mle_loss,
+    search,
     train_session,
 )
 from ipqgr.rng import RandomSource
@@ -617,24 +618,15 @@ class TestLossMemory:
         assert self.peak(lambda: estimate_fisher(pairs, params)) < limit
 
 
-def reference_beam_search(q, params, codes, beam, top_n):
-    """The per-query list form: expand every kept prefix, sort, truncate."""
-    logps = group_log_probs(params, q)
-    beams = [(0.0, ())]
-    for m in range(params.n_groups):
-        cand = {
-            (score + float(logps[m][code[m]]), code[: m + 1])
-            for score, prefix in beams
-            for code in codes.values()
-            if code[:m] == prefix
-        }
-        beams = sorted(cand, key=lambda t: (-t[0], t[1]))[:beam]
-    results = [(d, score) for score, code in beams for d, c in codes.items() if c == code]
-    return sorted(results, key=lambda t: (-t[1], t[0]))[:top_n]
+def exhaustive_ranking(q, params, codes, top_n):
+    """Every issued docid scored by `docid_log_prob`, ties by ascending id, ints first."""
+    scored = ((d, docid_log_prob(q, c, params)) for d, c in codes.items())
+    return sorted(scored, key=lambda t: (-t[1], isinstance(t[0], str), t[0]))[:top_n]
 
 
 @st.composite
-def decoding_problems(draw):
+def search_problems(draw):
+    """A decoder, an issued code dict, queries, top_n, and a query block size."""
     n_groups = draw(st.integers(1, 3))
     sizes = [draw(st.integers(1, 5)) for _ in range(n_groups)]
     dim = draw(st.integers(1, 4))
@@ -643,47 +635,55 @@ def decoding_problems(draw):
         params = DecoderParams.zeros(sizes, dim)  # every score ties
     else:
         params = random_params(sizes, dim, seed=int(rng.integers(2**32)))
-    # Few distinct codes for many docs, so codes collide.
-    n_docs = draw(st.integers(1, 30))
-    ids = rng.permutation(1000)[:n_docs].tolist()
+    # Few distinct codes for many docs, so codes collide; ids are ints, strs or both.
+    n_docs = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(["int", "str", "mixed"]))
+    ids = [
+        i if kind == "int" or (kind == "mixed" and i % 2) else f"d{i}"
+        for i in rng.permutation(1000)[:n_docs].tolist()
+    ]
     codes = {d: tuple(int(rng.integers(k)) for k in sizes) for d in ids}
-    n_queries = draw(st.sampled_from([0, 1, BEAM_BLOCK - 1, BEAM_BLOCK, BEAM_BLOCK + 1, 2 * BEAM_BLOCK + 2]))
+    block = draw(st.integers(1, 4))
+    n_queries = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 2]))
     queries = rng.normal(size=(n_queries, dim))
-    return params, codes, queries, draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    return params, codes, queries, draw(st.integers(1, 35)), block
 
 
-class TestBatchedBeamSearch:
-    @given(decoding_problems())
-    @settings(max_examples=60, deadline=None)
-    def test_blocks_match_single_queries_and_the_oracles(self, problem):
-        params, codes, queries, beam, top_n = problem
+class TestSearch:
+    @given(search_problems())
+    @example((DecoderParams.zeros([2], dim=1), {}, np.zeros((2, 1)), 3, 1))  # from_codes({})
+    @example(  # all ties over mixed ids, colliding codes, top_n = N, two blocks
+        (DecoderParams.zeros([2, 3], dim=1), {"b": (0, 1), 7: (1, 2), "a": (0, 1), -1: (1, 0)},
+         np.zeros((3, 1)), 4, 2)
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_exhaustive_oracle(self, problem):
+        params, codes, queries, top_n, block = problem
         trie = DocidTrie.from_codes(codes)
-        got = beam_search(queries, params, trie, beam, top_n)
+        with mock.patch.object(decoder, "SEARCH_SCORES", block * max(len(codes), 1)):
+            got = search(queries, params, trie, top_n)
         assert len(got) == len(queries)
         for q, ranking in zip(queries, got):
-            assert ranking == constrained_beam_search(q, params, trie, beam, top_n)
-            assert ranking == reference_beam_search(q, params, codes, beam, top_n)
-            if beam >= len(trie):
-                oracle = sorted(
-                    ((d, docid_log_prob(q, c, params)) for d, c in codes.items()),
-                    key=lambda t: (-t[1], t[0]),
-                )
-                assert ranking == oracle[:top_n]
+            assert ranking == exhaustive_ranking(q, params, codes, top_n)
+            assert ranking == search(q[None], params, trie, top_n)[0]
 
     def test_no_queries_and_empty_trie(self):
         params = DecoderParams.zeros([2], dim=1)
-        assert beam_search(np.zeros((0, 1)), params, DocidTrie.from_codes({0: (1,)}), 3, 3) == []
-        assert beam_search(np.zeros((2, 1)), params, DocidTrie(), 3, 3) == [[], []]
+        assert search(np.zeros((0, 1)), params, DocidTrie.from_codes({0: (1,)}), 3) == []
+        assert search(np.zeros((2, 1)), params, DocidTrie(), 3) == [[], []]
+
+    def test_beam_of_one_keeps_the_true_top_doc(self):
+        # Group 0 prefers centroid 0, but doc 2's centroid 1 in group 1 outweighs it:
+        # a one-prefix beam kept only (0, *) and lost doc 2.
+        params = DecoderParams([np.zeros((2, 1))] * 2, [np.log([0.6, 0.4]), np.log([0.01, 0.99])])
+        codes = {1: (0, 0), 2: (1, 1)}
+        q = np.zeros(1)
+        got = constrained_beam_search(q, params, DocidTrie.from_codes(codes), beam=1, top_n=2)
+        assert [doc for doc, _ in got] == [2, 1]
+        assert got == exhaustive_ranking(q, params, codes, 2)
 
 
 class TestBeamSearch:
-    def exhaustive(self, q, params, codes):
-        scored = []
-        for doc_id, code in codes.items():
-            scored.append((doc_id, docid_log_prob(q, code, params)))
-        scored.sort(key=lambda t: (-t[1], t[0]))
-        return scored
-
     def test_singleton_index(self):
         params = random_params([3, 3], dim=2, seed=26)
         trie = DocidTrie.from_codes({42: (1, 2)})
@@ -701,7 +701,7 @@ class TestBeamSearch:
         for _ in range(25):
             q = rng.normal(size=5)
             got = constrained_beam_search(q, params, trie, beam=64, top_n=20)
-            assert got == self.exhaustive(q, params, codes)[:20]
+            assert got == exhaustive_ranking(q, params, codes, 20)
 
     def test_unindexed_code_is_never_emitted(self):
         params = DecoderParams.zeros([2, 2], dim=1)
@@ -714,7 +714,7 @@ class TestBeamSearch:
     def test_collisions_expand_in_insertion_order(self):
         params = DecoderParams.zeros([2], dim=1)
         trie = DocidTrie.from_codes({9: (0,), 4: (0,)})
-        assert trie.levels()[2] == [9, 4]
+        assert trie.doc_ids == [4, 9]
         out = constrained_beam_search(np.zeros(1), params, trie, beam=4, top_n=4)
         # Equal scores: sorted by doc id ascending.
         assert [doc for doc, _ in out] == [4, 9]
@@ -737,33 +737,11 @@ class TestAlignAndTrie:
             align_to_codebook(random_params([5, 2], dim=2, seed=31), cb)
 
     def test_trie_counts(self):
-        trie = DocidTrie.from_codes({1: (0, 0), 2: (0, 0), 3: (1, 1)})
-        assert len(trie) == 2  # distinct codes
-        centroids, offsets, doc_ids, _ = trie.levels()
-        assert [c.tolist() for c in centroids] == [[0, 1], [0, 1]]
-        assert doc_ids == [1, 2, 3]  # leaf (0, 0) holds docs 1 and 2, in insertion order
-        assert offsets[-1].tolist() == [0, 2, 3]
-
-
-def reference_levels(codes: dict) -> tuple:
-    """The per-level arrays as a code -> doc ids dict built them, kept as the reference."""
-    docs: dict = {}
-    for doc_id, code in codes.items():
-        docs.setdefault(tuple(code), []).append(doc_id)
-    leaves = sorted(docs)
-    codes = np.array(leaves, dtype=np.int64)
-    changed = np.logical_or.accumulate(codes[1:] != codes[:-1], axis=1)
-    firsts = [np.flatnonzero(np.r_[True, c]) for c in changed.T]
-    centroids = [codes[first, m] for m, first in enumerate(firsts)]
-    offsets = [np.array([0, len(firsts[0])])]
-    for parent, child in zip(firsts, firsts[1:]):
-        offsets.append(np.append(np.searchsorted(child, parent), len(child)))
-    counts = [len(docs[code]) for code in leaves]
-    offsets.append(np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]))
-    doc_ids = [d for code in leaves for d in docs[code]]
-    doc_rank = np.empty(len(doc_ids), dtype=np.int64)
-    doc_rank[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
-    return centroids, offsets, doc_ids, doc_rank
+        trie = DocidTrie.from_codes({3: (1, 1), 1: (0, 0), 2: (0, 0)})
+        assert len(trie) == 3  # issued docids, shared codes included
+        assert trie.doc_ids == [1, 2, 3]
+        assert trie.codes.dtype == np.int64
+        assert trie.codes.tolist() == [[0, 0, 1], [0, 0, 1]]  # one row per group
 
 
 @st.composite
@@ -781,27 +759,19 @@ class TestTrieBuild:
     @given(code_dicts())
     @example({"a": (2, 0, 1)})  # one code
     @settings(max_examples=150, deadline=None)
-    def test_levels_match_the_dict_reference(self, codes):
+    def test_columns_hold_the_codes_in_rank_order(self, codes):
         trie = DocidTrie.from_codes(codes)
-        assert len(trie) == len(set(codes.values()))
-        centroids, offsets, doc_ids, doc_rank = trie.levels()
-        ref = reference_levels(codes)
-        assert len(centroids) == len(ref[0]) and len(offsets) == len(ref[1])
-        for got, want in zip(centroids + offsets, ref[0] + ref[1]):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert doc_ids == ref[2]
-        assert np.array_equal(doc_rank, ref[3])
+        assert trie.doc_ids == sorted(codes)
+        assert trie.codes.shape == (len(next(iter(codes.values()))), len(codes))
+        assert [tuple(c) for c in trie.codes.T.tolist()] == [codes[d] for d in trie.doc_ids]
 
     def test_empty_dict(self):
         trie = DocidTrie.from_codes({})
         assert len(trie) == 0 and len(DocidTrie()) == 0
-        centroids, offsets, doc_ids, doc_rank = trie.levels()
-        assert (centroids, offsets, doc_ids, doc_rank.tolist()) == ([], [], [], [])
+        assert trie.doc_ids == [] and trie.codes.shape == (0, 0)
 
     def test_mixed_ids_rank_ints_before_strings(self):
         trie = DocidTrie.from_codes({"b": (0,), 7: (0,), "a": (0,), -1: (0,)})
-        _, _, doc_ids, doc_rank = trie.levels()
-        assert doc_ids == ["b", 7, "a", -1]
-        assert doc_rank.tolist() == [3, 1, 2, 0]  # -1, 7, "a", "b"
+        assert trie.doc_ids == [-1, 7, "a", "b"]
         out = constrained_beam_search(np.zeros(1), DecoderParams.zeros([1], dim=1), trie, 4, 4)
         assert [doc for doc, _ in out] == [-1, 7, "a", "b"]

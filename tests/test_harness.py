@@ -90,7 +90,7 @@ class TestExperimentConfig:
             ExperimentConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize(
-        "field, value", [("m_groups", 0), ("beam", 0), ("top_n", 0), ("metric_cutoff", 0)]
+        "field, value", [("m_groups", 0), ("top_n", 0), ("metric_cutoff", 0)]
     )
     def test_counts_below_one_are_refused(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
@@ -314,6 +314,12 @@ class TestEngineGuards:
         with pytest.raises(InvalidStateError):
             engine.ingest(5, [999], np.zeros((1, 16)))
 
+    def test_evaluate_before_any_state_is_refused(self):
+        from ipqgr.ipq import InvalidStateError
+
+        with pytest.raises(InvalidStateError, match="cannot evaluate from no state"):
+            Engine(small_config()).evaluate([0], np.zeros((1, 16)))
+
     @pytest.mark.parametrize("repeat", ["issued", "within-session"])
     def test_ingest_refuses_to_reissue_a_docid(self, repeat):
         cfg = small_config()
@@ -351,7 +357,7 @@ class TestEngineGuards:
 
     def test_int_and_str_ids_evaluate_together(self):
         # Equal scores rank int ids before str ids, which do not compare with each other.
-        cfg = small_config(beam=500, top_n=500)
+        cfg = small_config(top_n=500)
         data = small_inputs()
         engine = Engine(cfg)
         engine.build_base(data.doc_ids[:80], data.doc_embs[:80], [])
@@ -507,6 +513,20 @@ class TestCli:
         )
         assert code == 2
         assert "error: m_groups must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_retired_beam_key_is_a_clean_error(self, tmp_path, capsys):
+        # Search is exact, so a config that still sets a beam width is refused, not ignored.
+        (tmp_path / "cfg.json").write_text(json.dumps({"beam": 15}))
+        code = cli.main(
+            [
+                "evaluate", "--config", str(tmp_path / "cfg.json"),
+                "--state", str(tmp_path / "engine.state"),
+                "--queries", str(tmp_path / "queries.emb"),
+                "--out", str(tmp_path / "run.tsv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: unknown config keys: beam"
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         code = cli.main(
