@@ -105,13 +105,7 @@ def split_groups(x, m: int) -> list[np.ndarray]:
     return list(x.reshape(m, x.shape[0] // m))
 
 
-def build_base_codebook(
-    embeddings,
-    m: int,
-    k: int,
-    rng: RandomSource,
-    max_iters: int = 50,
-) -> Codebook:
+def build_base_codebook(embeddings, m: int, k: int, rng: RandomSource) -> Codebook:
     """Session-0 codebook: k-means per group with memberships from assignments."""
     embs = np.asarray(embeddings, dtype=float)
     if embs.ndim != 2:
@@ -126,7 +120,7 @@ def build_base_codebook(
     groups = []
     for g in range(m):
         sub = embs[:, g * sub_dim : (g + 1) * sub_dim]
-        centroids, assign = kmeans(sub, k, rng.derive("kmeans", g), max_iters=max_iters)
+        centroids, assign = kmeans(sub, k, rng.derive("kmeans", g))
         sc = SubCodebook(centroids=centroids)
         for c in range(k):
             sc.member_vecs.append(sub[assign == c])

@@ -47,13 +47,16 @@ from .rng import RandomSource
 
 REPORT_SCHEMA = "ipqgr-report/1"
 
-# Named presets for the model-variant ablations the harness supports.
+# Named presets for the model-variant ablations the harness supports. A part
+# governed by a count or a weight is ablated by its zero: c_repeats=0 draws no
+# perturbations (no memory bank), n_q=0 samples no pseudo queries, lam=0 drops
+# the EWC anchor.
 VARIANTS: dict[str, dict] = {
     "full": {},
     "base": {
-        "enable_memory_bank": False,
-        "enable_pseudo_queries": False,
-        "enable_ewc": False,
+        "c_repeats": 0,
+        "n_q": 0,
+        "lam": 0.0,
         "enable_mle_dneg": False,
         "threshold_mode": "none",
         "v_epochs": 0,
@@ -63,9 +66,9 @@ VARIANTS: dict[str, dict] = {
     "pq-dis": {"threshold_mode": "none"},
     "pq-dis-ad": {"threshold_mode": "ad_only"},
     "pq-dis-md": {"threshold_mode": "md_only"},
-    "no-ewc": {"enable_ewc": False},
+    "no-ewc": {"lam": 0.0},
     "no-mle-dneg": {"enable_mle_dneg": False},
-    "no-mle-q": {"enable_pseudo_queries": False},
+    "no-mle-q": {"n_q": 0},
     "random-bank": {"random_bank": True},
 }
 
@@ -92,9 +95,6 @@ class ExperimentConfig:
     setting: str = "sequential"  # "single" | "sequential"
     metric: str = "mrr"  # "mrr" | "hits"
     metric_cutoff: int = 10
-    enable_memory_bank: bool = True
-    enable_pseudo_queries: bool = True
-    enable_ewc: bool = True
     enable_mle_dneg: bool = True
     threshold_mode: str = "both"
     recluster_each_session: bool = False
@@ -104,11 +104,30 @@ class ExperimentConfig:
     def validate(self) -> None:
         # Below 1, each count fails late or silently: m_groups divides by zero,
         # metric_cutoff fails after the base decoder has trained, g_spans partway
-        # through a token run, c_repeats and n_q in `ingest` after it has issued the
-        # session's codes, and top_n writes an all-zero report.
-        for name in ("m_groups", "top_n", "metric_cutoff", "g_spans", "c_repeats", "n_q"):
+        # through a token run, and top_n writes an all-zero report.
+        for name in ("m_groups", "top_n", "metric_cutoff", "g_spans"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # Zero turns a part off (c_repeats, n_q) or skips its training. A negative
+        # c_repeats or n_q would fail in `ingest` after it has issued the codes.
+        for name in ("c_repeats", "n_q", "v_epochs", "decoder_steps", "proj_inner_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        # A step that is not positive and finite accepts no descent step.
+        for name in ("tau", "proj_step", "decoder_step"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        # A NaN lam stalls every anchored session at its first step.
+        for name in ("sigma", "lam"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; choose from {sorted(VARIANTS)}")
+        for name, value in VARIANTS[self.variant].items():
+            if getattr(self, name) != value:
+                raise ValueError(
+                    f"variant {self.variant!r} sets {name} to {value!r}, not {getattr(self, name)!r}"
+                )
         if self.dim % self.m_groups != 0:
             raise ValueError(f"dim {self.dim} not divisible by {self.m_groups} groups")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
@@ -121,14 +140,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
         if self.recluster_each_session and self.threshold_mode != "none":
             raise ValueError("re-clustering requires threshold_mode 'none'")
-        if self.random_bank and not self.enable_memory_bank:
-            raise ValueError("random_bank requires the memory bank to be enabled")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.v_epochs < 0:
-            raise ValueError(f"v_epochs must be non-negative, got {self.v_epochs}")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if self.random_bank and self.c_repeats < 1:
+            raise ValueError("random_bank requires a memory bank, c_repeats >= 1")
 
     def with_variant(self, name: str) -> "ExperimentConfig":
         if name not in VARIANTS:
@@ -573,7 +586,6 @@ class Engine:
         config.validate()
         self.config = config
         self.state = state
-        self._trie: DocidTrie | None = None  # built by `evaluate`, dropped when the codes change
 
     def _rng(self, *keys) -> RandomSource:
         return RandomSource(self.config.seed).derive(*keys)
@@ -627,7 +639,6 @@ class Engine:
             fisher=fisher,
             projector=projector,
         )
-        self._trie = None
         return {
             "session": 0,
             "n_new_docs": len(doc_ids),
@@ -661,7 +672,6 @@ class Engine:
         else:
             embs = np.asarray(doc_embs, dtype=float)
 
-        self._trie = None
         old_codes = dict(st.codes)
         decision_counts: dict[str, int] = {}
         log: list = []
@@ -686,7 +696,8 @@ class Engine:
             for d in log:
                 decision_counts[d.kind.value] = decision_counts.get(d.kind.value, 0) + 1
 
-        if cfg.enable_memory_bank:
+        bank = MemoryBank(t)
+        if cfg.c_repeats:
             bank = build_memory_bank(
                 new_code_map, CodeIndex.from_codes(old_codes), cfg.c_repeats, cb, self._rng("bank", t), t
             )
@@ -699,15 +710,13 @@ class Engine:
                 bank = MemoryBank(
                     t, [MemoryBankEntry(pool[int(i)], None, 0) for i in sorted(pick)]
                 )
-        else:
-            bank = MemoryBank(t)
         bank_ids = bank.doc_ids()
         bank_pairs = (
             [(st.doc_embs[i], st.codes[i]) for i in bank_ids] if cfg.enable_mle_dneg else []
         )
 
         pseudo_pairs = []
-        if cfg.enable_pseudo_queries:
+        if cfg.n_q:
             pseudo_rng = self._rng("pseudo", t)
             targets = list(zip(doc_ids, embs)) + [(i, st.doc_embs[i]) for i in bank_ids]
             for doc_id, emb in targets:
@@ -717,10 +726,8 @@ class Engine:
                     pseudo_pairs.append((pair.query, pair.code))
 
         doc_pairs = [(e, new_code_map[i]) for i, e in zip(doc_ids, embs)]
-        fisher = st.fisher if cfg.enable_ewc else None
-        lam = cfg.lam if cfg.enable_ewc else 0.0
         decoder = train_session(
-            st.decoder, cb, doc_pairs, bank_pairs, pseudo_pairs, fisher, lam,
+            st.decoder, cb, doc_pairs, bank_pairs, pseudo_pairs, st.fisher, cfg.lam,
             cfg.decoder_step, cfg.decoder_steps,
         )
         fisher_pairs = doc_pairs + pseudo_pairs
@@ -746,9 +753,8 @@ class Engine:
         """Scored rankings for each query: query id -> [(doc id, score), ...]."""
         if self.state is None:
             raise InvalidStateError("cannot evaluate from no state")
-        if self._trie is None:
-            self._trie = DocidTrie.from_codes(self.state.codes)
-        rankings = search(query_embs, self.state.decoder, self._trie, self.config.top_n)
+        trie = DocidTrie.from_codes(self.state.codes)
+        rankings = search(query_embs, self.state.decoder, trie, self.config.top_n)
         return dict(zip(query_ids, rankings))
 
 

@@ -50,11 +50,11 @@ class ProjectorParams:
     b2: np.ndarray  # (D,)
 
     @classmethod
-    def init_random(cls, in_dim: int, hidden: int, out_dim: int, rng: RandomSource, scale: float = 0.1):
+    def init_random(cls, in_dim: int, hidden: int, out_dim: int, rng: RandomSource):
         return cls(
-            w1=scale * rng.normal((hidden, in_dim)),
+            w1=0.1 * rng.normal((hidden, in_dim)),
             b1=np.zeros(hidden),
-            w2=scale * rng.normal((out_dim, hidden)),
+            w2=0.1 * rng.normal((out_dim, hidden)),
             b2=np.zeros(out_dim),
         )
 
@@ -96,11 +96,10 @@ class ProjectorParams:
         return ProjectorParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
 
-def _sample_epoch_spans(docs, g_per_level, granularities, rng: RandomSource,
-                        alpha: float = 4.0, beta: float = 2.0):
+def _sample_epoch_spans(docs, g_per_level, granularities, rng: RandomSource):
     """Draw `g_per_level` 1-based [start, end) spans per granularity of every document.
 
-    Length is round(p * (l_max - l_min)) + l_min with p ~ Beta(alpha, beta),
+    Length is round(p * (l_max - l_min)) + l_min with p ~ Beta(4, 2),
     clamped so a span is non-empty and never the whole document. All Beta
     fractions, then all starts, come from one call each on `rng`. Returns
     (start, end) arrays of shape (n_docs, levels, g_per_level).
@@ -112,16 +111,15 @@ def _sample_epoch_spans(docs, g_per_level, granularities, rng: RandomSource,
     n = np.broadcast_to(sizes[:, None, None], (len(docs), len(granularities), g_per_level))
     bounds = np.array([[s.l_min, s.l_max] for s in granularities])
     l_min, l_max = bounds[:, :1], bounds[:, 1:]
-    p = beta_sample(alpha, beta, rng, size=n.shape)
+    p = beta_sample(4.0, 2.0, rng, size=n.shape)
     length = np.clip(np.rint(p * (l_max - l_min)).astype(np.int64) + l_min, 1, n - 1)
     start = 1 + rng.integers(n - length)
     return start, start + length
 
 
-def sample_span(doc: np.ndarray, spec: GranularitySpec, rng: RandomSource,
-                alpha: float = 4.0, beta: float = 2.0) -> tuple[int, int]:
+def sample_span(doc: np.ndarray, spec: GranularitySpec, rng: RandomSource) -> tuple[int, int]:
     """Sample one 1-based (start, end) window; tokens covered are [start, end)."""
-    start, end = _sample_epoch_spans([doc], 1, (spec,), rng, alpha, beta)
+    start, end = _sample_epoch_spans([doc], 1, (spec,), rng)
     return int(start.item()), int(end.item())
 
 
@@ -231,34 +229,30 @@ def iterative_train(
     step: float,
     rng: RandomSource,
     out_dim: int,
-    hidden: int | None = None,
     inner_iters: int = 20,
-    granularities=DEFAULT_GRANULARITIES,
-    max_kmeans_iters: int = 50,
 ):
     """Alternate per-group clustering with projector gradient descent.
 
     Each epoch rebuilds the codebook from the current document representations,
     freezes the resulting reconstructions, and runs `inner_iters` descent steps
-    on contrastive + MSE loss. The step size is halved (deterministically) for
-    any iteration where the full step would increase the loss. Returns
-    (projector, session-0 codebook, doc-id-index -> PqCode list).
+    on contrastive + MSE loss over spans at the `DEFAULT_GRANULARITIES`. The
+    projector's hidden layer is `out_dim` wide. The step size is halved
+    (deterministically) for any iteration where the full step would increase
+    the loss. Returns (projector, session-0 codebook, doc-id-index -> PqCode list).
     """
     if len(docs) < k:
         raise ValueError(f"need at least k={k} documents, got {len(docs)}")
     in_dim = np.asarray(docs[0]).shape[1]
-    if hidden is None:
-        hidden = out_dim
-    proj = ProjectorParams.init_random(in_dim, hidden, out_dim, rng.derive("proj-init"))
+    proj = ProjectorParams.init_random(in_dim, out_dim, out_dim, rng.derive("proj-init"))
     pooled_docs = np.stack([np.asarray(d, dtype=float).mean(axis=0) for d in docs])
     n = len(docs)
-    n_spans = len(granularities) * g_per_level
+    n_spans = len(DEFAULT_GRANULARITIES) * g_per_level
 
     for epoch in range(v):
         reps = proj.forward(pooled_docs)
-        cb = build_base_codebook(reps, m, k, rng.derive("kmeans", epoch), max_iters=max_kmeans_iters)
+        cb = build_base_codebook(reps, m, k, rng.derive("kmeans", epoch))
         frozen = np.stack([cb.reconstruct(cb.quantize(r)) for r in reps])
-        spans = _sample_epoch_spans(docs, g_per_level, granularities, rng.derive("spans", epoch))
+        spans = _sample_epoch_spans(docs, g_per_level, DEFAULT_GRANULARITIES, rng.derive("spans", epoch))
         pooled_all = np.vstack([pooled_docs, _pool_spans(docs, *spans)])
 
         def total_loss(p, grad=True):
@@ -286,6 +280,6 @@ def iterative_train(
                 break  # no improving step at any tried scale
 
     reps = proj.forward(pooled_docs)
-    cb = build_base_codebook(reps, m, k, rng.derive("kmeans", v), max_iters=max_kmeans_iters)
+    cb = build_base_codebook(reps, m, k, rng.derive("kmeans", v))
     codes = [cb.quantize(r) for r in reps]
     return proj, cb, codes

@@ -6,6 +6,8 @@ import numpy as np
 
 from .rng import RandomSource
 
+KMEANS_MAX_ITERS = 50  # Lloyd iterations per k-means run, at most
+
 
 def beta_sample(alpha: float, beta: float, rng: RandomSource, size=None):
     """Beta(alpha, beta) as g1 / (g1 + g2) of two gammas: a float, or an array of shape `size`."""
@@ -22,7 +24,7 @@ def _nearest(points: np.ndarray, centroids: np.ndarray):
     return d2.argmin(axis=1), d2
 
 
-def kmeans(points, k: int, rng: RandomSource, max_iters: int = 50):
+def kmeans(points, k: int, rng: RandomSource):
     """Lloyd's k-means with seeded init from k distinct input points.
 
     Empty clusters are reseeded with the point farthest from the empty
@@ -45,7 +47,7 @@ def kmeans(points, k: int, rng: RandomSource, max_iters: int = 50):
 
     prev_assign = None
     prev_inertia = np.inf
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         assign, d2 = _nearest(pts, centroids)
         repaired = False
         for c in range(k):

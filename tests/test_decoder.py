@@ -272,6 +272,17 @@ class TestTrainSession:
         )
         assert drift_pinned < drift_free
 
+    def test_zero_lambda_is_no_anchor(self):
+        # lam=0 is the no-EWC ablation: the Fisher is carried but weighs nothing.
+        cb = toy_codebook([3, 4])
+        prev = random_params([3, 3], dim=4, seed=26)
+        pairs = self.make_pairs([3, 4], 4, 12, 27)
+        fisher = estimate_fisher(self.make_pairs([3, 3], 4, 6, 28), prev)
+        got = train_session(prev, cb, pairs, [], [], fisher, 0.0, 0.05, 30)
+        want = train_session(prev, cb, pairs, [], [], None, 0.0, 0.05, 30)
+        assert got.w.tobytes() == want.w.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
+
     def test_loss_is_monotone_along_training(self):
         cb = toy_codebook([4, 4])
         prev = DecoderParams.zeros([4, 4], dim=3)

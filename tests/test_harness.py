@@ -77,8 +77,8 @@ class TestExperimentConfig:
             ExperimentConfig(threshold_mode="all").validate()
         with pytest.raises(ValueError):
             ExperimentConfig(recluster_each_session=True).validate()
-        with pytest.raises(ValueError):
-            ExperimentConfig(random_bank=True, enable_memory_bank=False).validate()
+        with pytest.raises(ValueError, match="c_repeats"):
+            ExperimentConfig(random_bank=True, c_repeats=0).validate()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -96,13 +96,50 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
             ExperimentConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("decoder_step", [-0.05, 0.0, float("nan"), float("inf")]),
+            ("proj_step", [-0.01, 0.0, float("nan"), float("inf")]),
+            ("lam", [-0.5, float("nan")]),
+            ("decoder_steps", [-1]),
+            ("proj_inner_iters", [-1]),
+        ],
+    )
+    def test_training_values_that_break_a_run_are_refused(self, field, values):
+        # A non-positive step accepts no descent step and NaN lam stalls every
+        # anchored session; each used to be accepted and run to a silent result.
+        for value in values:
+            with pytest.raises(ValueError, match=field):
+                ExperimentConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["c_repeats", "n_q", "lam", "decoder_steps", "proj_inner_iters"])
+    def test_zero_is_a_legal_off(self, field):
+        ExperimentConfig(**{field: 0}).validate()
+
+    def test_variant_label_must_match_its_preset(self):
+        # A label alone does not make an ablation: the report would say "base"
+        # about a full-model run.
+        with pytest.raises(ValueError, match="variant 'base' sets c_repeats to 0, not 10"):
+            ExperimentConfig.from_dict({"variant": "base"}).validate()
+        with pytest.raises(ValueError, match="variant 'no-ewc' sets lam to 0.0, not 0.5"):
+            ExperimentConfig(variant="no-ewc").validate()
+        with pytest.raises(ValueError, match="unknown variant 'nonsense'"):
+            ExperimentConfig(variant="nonsense").validate()
+        for name in VARIANTS:
+            ExperimentConfig().with_variant(name).validate()
+        ExperimentConfig.from_dict({"variant": "no-mle-q", "n_q": 0}).validate()
+
     def test_variants_cover_the_ablation_grid(self):
         assert set(VARIANTS) == {
             "full", "base", "pq", "pq-re", "pq-dis", "pq-dis-ad", "pq-dis-md",
             "no-ewc", "no-mle-dneg", "no-mle-q", "random-bank",
         }
         base = ExperimentConfig().with_variant("base")
-        assert not base.enable_memory_bank and base.threshold_mode == "none"
+        assert (base.c_repeats, base.n_q, base.lam) == (0, 0, 0.0)
+        assert not base.enable_mle_dneg and base.threshold_mode == "none"
+        assert ExperimentConfig().with_variant("no-ewc").lam == 0.0
+        assert ExperimentConfig().with_variant("no-mle-q").n_q == 0
         with pytest.raises(ValueError):
             ExperimentConfig().with_variant("bespoke")
 
@@ -333,7 +370,7 @@ class TestEngineGuards:
         assert state.session == 1
         assert state.codes == issued
 
-    @pytest.mark.parametrize("field, value", [("c_repeats", 0), ("n_q", 0), ("sigma", -0.1)])
+    @pytest.mark.parametrize("field, value", [("c_repeats", -1), ("n_q", -1), ("sigma", -0.1)])
     def test_a_setting_ingest_would_fail_on_is_refused_up_front(self, field, value):
         # `ingest` reads these only after it has issued the session's codes.
         _, state = run_experiment(small_config(), small_inputs(), stop_after_session=0)
@@ -342,6 +379,34 @@ class TestEngineGuards:
             Engine(small_config(**{field: value}), state)
         assert state.session == 0
         assert state.codes == issued
+
+    @pytest.mark.parametrize(
+        "field, skipped", [("c_repeats", "build_memory_bank"), ("n_q", "generate_pseudo_queries")]
+    )
+    def test_zero_count_skips_its_part(self, field, skipped, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{skipped} called with {field}=0")
+
+        monkeypatch.setattr(harness, skipped, refuse)
+        _, state = run_experiment(small_config(**{field: 0}), small_inputs(), stop_after_session=1)
+        info = state.history[1]
+        assert info["bank_size" if field == "c_repeats" else "n_pseudo_pairs"] == 0
+
+    def test_evaluate_sees_codes_issued_through_another_engine(self):
+        # Two engines on one state: rankings follow the state's codes, whichever
+        # engine issued them.
+        cfg = small_config()
+        data = small_inputs()
+        a = Engine(cfg)
+        a.build_base(data.doc_ids[:80], data.doc_embs[:80], [])
+        queries = data.doc_embs[80:]
+        a.evaluate(range(40), queries)
+        b = Engine(cfg, a.state)
+        b.ingest(1, data.doc_ids[80:], data.doc_embs[80:])
+        got = a.evaluate(range(40), queries)
+        assert got == b.evaluate(range(40), queries)
+        new = set(data.doc_ids[80:])
+        assert any(d in new for ranking in got.values() for d, _ in ranking)
 
     @pytest.mark.parametrize("n_embs, n_tokens", [(2, None), (4, None), (3, 2)])
     def test_ingest_refuses_mismatched_lengths(self, n_embs, n_tokens):
@@ -527,6 +592,33 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: unknown config keys: beam"
+
+    @pytest.mark.parametrize("key", ["enable_memory_bank", "enable_pseudo_queries", "enable_ewc"])
+    def test_retired_ablation_switch_is_a_clean_error(self, tmp_path, capsys, key):
+        # The ablations are values now (c_repeats, n_q, lam at 0); a switch is refused, not ignored.
+        (tmp_path / "cfg.json").write_text(json.dumps({key: False}))
+        code = cli.main(
+            [
+                "ingest", "--config", str(tmp_path / "cfg.json"),
+                "--state", str(tmp_path / "engine.state"),
+                "--docs", str(tmp_path / "new.emb"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: unknown config keys: {key}"
+
+    def test_variant_label_without_its_preset_is_a_clean_error(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"variant": "base"}))
+        code = cli.main(
+            [
+                "evaluate", "--config", str(tmp_path / "cfg.json"),
+                "--state", str(tmp_path / "engine.state"),
+                "--queries", str(tmp_path / "queries.emb"),
+                "--out", str(tmp_path / "run.tsv"),
+            ]
+        )
+        assert code == 2
+        assert "error: variant 'base' sets c_repeats to 0, not 10" in capsys.readouterr().err
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         code = cli.main(

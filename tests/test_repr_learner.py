@@ -486,7 +486,7 @@ def reference_iterative_train(docs, m, k, v, tau, g_per_level, step, rng, out_di
     n_spans = len(DEFAULT_GRANULARITIES) * g_per_level
     for epoch in range(v):
         reps = proj.forward(pooled_docs)
-        cb = build_base_codebook(reps, m, k, rng.derive("kmeans", epoch), max_iters=50)
+        cb = build_base_codebook(reps, m, k, rng.derive("kmeans", epoch))
         frozen = np.stack([cb.reconstruct(cb.quantize(r)) for r in reps])
         spans = _sample_epoch_spans(docs, g_per_level, DEFAULT_GRANULARITIES, rng.derive("spans", epoch))
         pooled_all = np.vstack([pooled_docs, _pool_spans(docs, *spans)])
@@ -512,5 +512,5 @@ def reference_iterative_train(docs, m, k, v, tau, g_per_level, step, rng, out_di
             else:
                 break
     reps = proj.forward(pooled_docs)
-    cb = build_base_codebook(reps, m, k, rng.derive("kmeans", v), max_iters=50)
+    cb = build_base_codebook(reps, m, k, rng.derive("kmeans", v))
     return proj, cb, [cb.quantize(r) for r in reps]
