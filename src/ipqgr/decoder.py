@@ -95,16 +95,9 @@ class GroupRows:
 class DecoderParams(GroupRows):
     """Score matrices W_m (K_m x D) and biases b_m (K_m), one row per centroid."""
 
-    def __init__(self, weights, biases, session: int = 0, *, layout: Layout | None = None):
-        super().__init__(weights, biases, layout=layout)
-        self.session = session
-
-    def _with(self, w, b, layout):
-        return DecoderParams(w, b, self.session, layout=layout)
-
     @classmethod
-    def zeros(cls, sizes: list[int], dim: int, session: int = 0) -> "DecoderParams":
-        return cls([np.zeros((k, dim)) for k in sizes], [np.zeros(k) for k in sizes], session)
+    def zeros(cls, sizes: list[int], dim: int) -> "DecoderParams":
+        return cls([np.zeros((k, dim)) for k in sizes], [np.zeros(k) for k in sizes])
 
     def step(self, lr: float, grad: "Gradient") -> "DecoderParams":
         return self._with(self.w - lr * grad.w, self.b - lr * grad.b, self.layout)
@@ -322,7 +315,6 @@ def train_session(
     increase the loss, which keeps the loss non-increasing.
     """
     params = align_to_codebook(prev, cb)
-    params.session = prev.session + 1
     pairs = doc_pairs + bank_pairs + pseudo_pairs
     if steps <= 0 or not pairs:
         return params

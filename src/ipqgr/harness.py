@@ -72,6 +72,21 @@ VARIANTS: dict[str, dict] = {
     "random-bank": {"random_bank": True},
 }
 
+# JSON value kinds, as (description, test): a config field's by its annotation,
+# a state metadata field's by `_META_FIELDS`.
+_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "str": ("a string", lambda v: type(v) is str),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "tuple": ("a list of numbers", lambda v: isinstance(v, list)
+              and all(type(x) in (int, float) for x in v)),
+    "count": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "counts": ("a list of integers >= 0", lambda v: isinstance(v, list)
+               and all(type(x) is int and x >= 0 for x in v)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -144,12 +159,12 @@ class ExperimentConfig:
             raise ValueError("random_bank requires a memory bank, c_repeats >= 1")
 
     def with_variant(self, name: str) -> "ExperimentConfig":
+        """This config under variant `name`: the current preset's fields back at their defaults."""
         if name not in VARIANTS:
             raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}")
-        cfg = ExperimentConfig(**{**asdict(self), **VARIANTS[name]})
-        cfg.fractions = tuple(cfg.fractions)
-        cfg.variant = name
-        return cfg
+        reset = {key: getattr(ExperimentConfig, key) for key in VARIANTS.get(self.variant, {})}
+        return dataclasses.replace(self, **{**reset, **VARIANTS[name]}, variant=name,
+                                   fractions=tuple(self.fractions))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -158,12 +173,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+        if not isinstance(d, dict):
+            raise ValueError("a config must be a JSON object")
+        kinds = {f.name: _KINDS[f.type] for f in dataclasses.fields(cls)}
+        unknown = sorted(set(d) - set(kinds))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        cfg = cls(**d)
-        cfg.fractions = tuple(cfg.fractions)
-        return cfg
+        for name, value in d.items():
+            if not kinds[name][1](value):
+                raise ValueError(f"config {name} must be {kinds[name][0]}, got {value!r}")
+        return cls(**{**d, "fractions": tuple(d.get("fractions", cls.fractions))})
 
     def metric_fn(self):
         cutoff = self.metric_cutoff
@@ -238,28 +257,19 @@ class EngineState:
 
 
 STATE_MAGIC = b"IPQS"
-STATE_VERSION = 3
+STATE_VERSION = 4
 _HEADER = struct.Struct("<4sI32sQ")  # magic, version, SHA-256 of the payload, payload length
 _ALIGN = 16  # every array starts at a multiple of this many bytes into the file
 
-# Metadata fields and what each holds. "fisher" and "projector" may be null.
+# Metadata fields and what each holds; every array's shape follows from them.
+# "fisher" and "projector" may be null.
 _META_FIELDS = {
     "session": "int",
     "ids": "list",
     "history": "list",
-    "codebook": {"session": "int", "dim": "count", "sizes": "counts"},
-    "decoder": {"session": "int", "sizes": "counts"},
+    "codebook": {"dim": "count", "sizes": "counts", "members": "count"},
     "fisher": {"sizes": "counts"},
     "projector": {"hidden": "count", "in_dim": "count"},
-    "arrays": "dict",
-}
-_KINDS = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "count": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
-    "counts": ("a list of integers >= 0", lambda v: isinstance(v, list)
-               and all(type(x) is int and x >= 0 for x in v)),
-    "list": ("a list", lambda v: isinstance(v, list)),
-    "dict": ("an object", lambda v: isinstance(v, dict)),
 }
 
 
@@ -277,17 +287,16 @@ def _stored_id(doc_id):
 def _array_layout(meta: dict) -> dict:
     """Name -> (dtype, shape) of each array the metadata calls for, in file order.
 
-    The member rows (None) are the one free extent; the member counts fix it.
+    The decoder has the codebook's group sizes, so the codebook's counts fix its shape.
     """
     n, cb = len(meta["ids"]), meta["codebook"]
     dim, m, k = cb["dim"], len(cb["sizes"]), sum(cb["sizes"])
-    k_dec = sum(meta["decoder"]["sizes"])
     layout = {
         "embeddings": ("<f8", (n, dim)),
         "centroids": ("<f8", (k, dim // m)),
-        "members": ("<f8", (None, dim // m)),
-        "decoder_weights": ("<f8", (k_dec, dim)),
-        "decoder_biases": ("<f8", (k_dec,)),
+        "members": ("<f8", (cb["members"], dim // m)),
+        "decoder_weights": ("<f8", (k, dim)),
+        "decoder_biases": ("<f8", (k,)),
     }
     if meta["fisher"] is not None:
         k_fisher = sum(meta["fisher"]["sizes"])
@@ -304,14 +313,6 @@ def _array_layout(meta: dict) -> dict:
     return layout
 
 
-def _shape_fits(shape, want: tuple) -> bool:
-    return (
-        isinstance(shape, list)
-        and len(shape) == len(want)
-        and all(type(s) is int and s >= 0 and w in (None, s) for s, w in zip(shape, want))
-    )
-
-
 def _aligned(offset: int) -> int:
     return -(-offset // _ALIGN) * _ALIGN
 
@@ -323,30 +324,26 @@ def _split_rows(a: np.ndarray, counts) -> list[np.ndarray]:
 
 
 def _metadata(state: EngineState, history: list) -> dict:
-    """The state file's metadata, with each array's dtype and shape in file order."""
-    cb, decoder, fisher, projector = state.codebook, state.decoder, state.fisher, state.projector
+    """The state file's metadata: the counts that fix every array's shape."""
+    cb, fisher, projector = state.codebook, state.fisher, state.projector
     ids = list(state.codes)
     if not all(type(i) is int or type(i) is str for i in ids):
         ids = [_stored_id(i) for i in ids]
     if len(state.doc_embs) != len(ids):
         raise ValueError(f"{len(ids)} coded docs but {len(state.doc_embs)} embeddings")
-    meta = {
+    if state.decoder.sizes() != cb.sizes():
+        raise ValueError(f"decoder group sizes {state.decoder.sizes()} differ from the codebook's {cb.sizes()}")
+    return {
         "session": state.session,
         "ids": ids,
         "history": history,
-        "codebook": {"session": cb.session, "dim": cb.dim, "sizes": cb.sizes()},
-        "decoder": {"session": decoder.session, "sizes": decoder.sizes()},
+        "codebook": {"dim": cb.dim, "sizes": cb.sizes(),
+                     "members": sum(len(v) for g in cb.groups for v in g.member_vecs)},
         "fisher": None if fisher is None else {"sizes": fisher.sizes()},
         "projector": None if projector is None else {
             "hidden": projector.w1.shape[0], "in_dim": projector.w1.shape[1]
         },
     }
-    n_members = sum(len(v) for g in cb.groups for v in g.member_vecs)
-    meta["arrays"] = {
-        name: [dtype, [n_members if s is None else s for s in shape]]
-        for name, (dtype, shape) in _array_layout(meta).items()
-    }
-    return meta
 
 
 def _payload(state: EngineState, history: list) -> list:
@@ -371,10 +368,10 @@ def _payload(state: EngineState, history: list) -> list:
             arrays[f"projector_{name}"] = getattr(projector, name)
     text = json.dumps(meta, separators=(",", ":")).encode()
     out, end = [struct.pack("<Q", len(text)), text], _HEADER.size + 8 + len(text)
-    for name, (dtype, shape) in meta["arrays"].items():
+    for name, (dtype, shape) in _array_layout(meta).items():
         a = np.ascontiguousarray(arrays[name], dtype=dtype)
-        if list(a.shape) != shape:
-            raise ValueError(f"cannot save {name} of shape {a.shape}, expected {tuple(shape)}")
+        if a.shape != shape:
+            raise ValueError(f"cannot save {name} of shape {a.shape}, expected {shape}")
         out.append(b"\0" * (_aligned(end) - end))
         out.append(a)
         end = _aligned(end) + a.nbytes
@@ -388,7 +385,7 @@ def state_core_bytes(state: EngineState) -> int:
     """
     meta = _metadata(state, history=[])
     end = _HEADER.size + 8 + len(json.dumps(meta, separators=(",", ":")).encode())
-    for dtype, shape in meta["arrays"].values():
+    for dtype, shape in _array_layout(meta).values():
         end = _aligned(end) + math.prod(shape) * int(dtype[2:])
     return end
 
@@ -474,8 +471,6 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     sizes, dim, ids = cb["sizes"], cb["dim"], meta["ids"]
     if not sizes or dim % len(sizes):
         raise ValueError(f"codebook dim {dim} does not split into {len(sizes)} groups")
-    if meta["decoder"]["sizes"] != sizes:
-        raise ValueError(f"decoder group sizes {meta['decoder']['sizes']} differ from the codebook's {sizes}")
     fisher_sizes = sizes if meta["fisher"] is None else meta["fisher"]["sizes"]
     if len(fisher_sizes) != len(sizes) or any(f > k for f, k in zip(fisher_sizes, sizes)):
         raise ValueError(f"fisher group sizes {fisher_sizes} do not fit the decoder's {sizes}")
@@ -484,24 +479,8 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     if len(set(ids)) != len(ids):
         raise ValueError("doc ids repeat")
 
-    layout = _array_layout(meta)
-    described = meta["arrays"]
-    for name in layout:
-        if name not in described:
-            raise ValueError(f"missing array {name!r}")
-    for name in described:
-        if name not in layout:
-            raise ValueError(f"unexpected array {name!r}")
     arrays, end = {}, _HEADER.size + 8 + n_text
-    for name, entry in described.items():  # in file order
-        want_dtype, want_shape = layout[name]
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ValueError(f"array {name!r} is not described as [dtype, shape]")
-        dtype, shape = entry
-        if dtype != want_dtype:
-            raise ValueError(f"array {name!r} has dtype {dtype!r}, expected {want_dtype!r}")
-        if not _shape_fits(shape, want_shape):
-            raise ValueError(f"array {name!r} has shape {shape}, expected {list(want_shape)}")
+    for name, (dtype, shape) in _array_layout(meta).items():
         start = _aligned(end)
         if start + math.prod(shape) * int(dtype[2:]) > _HEADER.size + length:
             raise ValueError(f"array {name!r} runs past the payload")
@@ -523,17 +502,15 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     for k, centroids in zip(sizes, _split_rows(arrays["centroids"], sizes)):
         groups.append(SubCodebook(centroids, member_vecs[first : first + k]))
         first += k
-    dec, fis = meta["decoder"], meta["fisher"]
-    decoder = DecoderParams(arrays["decoder_weights"], arrays["decoder_biases"], dec["session"],
-                            layout=Layout.of(dec["sizes"]))
-    fisher = None if fis is None else FisherDiag(
-        arrays["fisher_weights"], arrays["fisher_biases"], layout=Layout.of(fis["sizes"]))
+    decoder = DecoderParams(arrays["decoder_weights"], arrays["decoder_biases"], layout=Layout.of(sizes))
+    fisher = None if meta["fisher"] is None else FisherDiag(
+        arrays["fisher_weights"], arrays["fisher_biases"], layout=Layout.of(fisher_sizes))
     projector = None
     if meta["projector"] is not None:
         projector = ProjectorParams(*(arrays[f"projector_{n}"] for n in ("w1", "b1", "w2", "b2")))
     return EngineState(
         session=meta["session"],
-        codebook=Codebook(cb["session"], dim, groups),
+        codebook=Codebook(meta["session"], dim, groups),
         codes=dict(zip(ids, map(tuple, codes.tolist()))),
         doc_embs=dict(zip(ids, arrays["embeddings"])),
         decoder=decoder,
@@ -546,7 +523,8 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
 def load_state(path) -> EngineState:
     """Read a state file written by `save_state`.
 
-    Only the current version loads. Versions 1 and 2 held a pickle; they are
+    Only the current version loads. Versions 1 and 2 held a pickle, and version
+    3 a table of array shapes that version 4 derives from its counts. They are
     refused unread, so loading never runs code from the file.
     """
     with open(path, "rb") as fh:
@@ -557,10 +535,8 @@ def load_state(path) -> EngineState:
         if version > STATE_VERSION:
             raise ValueError(f"{path}: state version {version} is newer than supported {STATE_VERSION}")
         if version < STATE_VERSION:
-            raise ValueError(
-                f"{path}: state version {version} holds a pickle, which is not loaded; "
-                f"rebuild the state (version {STATE_VERSION})"
-            )
+            held = "a pickle, which is not loaded" if version < 3 else "a per-array table, which is not read"
+            raise ValueError(f"{path}: state version {version} holds {held}; rebuild it (version {STATE_VERSION})")
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != length:
             raise ValueError(f"{path}: truncated payload ({size} of {length} bytes)")
@@ -623,7 +599,7 @@ class Engine:
             cb = build_base_codebook(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"))
             codes = {doc_id: cb.quantize(e) for doc_id, e in zip(doc_ids, embs)}
 
-        decoder = DecoderParams.zeros(cb.sizes(), cfg.dim, session=-1)
+        decoder = DecoderParams.zeros(cb.sizes(), cfg.dim)
         doc_pairs = [(e, codes[doc_id]) for doc_id, e in zip(doc_ids, embs)]
         query_pairs = [(qe, codes[d]) for qe, d in train_query_pairs if d in codes]
         decoder = train_session(

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import pickle
+import re
 import struct
 import tracemalloc
 
@@ -142,6 +143,32 @@ class TestExperimentConfig:
         assert ExperimentConfig().with_variant("no-mle-q").n_q == 0
         with pytest.raises(ValueError):
             ExperimentConfig().with_variant("bespoke")
+
+    def test_with_variant_does_not_stack_presets(self):
+        cfg = ExperimentConfig(seed=4).with_variant("no-ewc").with_variant("no-mle-q")
+        assert (cfg.variant, cfg.lam, cfg.n_q, cfg.seed) == ("no-mle-q", 0.5, 0, 4)
+        cfg.validate()
+        assert ExperimentConfig().with_variant("base").with_variant("full") == ExperimentConfig()
+
+    # TestCli covers str, float and bool for a number field, and a bare number for fractions.
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ({"fractions": [0.5, "0.5"]}, "config fractions must be a list of numbers"),
+            ({"metric": 1}, "config metric must be a string, got 1"),
+            ({"random_bank": 1}, "config random_bank must be true or false, got 1"),
+            ([], "a config must be a JSON object"),
+        ],
+        ids=["str-in-fractions", "int-metric", "int-switch", "list-config"],
+    )
+    def test_dict_values_of_the_wrong_type_are_refused(self, d, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(d)
+
+    def test_dict_float_fields_take_integers(self):
+        cfg = ExperimentConfig.from_dict({"lam": 1, "tau": 0.5, "fractions": [1]})
+        assert (cfg.lam, cfg.fractions) == (1, (1,))
+        cfg.validate()
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(seed=9).with_variant("no-ewc")
@@ -619,6 +646,45 @@ class TestCli:
         )
         assert code == 2
         assert "error: variant 'base' sets c_repeats to 0, not 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("lam", "0.5", "a number, got '0.5'"),
+            ("decoder_steps", 2.5, "an integer, got 2.5"),
+            ("m_groups", True, "an integer, got True"),
+            ("fractions", 5, "a list of numbers, got 5"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_a_clean_error(self, tmp_path, capsys, key, value, kind):
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        code = cli.main(
+            [
+                "evaluate", "--config", str(tmp_path / "cfg.json"),
+                "--state", str(tmp_path / "engine.state"),
+                "--queries", str(tmp_path / "queries.emb"),
+                "--out", str(tmp_path / "run.tsv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: config {key} must be {kind}"
+
+    def test_variant_option_replaces_the_config_files_variant(self, tmp_path):
+        self.gen(tmp_path)
+        cfg = {"variant": "no-ewc", "lam": 0.0, "decoder_steps": 5, "v_epochs": 0}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert cli.main(
+            [
+                "run", "--config", str(tmp_path / "cfg.json"), "--variant", "no-mle-q",
+                "--docs", str(tmp_path / "docs.emb"),
+                "--queries", str(tmp_path / "queries.emb"),
+                "--qrels", str(tmp_path / "qrels.tsv"),
+                "--out", str(out),
+            ]
+        ) == 0
+        written = json.loads(out.read_text())["config"]
+        assert (written["variant"], written["lam"], written["n_q"]) == ("no-mle-q", 0.5, 0)
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         code = cli.main(

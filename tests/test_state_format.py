@@ -15,9 +15,11 @@ from ipqgr import cli, synthetic
 from ipqgr.codebook import Codebook, SubCodebook
 from ipqgr.decoder import DecoderParams, FisherDiag
 from ipqgr.harness import (
+    STATE_VERSION,
     EngineState,
     ExperimentConfig,
     ExperimentInputs,
+    _array_layout,
     canonical_report_bytes,
     load_state,
     run_experiment,
@@ -54,11 +56,11 @@ def build_state(ids, sizes, sub_dim, member_counts, fisher_sizes, projector_hidd
                                     rng.normal(size=(dim, h)), rng.normal(size=dim))
     return EngineState(
         session=session,
-        codebook=Codebook(session - 1, dim, groups),
+        codebook=Codebook(session, dim, groups),
         codes={i: tuple(int(rng.integers(k)) for k in sizes) for i in ids},
         doc_embs={i: e for i, e in zip(ids, embs)},
         decoder=DecoderParams([rng.normal(size=(k, dim)) for k in sizes],
-                              [rng.normal(size=k) for k in sizes], session=session - 2),
+                              [rng.normal(size=k) for k in sizes]),
         fisher=fisher,
         projector=projector,
         history=list(history),
@@ -74,8 +76,8 @@ def all_bit_equal(xs, ys) -> bool:
 
 
 def assert_same_state(a: EngineState, b: EngineState) -> None:
-    assert (a.session, a.codebook.session, a.codebook.dim) == (
-        b.session, b.codebook.session, b.codebook.dim)
+    assert (a.session, a.codebook.dim) == (b.session, b.codebook.dim)
+    assert b.codebook.session == b.session
     assert [(type(i), i) for i in a.codes] == [(type(i), i) for i in b.codes]
     assert list(a.codes.values()) == list(b.codes.values())
     assert all(type(c) is int for code in b.codes.values() for c in code)
@@ -84,7 +86,6 @@ def assert_same_state(a: EngineState, b: EngineState) -> None:
     for ga, gb in zip(a.codebook.groups, b.codebook.groups, strict=True):
         assert bit_equal(ga.centroids, gb.centroids)
         assert all_bit_equal(ga.member_vecs, gb.member_vecs)
-    assert a.decoder.session == b.decoder.session
     assert all_bit_equal(a.decoder.weights, b.decoder.weights)
     assert all_bit_equal(a.decoder.biases, b.decoder.biases)
     assert (a.fisher is None) == (b.fisher is None)
@@ -234,13 +235,14 @@ def rewrite(path, edit=None, cut_text=0):
     """Re-encode the state file at `path` after `edit(meta, arrays)`, with a valid checksum.
 
     The payload is an 8-byte metadata length, the JSON metadata, then each
-    array it lists, in that order, starting at a multiple of 16 bytes into the file.
+    array its counts call for, in that order, starting at a multiple of 16
+    bytes into the file.
     """
     data = path.read_bytes()
     (n_text,) = struct.unpack_from("<Q", data, 48)
     meta = json.loads(data[56 : 56 + n_text])
     arrays, end = {}, 56 + n_text
-    for name, (dtype, shape) in meta["arrays"].items():
+    for name, (dtype, shape) in _array_layout(meta).items():
         start = -(-end // 16) * 16
         arrays[name] = np.frombuffer(data, dtype, math.prod(shape), start).reshape(shape).copy()
         end = start + arrays[name].nbytes
@@ -252,55 +254,53 @@ def rewrite(path, edit=None, cut_text=0):
     payload = struct.pack("<Q", len(text)) + text
     for a in arrays.values():
         payload += b"\0" * (-(48 + len(payload)) % 16) + a.tobytes()
-    path.write_bytes(b"IPQS" + struct.pack("<I", 3) + hashlib.sha256(payload).digest()
+    path.write_bytes(b"IPQS" + struct.pack("<I", STATE_VERSION) + hashlib.sha256(payload).digest()
                      + struct.pack("<Q", len(payload)) + payload)
 
 
 def drop_embeddings(meta, arrays):
-    del meta["arrays"]["embeddings"], arrays["embeddings"]
+    del arrays["embeddings"]
 
 
-def widen_centroids(meta, arrays):
-    meta["arrays"]["centroids"][1][1] += 1
+def change_dim(by_groups):
+    """An edit moving the codebook dim by `by_groups` times the group count; the arrays stay."""
+
+    def edit(meta, arrays):
+        meta["codebook"]["dim"] += by_groups * len(meta["codebook"]["sizes"])
+
+    return edit
 
 
 def miscount_members(meta, arrays):
     arrays["member_counts"][0] += 1
 
 
-def object_centroids(meta, arrays):
-    meta["arrays"]["centroids"][0] = "|O"
-
-
 def code_out_of_range(meta, arrays):
     arrays["codes"][0, 1] = meta["codebook"]["sizes"][1]
 
 
-def resize_rows(part, new_sizes):
-    """An edit giving the decoder or Fisher these group sizes, its arrays cut or zero-padded to fit."""
+def resize_fisher(new_sizes):
+    """An edit giving the Fisher these group sizes, its arrays cut or zero-padded to fit."""
 
     def edit(meta, arrays):
-        meta[part]["sizes"] = new_sizes(meta[part]["sizes"])
-        rows = sum(meta[part]["sizes"])
-        for name in (f"{part}_weights", f"{part}_biases"):
+        meta["fisher"]["sizes"] = new_sizes(meta["fisher"]["sizes"])
+        rows = sum(meta["fisher"]["sizes"])
+        for name in ("fisher_weights", "fisher_biases"):
             a = arrays[name][:rows]
             arrays[name] = np.concatenate([a, np.zeros((rows - len(a), *a.shape[1:]))])
-            meta["arrays"][name][1][0] = rows
 
     return edit
 
 
 MALFORMED = {
-    "decoder-sizes": (dict(edit=resize_rows("decoder", lambda s: [2] * len(s))),
-                      "decoder group sizes .* differ from the codebook's"),
-    "fisher-groups": (dict(edit=resize_rows("fisher", lambda s: s[:-1])),
+    "fisher-groups": (dict(edit=resize_fisher(lambda s: s[:-1])),
                       "fisher group sizes .* do not fit the decoder's"),
-    "fisher-rows": (dict(edit=resize_rows("fisher", lambda s: [s[0] + 1, *s[1:]])),
+    "fisher-rows": (dict(edit=resize_fisher(lambda s: [s[0] + 1, *s[1:]])),
                     "fisher group sizes .* do not fit the decoder's"),
-    "missing-array": (dict(edit=drop_embeddings), "missing array 'embeddings'"),
-    "wrong-shape": (dict(edit=widen_centroids), "array 'centroids' has shape"),
+    "missing-array": (dict(edit=drop_embeddings), r"array '\w+' runs past the payload"),
+    "wrong-shape": (dict(edit=change_dim(1)), r"array '\w+' runs past the payload"),
+    "narrower-shape": (dict(edit=change_dim(-1)), r"\d+ bytes after the last array"),
     "count-mismatch": (dict(edit=miscount_members), "member counts sum to"),
-    "object-dtype": (dict(edit=object_centroids), "array 'centroids' has dtype '|O'"),
     "code-out-of-range": (dict(edit=code_out_of_range), "a code is out of range"),
     "truncated-json": (dict(cut_text=7), "unreadable metadata"),
 }
@@ -320,6 +320,33 @@ def test_rewrite_without_edits_loads(tmp_path, saved_state):
     path.write_bytes(saved_state)
     rewrite(path)
     assert load_state(path).session == 1
+
+
+def test_metadata_holds_only_the_counts(saved_state):
+    (n_text,) = struct.unpack_from("<Q", saved_state, 48)
+    meta = json.loads(saved_state[56 : 56 + n_text])
+    assert list(meta) == ["session", "ids", "history", "codebook", "fisher", "projector"]
+    assert list(meta["codebook"]) == ["dim", "sizes", "members"]
+    assert list(meta["fisher"]) == ["sizes"] and meta["projector"] is None
+
+
+def test_version_3_is_refused_by_name(tmp_path, saved_state):
+    # Version 3 listed every array's dtype and shape; version 4 derives them.
+    path = tmp_path / "v3.state"
+    path.write_bytes(saved_state[:4] + struct.pack("<I", 3) + saved_state[8:])
+    with pytest.raises(ValueError, match="state version 3 holds a per-array table"):
+        load_state(path)
+
+
+def test_save_refuses_a_decoder_unlike_the_codebook(tmp_path):
+    # The file stores the codebook's group sizes only, so the decoder must share them.
+    state = build_state([1, 2], [3, 2], 2, [1] * 5, None, None, seed=0)
+    state.decoder = DecoderParams.zeros([2, 3], dim=4)
+    with pytest.raises(ValueError, match=r"decoder group sizes \[2, 3\] differ from the codebook's \[3, 2\]"):
+        save_state(state, tmp_path / "s.state")
+    with pytest.raises(ValueError, match="differ from the codebook's"):
+        state_core_bytes(state)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
