@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
     save_state,
 )
-from .metrics import hits_at, mrr_at
+from .metrics import CUTOFF, hits_at, mrr_at
 from .rng import RandomSource
 
 
@@ -156,8 +156,8 @@ def cmd_evaluate(args) -> int:
         print(
             json.dumps(
                 {
-                    "mrr@10": mrr_at(run, qrels, 10),
-                    "hits@10": hits_at(run, qrels, 10),
+                    f"mrr@{CUTOFF}": mrr_at(run, qrels, CUTOFF),
+                    f"hits@{CUTOFF}": hits_at(run, qrels, CUTOFF),
                 },
                 sort_keys=True,
             )

@@ -22,6 +22,8 @@ Pair = tuple[np.ndarray, PqCode]  # (conditioning vector, target code)
 SEARCH_SCORES = 2**17
 # Pairs per block of the training loss; bounds its (block x ΣK) logit buffers.
 LOSS_BLOCK = 64
+# The engine's initial step size for each descent step of `train_session`.
+TRAIN_STEP = 5e-2
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,6 +25,7 @@ import numpy as np
 from . import synthetic
 from .codebook import Codebook, SubCodebook, build_base_codebook
 from .decoder import (
+    TRAIN_STEP,
     DecoderParams,
     DocidTrie,
     FisherDiag,
@@ -34,15 +35,16 @@ from .decoder import (
     train_session,
 )
 from .ipq import THRESHOLD_MODES, InvalidStateError, UpdateKind, ingest_session
-from .metrics import QrelEntry, continual_metrics, hits_at, mrr_at, vert
+from .metrics import CUTOFF, QrelEntry, continual_metrics, hits_at, mrr_at, vert
 from .rehearsal import (
+    SIGMA,
     CodeIndex,
     MemoryBank,
     MemoryBankEntry,
     build_memory_bank,
     generate_pseudo_queries,
 )
-from .repr_learner import ProjectorParams, doc_embedding, iterative_train
+from .repr_learner import PROJ_STEP, SPANS_PER_LEVEL, TAU, ProjectorParams, doc_embedding, iterative_train
 from .rng import RandomSource
 
 REPORT_SCHEMA = "ipqgr-report/1"
@@ -62,7 +64,7 @@ VARIANTS: dict[str, dict] = {
         "v_epochs": 0,
     },
     "pq": {"threshold_mode": "none", "v_epochs": 0},
-    "pq-re": {"threshold_mode": "none", "v_epochs": 0, "recluster_each_session": True},
+    "pq-re": {"threshold_mode": "recluster", "v_epochs": 0},
     "pq-dis": {"threshold_mode": "none"},
     "pq-dis-ad": {"threshold_mode": "ad_only"},
     "pq-dis-md": {"threshold_mode": "md_only"},
@@ -94,33 +96,25 @@ class ExperimentConfig:
     m_groups: int = 4
     k_clusters: int = 8
     v_epochs: int = 2
-    tau: float = 0.1
-    g_spans: int = 5
     c_repeats: int = 10
-    sigma: float = 0.1
     n_q: int = 3
     lam: float = 0.5
     top_n: int = 10
-    proj_step: float = 1e-2
     proj_inner_iters: int = 20
-    decoder_step: float = 5e-2
     decoder_steps: int = 200
     seed: int = 0
     fractions: tuple = (0.6, 0.1, 0.1, 0.1, 0.1)
     setting: str = "sequential"  # "single" | "sequential"
-    metric: str = "mrr"  # "mrr" | "hits"
-    metric_cutoff: int = 10
+    metric: str = "mrr"  # "mrr" | "hits", at metrics.CUTOFF
     enable_mle_dneg: bool = True
-    threshold_mode: str = "both"
-    recluster_each_session: bool = False
+    threshold_mode: str = "both"  # one of ipq.THRESHOLD_MODES, or "recluster" (k-means anew)
     random_bank: bool = False
     variant: str = "full"
 
     def validate(self) -> None:
         # Below 1, each count fails late or silently: m_groups divides by zero,
-        # metric_cutoff fails after the base decoder has trained, g_spans partway
-        # through a token run, and top_n writes an all-zero report.
-        for name in ("m_groups", "top_n", "metric_cutoff", "g_spans"):
+        # and top_n writes an all-zero report.
+        for name in ("m_groups", "top_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         # Zero turns a part off (c_repeats, n_q) or skips its training. A negative
@@ -128,14 +122,9 @@ class ExperimentConfig:
         for name in ("c_repeats", "n_q", "v_epochs", "decoder_steps", "proj_inner_iters"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        # A step that is not positive and finite accepts no descent step.
-        for name in ("tau", "proj_step", "decoder_step"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         # A NaN lam stalls every anchored session at its first step.
-        for name in ("sigma", "lam"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not self.lam >= 0:
+            raise ValueError(f"lam must be non-negative, got {self.lam}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {sorted(VARIANTS)}")
         for name, value in VARIANTS[self.variant].items():
@@ -151,10 +140,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown evaluation setting {self.setting!r}")
         if self.metric not in ("mrr", "hits"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.threshold_mode not in THRESHOLD_MODES:
+        if self.threshold_mode not in THRESHOLD_MODES + ("recluster",):
             raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
-        if self.recluster_each_session and self.threshold_mode != "none":
-            raise ValueError("re-clustering requires threshold_mode 'none'")
         if self.random_bank and self.c_repeats < 1:
             raise ValueError("random_bank requires a memory bank, c_repeats >= 1")
 
@@ -185,10 +172,9 @@ class ExperimentConfig:
         return cls(**{**d, "fractions": tuple(d.get("fractions", cls.fractions))})
 
     def metric_fn(self):
-        cutoff = self.metric_cutoff
         if self.metric == "mrr":
-            return lambda run, qrels: mrr_at(run, qrels, cutoff)
-        return lambda run, qrels: hits_at(run, qrels, cutoff)
+            return lambda run, qrels: mrr_at(run, qrels, CUTOFF)
+        return lambda run, qrels: hits_at(run, qrels, CUTOFF)
 
 
 @dataclass
@@ -555,6 +541,11 @@ def load_state(path) -> EngineState:
     return state
 
 
+def _check_width(what: str, width: int, dim: int, whose: str) -> None:
+    if width != dim:
+        raise ValueError(f"{what} are {width} wide, but {whose} dim is {dim}")
+
+
 class Engine:
     """Stateful continual-indexing engine driven session by session."""
 
@@ -577,20 +568,16 @@ class Engine:
         cfg = self.config
         for i in doc_ids:
             _stored_id(i)  # refuses an id that a state file cannot hold
+        if token_docs is None:
+            _check_width("documents", np.shape(doc_embs)[-1], cfg.dim, "the config's")
+        for qe, _ in train_query_pairs:
+            _check_width("training queries", len(qe), cfg.dim, "the config's")
         rng = self._rng("base")
         projector = None
         if token_docs is not None:
             projector, cb, code_list = iterative_train(
-                token_docs,
-                cfg.m_groups,
-                cfg.k_clusters,
-                cfg.v_epochs,
-                cfg.tau,
-                cfg.g_spans,
-                cfg.proj_step,
-                rng.derive("repr"),
-                out_dim=cfg.dim,
-                inner_iters=cfg.proj_inner_iters,
+                token_docs, cfg.m_groups, cfg.k_clusters, cfg.v_epochs, TAU, SPANS_PER_LEVEL,
+                PROJ_STEP, rng.derive("repr"), out_dim=cfg.dim, inner_iters=cfg.proj_inner_iters,
             )
             embs = np.stack([doc_embedding(d, projector) for d in token_docs])
             codes = {doc_id: code for doc_id, code in zip(doc_ids, code_list)}
@@ -603,7 +590,7 @@ class Engine:
         doc_pairs = [(e, codes[doc_id]) for doc_id, e in zip(doc_ids, embs)]
         query_pairs = [(qe, codes[d]) for qe, d in train_query_pairs if d in codes]
         decoder = train_session(
-            decoder, cb, doc_pairs, [], query_pairs, None, 0.0, cfg.decoder_step, cfg.decoder_steps
+            decoder, cb, doc_pairs, [], query_pairs, None, 0.0, TRAIN_STEP, cfg.decoder_steps
         )
         fisher = estimate_fisher(doc_pairs + query_pairs, decoder)
         self.state = EngineState(
@@ -648,18 +635,18 @@ class Engine:
         else:
             embs = np.asarray(doc_embs, dtype=float)
 
-        old_codes = dict(st.codes)
+        old_ids = list(st.codes)
         decision_counts: dict[str, int] = {}
         log: list = []
-        if cfg.recluster_each_session:
-            all_ids = list(st.codes.keys()) + list(doc_ids)
-            all_embs = np.vstack([np.stack([st.doc_embs[i] for i in st.codes]), embs])
+        if cfg.threshold_mode == "recluster":
+            all_embs = np.vstack([np.stack([st.doc_embs[i] for i in old_ids]), embs])
             cb = build_base_codebook(all_embs, cfg.m_groups, cfg.k_clusters, self._rng("ingest", t))
             cb.session = t
-            st.codes = {i: cb.quantize(e) for i, e in zip(all_ids, all_embs)}
-            new_code_map = {i: st.codes[i] for i in doc_ids}
-            changed_old = sum(1 for i in old_codes if st.codes[i] != old_codes[i])
+            codes = {i: cb.quantize(e) for i, e in zip(old_ids + list(doc_ids), all_embs)}
+            changed_old = sum(1 for i in old_ids if codes[i] != st.codes[i])
             decision_counts["reclustered_old_codes_changed"] = changed_old
+            st.codes = codes
+            new_code_map = {i: codes[i] for i in doc_ids}
         else:
             cb, new_code_map, log = ingest_session(
                 st.codebook,
@@ -674,17 +661,16 @@ class Engine:
 
         bank = MemoryBank(t)
         if cfg.c_repeats:
-            bank = build_memory_bank(
-                new_code_map, CodeIndex.from_codes(old_codes), cfg.c_repeats, cb, self._rng("bank", t), t
-            )
+            # Old documents under their current codes, which re-clustering rewrote.
+            index = CodeIndex.from_codes({i: st.codes[i] for i in old_ids})
+            bank = build_memory_bank(new_code_map, index, cfg.c_repeats, cb, self._rng("bank", t), t)
             if cfg.random_bank:
                 size = len(bank.doc_ids())
-                pool = list(old_codes.keys())
                 pick = self._rng("random-bank", t).choice_without_replacement(
-                    len(pool), min(size, len(pool))
+                    len(old_ids), min(size, len(old_ids))
                 )
                 bank = MemoryBank(
-                    t, [MemoryBankEntry(pool[int(i)], None, 0) for i in sorted(pick)]
+                    t, [MemoryBankEntry(old_ids[int(i)], None, 0) for i in sorted(pick)]
                 )
         bank_ids = bank.doc_ids()
         bank_pairs = (
@@ -697,14 +683,14 @@ class Engine:
             targets = list(zip(doc_ids, embs)) + [(i, st.doc_embs[i]) for i in bank_ids]
             for doc_id, emb in targets:
                 for pair in generate_pseudo_queries(
-                    doc_id, emb, st.codes[doc_id], cfg.n_q, cfg.sigma, pseudo_rng.derive(doc_id)
+                    doc_id, emb, st.codes[doc_id], cfg.n_q, SIGMA, pseudo_rng.derive(doc_id)
                 ):
                     pseudo_pairs.append((pair.query, pair.code))
 
         doc_pairs = [(e, new_code_map[i]) for i, e in zip(doc_ids, embs)]
         decoder = train_session(
             st.decoder, cb, doc_pairs, bank_pairs, pseudo_pairs, st.fisher, cfg.lam,
-            cfg.decoder_step, cfg.decoder_steps,
+            TRAIN_STEP, cfg.decoder_steps,
         )
         fisher_pairs = doc_pairs + pseudo_pairs
         st.fisher = estimate_fisher(fisher_pairs, decoder) if fisher_pairs else st.fisher
@@ -729,8 +715,11 @@ class Engine:
         """Scored rankings for each query: query id -> [(doc id, score), ...]."""
         if self.state is None:
             raise InvalidStateError("cannot evaluate from no state")
+        queries = np.asarray(query_embs, dtype=float)
+        if len(queries):
+            _check_width("queries", queries.shape[-1], self.state.decoder.w.shape[1], "the state's")
         trie = DocidTrie.from_codes(self.state.codes)
-        rankings = search(query_embs, self.state.decoder, trie, self.config.top_n)
+        rankings = search(queries, self.state.decoder, trie, self.config.top_n)
         return dict(zip(query_ids, rankings))
 
 
@@ -784,6 +773,8 @@ def run_experiment(
     start = 0 if resume_state is None else resume_state.session + 1
     for t in range(start, n_sessions):
         ids = doc_splits[t]
+        embs = np.stack([emb_of[d] for d in ids]) if ids else np.zeros((0, config.dim))
+        tokens = [tokens_of[d] for d in ids] if tokens_of else None
         if t == 0:
             base_ids = set(ids)
             train_pairs = []
@@ -792,19 +783,9 @@ def run_experiment(
                     d = inputs.train_qrels.get(qid)
                     if d in base_ids:
                         train_pairs.append((qe, d))
-            info = engine.build_base(
-                ids,
-                np.stack([emb_of[d] for d in ids]) if ids else np.zeros((0, config.dim)),
-                train_pairs,
-                token_docs=[tokens_of[d] for d in ids] if tokens_of else None,
-            )
+            info = engine.build_base(ids, embs, train_pairs, token_docs=tokens)
         else:
-            info, _ = engine.ingest(
-                t,
-                ids,
-                np.stack([emb_of[d] for d in ids]) if ids else np.zeros((0, config.dim)),
-                token_docs=[tokens_of[d] for d in ids] if tokens_of else None,
-            )
+            info, _ = engine.ingest(t, ids, embs, token_docs=tokens)
 
         if config.setting == "sequential":
             eval_qids = [q for i in range(t + 1) for q in query_splits[i]]

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
 
+CUTOFF = 10  # rank cutoff of the engine's reported MRR@N and Hits@N
+
 
 @dataclass(frozen=True)
 class QrelEntry:

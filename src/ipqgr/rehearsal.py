@@ -15,6 +15,9 @@ import numpy as np
 from .codebook import Codebook, PqCode
 from .rng import RandomSource
 
+# The engine's noise scale for pseudo queries: sd of the Gaussian added to the embedding.
+SIGMA = 0.1
+
 
 class CodeIndex:
     """Lookup from PqCode to the ordered document ids that carry it."""

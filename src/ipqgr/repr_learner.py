@@ -39,6 +39,12 @@ DEFAULT_GRANULARITIES = (
     GranularitySpec("paragraph", 64, 128),
 )
 
+# The engine's settings for `iterative_train`: the contrastive temperature,
+# the spans sampled per granularity and document, and the initial step size.
+TAU = 0.1
+SPANS_PER_LEVEL = 5
+PROJ_STEP = 1e-2
+
 
 @dataclass
 class ProjectorParams:

@@ -13,6 +13,8 @@ import pytest
 
 from ipqgr import cli, harness, synthetic
 from ipqgr.decoder import docid_log_prob
+from ipqgr.metrics import CUTOFF, QrelEntry, hits_at
+from ipqgr.rehearsal import build_memory_bank, max_perturb_dims
 from ipqgr.harness import (
     VARIANTS,
     Engine,
@@ -76,14 +78,13 @@ class TestExperimentConfig:
             ExperimentConfig(setting="weekly").validate()
         with pytest.raises(ValueError):
             ExperimentConfig(threshold_mode="all").validate()
-        with pytest.raises(ValueError):
-            ExperimentConfig(recluster_each_session=True).validate()
+        ExperimentConfig(threshold_mode="recluster").validate()
         with pytest.raises(ValueError, match="c_repeats"):
             ExperimentConfig(random_bank=True, c_repeats=0).validate()
 
     @pytest.mark.parametrize(
         "field, value",
-        [("tau", 0.0), ("tau", -0.1), ("tau", float("nan")), ("g_spans", 0), ("v_epochs", -1)],
+        [("v_epochs", -1)],
     )
     def test_span_settings_are_validated(self, field, value):
         # Each of these would otherwise surface only partway through a token run.
@@ -91,7 +92,7 @@ class TestExperimentConfig:
             ExperimentConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize(
-        "field, value", [("m_groups", 0), ("top_n", 0), ("metric_cutoff", 0)]
+        "field, value", [("m_groups", 0), ("top_n", 0)]
     )
     def test_counts_below_one_are_refused(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
@@ -100,16 +101,14 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "field, values",
         [
-            ("decoder_step", [-0.05, 0.0, float("nan"), float("inf")]),
-            ("proj_step", [-0.01, 0.0, float("nan"), float("inf")]),
             ("lam", [-0.5, float("nan")]),
             ("decoder_steps", [-1]),
             ("proj_inner_iters", [-1]),
         ],
     )
     def test_training_values_that_break_a_run_are_refused(self, field, values):
-        # A non-positive step accepts no descent step and NaN lam stalls every
-        # anchored session; each used to be accepted and run to a silent result.
+        # NaN lam stalls every anchored session; it used to be accepted and run
+        # to a silent result.
         for value in values:
             with pytest.raises(ValueError, match=field):
                 ExperimentConfig(**{field: value}).validate()
@@ -166,7 +165,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(d)
 
     def test_dict_float_fields_take_integers(self):
-        cfg = ExperimentConfig.from_dict({"lam": 1, "tau": 0.5, "fractions": [1]})
+        cfg = ExperimentConfig.from_dict({"lam": 1, "fractions": [1]})
         assert (cfg.lam, cfg.fractions) == (1, (1,))
         cfg.validate()
 
@@ -348,6 +347,42 @@ class TestRunExperiment:
         report, _ = run_experiment(cfg, small_inputs())
         assert report["decision_totals"].get("reclustered_old_codes_changed", 0) > 0
 
+    def test_reclustering_bank_is_found_under_the_current_codes(self, monkeypatch):
+        # The bank's index must hold the old documents' rewritten codes: an entry
+        # found by changing o positions of its source's code is o positions away.
+        banks = []
+
+        def keep(*args):
+            banks.append(build_memory_bank(*args))
+            return banks[-1]
+
+        monkeypatch.setattr(harness, "build_memory_bank", keep)
+        cfg = small_config(seed=3, fractions=(0.7, 0.3)).with_variant("pq-re")
+        _, state = run_experiment(cfg, small_inputs(n_docs=200))
+        (bank,) = banks
+        assert bank.entries
+        for e in bank.entries:
+            old, src = state.codes[e.old_id], state.codes[e.source_id]
+            assert 1 <= e.o <= max_perturb_dims(cfg.m_groups)
+            assert sum(a != b for a, b in zip(old, src)) == e.o
+
+    def test_single_setting_scores_only_vert(self):
+        report, _ = run_experiment(small_config(setting="single"), small_inputs())
+        assert report["session_matrix"] is None and report["continual"] is None
+        assert [set(rec["metrics"]) for rec in report["sessions"]] == [{"vert"}] * 5
+
+    def test_hits_metric_scores_hits_at_the_cutoff(self):
+        inputs = small_inputs()
+        report, state = run_experiment(small_config(metric="hits"), inputs)
+        mrr_report, _ = run_experiment(small_config(), inputs)
+        # Every synthetic test query is judged, so the final VERT covers them all.
+        rankings = Engine(small_config(), state).evaluate(inputs.test_query_ids, inputs.test_query_embs)
+        run = {q: [d for d, _ in r] for q, r in rankings.items()}
+        qrels = {q: QrelEntry(d, 0) for q, d in inputs.test_qrels.items()}
+        final = report["sessions"][-1]["metrics"]
+        assert final["vert"] == hits_at(run, qrels, CUTOFF)
+        assert final["vert"] > mrr_report["sessions"][-1]["metrics"]["vert"]
+
     def test_threshold_decisions_are_logged(self):
         report, _ = run_experiment(small_config(), small_inputs())
         totals = report["decision_totals"]
@@ -397,7 +432,7 @@ class TestEngineGuards:
         assert state.session == 1
         assert state.codes == issued
 
-    @pytest.mark.parametrize("field, value", [("c_repeats", -1), ("n_q", -1), ("sigma", -0.1)])
+    @pytest.mark.parametrize("field, value", [("c_repeats", -1), ("n_q", -1)])
     def test_a_setting_ingest_would_fail_on_is_refused_up_front(self, field, value):
         # `ingest` reads these only after it has issued the session's codes.
         _, state = run_experiment(small_config(), small_inputs(), stop_after_session=0)
@@ -465,10 +500,29 @@ class TestEngineGuards:
             assert ranking == oracle
 
 
+# Config keys that were settings once, each with a value it used to take. Search
+# is exact (no beam); an ablation is a zero (c_repeats, n_q, lam), not a switch;
+# the trainers' steps, temperature, span count, pseudo-query noise and the
+# metric cutoff are module constants; re-clustering is a threshold_mode.
+RETIRED_KEYS = {
+    "beam": 15,
+    "enable_memory_bank": False,
+    "enable_pseudo_queries": False,
+    "enable_ewc": False,
+    "decoder_step": 5e-2,
+    "proj_step": 1e-2,
+    "tau": 0.1,
+    "g_spans": 5,
+    "sigma": 0.1,
+    "metric_cutoff": 10,
+    "recluster_each_session": True,
+}
+
+
 class TestCli:
-    def gen(self, tmp_path, n_docs=80):
+    def gen(self, tmp_path, n_docs=80, dim=16):
         args = [
-            "gen-synthetic", "--n-docs", str(n_docs), "--dim", "16", "--clusters", "8",
+            "gen-synthetic", "--n-docs", str(n_docs), "--dim", str(dim), "--clusters", "8",
             "--seed", "3",
             "--docs-out", str(tmp_path / "docs.emb"),
             "--queries-out", str(tmp_path / "queries.emb"),
@@ -582,18 +636,6 @@ class TestCli:
         assert code == 2
         assert "error: unknown config keys: dimm" in capsys.readouterr().err
 
-    def test_bad_span_setting_is_a_clean_error(self, tmp_path, capsys):
-        (tmp_path / "cfg.json").write_text(json.dumps({"g_spans": 0}))
-        code = cli.main(
-            [
-                "ingest", "--config", str(tmp_path / "cfg.json"),
-                "--state", str(tmp_path / "engine.state"),
-                "--docs", str(tmp_path / "new.emb"),
-            ]
-        )
-        assert code == 2
-        assert "error: g_spans must be at least 1, got 0" in capsys.readouterr().err
-
     def test_zero_groups_is_a_clean_error(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"m_groups": 0}))
         code = cli.main(
@@ -606,24 +648,10 @@ class TestCli:
         assert code == 2
         assert "error: m_groups must be at least 1, got 0" in capsys.readouterr().err
 
-    def test_retired_beam_key_is_a_clean_error(self, tmp_path, capsys):
-        # Search is exact, so a config that still sets a beam width is refused, not ignored.
-        (tmp_path / "cfg.json").write_text(json.dumps({"beam": 15}))
-        code = cli.main(
-            [
-                "evaluate", "--config", str(tmp_path / "cfg.json"),
-                "--state", str(tmp_path / "engine.state"),
-                "--queries", str(tmp_path / "queries.emb"),
-                "--out", str(tmp_path / "run.tsv"),
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err.strip() == "error: unknown config keys: beam"
-
-    @pytest.mark.parametrize("key", ["enable_memory_bank", "enable_pseudo_queries", "enable_ewc"])
-    def test_retired_ablation_switch_is_a_clean_error(self, tmp_path, capsys, key):
-        # The ablations are values now (c_repeats, n_q, lam at 0); a switch is refused, not ignored.
-        (tmp_path / "cfg.json").write_text(json.dumps({key: False}))
+    @pytest.mark.parametrize("key, value", RETIRED_KEYS.items(), ids=list(RETIRED_KEYS))
+    def test_retired_config_key_is_a_clean_error(self, tmp_path, capsys, key, value):
+        # A config that still sets a retired key is refused, not silently ignored.
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
         code = cli.main(
             [
                 "ingest", "--config", str(tmp_path / "cfg.json"),
@@ -633,6 +661,52 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.strip() == f"error: unknown config keys: {key}"
+
+    def base_args(self, tmp_path, docs="docs.emb", train_queries="train_queries.emb"):
+        return [
+            "build-base", "--docs", str(tmp_path / docs),
+            "--queries", str(tmp_path / "queries.emb"),
+            "--qrels", str(tmp_path / "qrels.tsv"),
+            "--train-queries", str(tmp_path / train_queries),
+            "--train-qrels", str(tmp_path / "train_qrels.tsv"),
+            "--state-out", str(tmp_path / "engine.state"),
+        ]
+
+    def test_documents_wider_than_dim_are_a_clean_error(self, tmp_path, capsys):
+        self.gen(tmp_path, dim=32)
+        assert cli.main(self.base_args(tmp_path)) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: documents are 32 wide, but the config's dim is 16"
+        )
+
+    def test_training_queries_wider_than_dim_are_a_clean_error(self, tmp_path, capsys):
+        from ipqgr.io_formats import read_embeddings, write_embeddings
+
+        self.gen(tmp_path)
+        n_train = len(read_embeddings(tmp_path / "train_queries.emb"))
+        write_embeddings(tmp_path / "wide.emb", np.ones((n_train, 32)))
+        assert cli.main(self.base_args(tmp_path, train_queries="wide.emb")) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: training queries are 32 wide, but the config's dim is 16"
+        )
+
+    def test_queries_wider_than_the_state_are_a_clean_error(self, tmp_path, capsys):
+        from ipqgr.io_formats import read_embeddings, write_embeddings
+
+        self.gen(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
+        assert cli.main([*self.base_args(tmp_path), "--config", str(tmp_path / "cfg.json")]) == 0
+        n_queries = len(read_embeddings(tmp_path / "queries.emb"))
+        write_embeddings(tmp_path / "wide.emb", np.ones((n_queries, 32)))
+        capsys.readouterr()
+        code = cli.main(
+            [
+                "evaluate", "--state", str(tmp_path / "engine.state"),
+                "--queries", str(tmp_path / "wide.emb"), "--out", str(tmp_path / "run.tsv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: queries are 32 wide, but the state's dim is 16"
 
     def test_variant_label_without_its_preset_is_a_clean_error(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"variant": "base"}))
