@@ -28,7 +28,8 @@ from .harness import (
     run_experiment,
     save_state,
 )
-from .metrics import CUTOFF, hits_at, mrr_at
+from .ipq import decision_log_lines
+from .metrics import CUTOFF, QrelEntry, hits_at, mrr_at
 from .rng import RandomSource
 
 
@@ -82,8 +83,6 @@ def cmd_gen_synthetic(args) -> int:
     io_formats.write_embeddings(args.docs_out, data.doc_embs)
     io_formats.write_embeddings(args.queries_out, data.test_query_embs)
     io_formats.write_embeddings(args.train_queries_out, data.train_query_embs)
-    from .metrics import QrelEntry
-
     io_formats.write_qrels(
         args.qrels_out, {q: QrelEntry(d, 0) for q, d in data.test_qrels.items()}
     )
@@ -134,8 +133,6 @@ def cmd_ingest(args) -> int:
     engine.state.history.append(info)
     save_state(engine.state, args.state_out or args.state)
     if args.decision_log:
-        from .ipq import decision_log_lines
-
         with open(args.decision_log, "w") as fh:
             fh.write("\n".join(decision_log_lines(engine.state.session, log)) + "\n")
     print(json.dumps(info, sort_keys=True))

@@ -31,27 +31,6 @@ class SubCodebook:
     def n_centroids(self) -> int:
         return self.centroids.shape[0]
 
-    def nearest(self, x: np.ndarray) -> tuple[int, float]:
-        """Index of the nearest centroid (ties to lowest index) and its distance."""
-        d2 = ((self.centroids - x) ** 2).sum(axis=1)
-        k = int(d2.argmin())
-        return k, float(np.sqrt(d2[k]))
-
-    def add_member(self, k: int, vec: np.ndarray) -> None:
-        self.member_vecs[k] = np.vstack([self.member_vecs[k], vec[None, :]])
-
-    def add_centroid(self, vec: np.ndarray) -> int:
-        """Append a new centroid seeded by `vec` with a singleton membership."""
-        self.centroids = np.vstack([self.centroids, vec[None, :]])
-        self.member_vecs.append(vec[None, :].copy())
-        return self.n_centroids - 1
-
-    def copy(self) -> "SubCodebook":
-        return SubCodebook(
-            centroids=self.centroids.copy(),
-            member_vecs=[v.copy() for v in self.member_vecs],
-        )
-
 
 @dataclass
 class Codebook:
@@ -75,7 +54,7 @@ class Codebook:
         if x.shape != (self.dim,):
             raise ValueError(f"expected vector of dim {self.dim}, got {x.shape}")
         subs = split_groups(x, self.n_groups)
-        return tuple(g.nearest(s)[0] for g, s in zip(self.groups, subs))
+        return tuple(int(((g.centroids - s) ** 2).sum(axis=1).argmin()) for g, s in zip(self.groups, subs))
 
     def reconstruct(self, code: PqCode) -> np.ndarray:
         """Concatenation of the centroids selected by `code`."""
@@ -90,9 +69,6 @@ class Codebook:
 
     def sizes(self) -> list[int]:
         return [g.n_centroids for g in self.groups]
-
-    def copy(self) -> "Codebook":
-        return Codebook(self.session, self.dim, [g.copy() for g in self.groups])
 
 
 def split_groups(x, m: int) -> list[np.ndarray]:

@@ -18,6 +18,7 @@ import math
 import os
 import struct
 import time
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -191,17 +192,7 @@ class ExperimentInputs:
 
     @classmethod
     def from_synthetic(cls, data: synthetic.SyntheticData) -> "ExperimentInputs":
-        return cls(
-            doc_ids=data.doc_ids,
-            doc_embs=data.doc_embs,
-            test_query_ids=data.test_query_ids,
-            test_query_embs=data.test_query_embs,
-            test_qrels=data.test_qrels,
-            train_query_ids=data.train_query_ids,
-            train_query_embs=data.train_query_embs,
-            train_qrels=data.train_qrels,
-            token_docs=data.token_docs,
-        )
+        return cls(**vars(data))  # the same fields under the same names
 
 
 def split_benchmark(ids: list, fractions, rng: RandomSource) -> list[list]:
@@ -222,12 +213,7 @@ def split_benchmark(ids: list, fractions, rng: RandomSource) -> list[list]:
     order = sorted(range(len(fractions)), key=lambda i: (-(raw[i] - sizes[i]), i))
     for i in order[:leftovers]:
         sizes[i] += 1
-    perm = rng.permutation(n)
-    out, pos = [], 0
-    for s in sizes:
-        out.append([ids[i] for i in perm[pos : pos + s]])
-        pos += s
-    return out
+    return [[ids[i] for i in part] for part in _split_rows(rng.permutation(n), sizes)]
 
 
 @dataclass
@@ -541,9 +527,14 @@ def load_state(path) -> EngineState:
     return state
 
 
-def _check_width(what: str, width: int, dim: int, whose: str) -> None:
-    if width != dim:
-        raise ValueError(f"{what} are {width} wide, but {whose} dim is {dim}")
+def _check_rows(what: str, rows, dim: int, whose: str) -> None:
+    """Refuse vectors of the wrong width, or the first row holding a NaN or an infinity."""
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) and rows.shape[-1] != dim:
+        raise ValueError(f"{what} are {rows.shape[-1]} wide, but {whose} dim is {dim}")
+    finite = np.isfinite(rows).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"{what} row {int(finite.argmin())} holds a value that is not finite")
 
 
 class Engine:
@@ -569,9 +560,9 @@ class Engine:
         for i in doc_ids:
             _stored_id(i)  # refuses an id that a state file cannot hold
         if token_docs is None:
-            _check_width("documents", np.shape(doc_embs)[-1], cfg.dim, "the config's")
-        for qe, _ in train_query_pairs:
-            _check_width("training queries", len(qe), cfg.dim, "the config's")
+            _check_rows("documents", doc_embs, cfg.dim, "the config's")
+        if train_query_pairs:
+            _check_rows("training queries", [qe for qe, _ in train_query_pairs], cfg.dim, "the config's")
         rng = self._rng("base")
         projector = None
         if token_docs is not None:
@@ -634,9 +625,9 @@ class Engine:
             embs = np.stack([doc_embedding(d, st.projector) for d in token_docs])
         else:
             embs = np.asarray(doc_embs, dtype=float)
+        _check_rows("documents", embs, st.codebook.dim, "the state's")
 
         old_ids = list(st.codes)
-        decision_counts: dict[str, int] = {}
         log: list = []
         if cfg.threshold_mode == "recluster":
             all_embs = np.vstack([np.stack([st.doc_embs[i] for i in old_ids]), embs])
@@ -644,7 +635,7 @@ class Engine:
             cb.session = t
             codes = {i: cb.quantize(e) for i, e in zip(old_ids + list(doc_ids), all_embs)}
             changed_old = sum(1 for i in old_ids if codes[i] != st.codes[i])
-            decision_counts["reclustered_old_codes_changed"] = changed_old
+            decision_counts = {"reclustered_old_codes_changed": changed_old}
             st.codes = codes
             new_code_map = {i: codes[i] for i in doc_ids}
         else:
@@ -656,8 +647,7 @@ class Engine:
                 target_session=t,
             )
             st.codes.update(new_code_map)
-            for d in log:
-                decision_counts[d.kind.value] = decision_counts.get(d.kind.value, 0) + 1
+            decision_counts = dict(Counter(d.kind.value for d in log))
 
         bank = MemoryBank(t)
         if cfg.c_repeats:
@@ -716,8 +706,7 @@ class Engine:
         if self.state is None:
             raise InvalidStateError("cannot evaluate from no state")
         queries = np.asarray(query_embs, dtype=float)
-        if len(queries):
-            _check_width("queries", queries.shape[-1], self.state.decoder.w.shape[1], "the state's")
+        _check_rows("queries", queries, self.state.decoder.w.shape[1], "the state's")
         trie = DocidTrie.from_codes(self.state.codes)
         rankings = search(queries, self.state.decoder, trie, self.config.top_n)
         return dict(zip(query_ids, rankings))
@@ -813,10 +802,9 @@ def run_experiment(
         matrix = [rec["metrics"]["matrix_row"] for rec in history]
         ap, bwt, fwt = continual_metrics(matrix)
         continual = {"ap": ap, "bwt": bwt, "fwt": fwt}
-    decision_totals: dict[str, int] = {}
+    decision_totals: Counter = Counter()
     for rec in history:
-        for k, v in rec["decisions"].items():
-            decision_totals[k] = decision_totals.get(k, 0) + v
+        decision_totals.update(rec["decisions"])
     report = {
         "schema": REPORT_SCHEMA,
         "config": config.to_dict(),
@@ -825,7 +813,7 @@ def run_experiment(
         "sessions": history,
         "session_matrix": matrix,
         "continual": continual,
-        "decision_totals": decision_totals,
+        "decision_totals": dict(decision_totals),
     }
     if include_timing:
         report["timing"] = {"wall_seconds": time.perf_counter() - t_start}

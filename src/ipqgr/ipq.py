@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, PqCode, split_groups
+from .codebook import Codebook, SubCodebook
 from .rng import RandomSource
 
 
@@ -30,6 +31,10 @@ class UpdateKind(enum.Enum):
 
 
 THRESHOLD_MODES = ("none", "ad_only", "md_only", "both")
+
+# Documents per block of a group's squared distances to its centroids, which
+# bounds that computation's temporary to DIST_BLOCK x centroids x sub_dim floats.
+DIST_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,19 @@ class UpdateDecision:
     md: float | None
 
 
-def compute_thresholds(sub_codebook, k: int, rng: RandomSource) -> Thresholds:
-    """Adaptive thresholds for cluster k: ad = mean, md = max + U(0, ad)."""
-    members = sub_codebook.member_vecs[k]
+def _member_stats(members: np.ndarray, centroid: np.ndarray, k: int) -> tuple[float, float]:
+    """Mean and max distance from cluster k's members to its centroid."""
     if len(members) == 0:
         raise InvalidStateError(f"cluster {k} has no members")
-    dists = np.sqrt(((members - sub_codebook.centroids[k]) ** 2).sum(axis=1))
-    ad = float(dists.mean())
-    md = float(dists.max()) + float(rng.uniform(0.0, ad))
-    return Thresholds(ad=ad, md=md)
+    dists = np.sqrt(((members - centroid) ** 2).sum(axis=1))
+    # numpy's mean of float64 is the same sum divided by the count.
+    return float(dists.sum()) / len(dists), float(dists.max())
+
+
+def compute_thresholds(sub_codebook, k: int, rng: RandomSource) -> Thresholds:
+    """Adaptive thresholds for cluster k: ad = mean, md = max + U(0, ad)."""
+    ad, top = _member_stats(sub_codebook.member_vecs[k], sub_codebook.centroids[k], k)
+    return Thresholds(ad=ad, md=top + float(rng.uniform(0.0, ad)))
 
 
 def classify(dist: float, th: Thresholds) -> UpdateKind:
@@ -71,16 +80,14 @@ def classify(dist: float, th: Thresholds) -> UpdateKind:
     return UpdateKind.ADDED
 
 
-def _decide(dist: float, th: Thresholds, mode: str) -> UpdateKind:
-    if mode == "both":
-        return classify(dist, th)
+def _decide(dist: float, ad: float, md: float, mode: str) -> UpdateKind:
     if mode == "ad_only":
         # No new centroids: everything at or beyond ad moves the centroid.
-        return UpdateKind.UNCHANGED if dist < th.ad else UpdateKind.CHANGED
+        return UpdateKind.UNCHANGED if dist < ad else UpdateKind.CHANGED
     if mode == "md_only":
         # No unchanged branch: everything within md moves the centroid.
-        return UpdateKind.CHANGED if dist <= th.md else UpdateKind.ADDED
-    raise ValueError(f"unknown threshold mode {mode!r}")
+        return UpdateKind.CHANGED if dist <= md else UpdateKind.ADDED
+    return classify(dist, Thresholds(ad, md))
 
 
 def ingest_session(
@@ -94,8 +101,10 @@ def ingest_session(
 
     Documents are processed in input order and each document's code reflects
     the codebook state after its own update, so centroids added earlier in the
-    session are visible to later documents. Returns the next-session codebook,
-    a doc-id -> PqCode map, and the per-group decision log.
+    session are visible to later documents. A group's decisions read only its
+    own sub-vectors, centroids and members, so the groups go one at a time.
+    Vectors must be finite. Returns the next-session codebook, a doc-id ->
+    PqCode map, and the decision log in document-major order.
     """
     if threshold_mode not in THRESHOLD_MODES:
         raise ValueError(f"unknown threshold mode {threshold_mode!r}")
@@ -104,57 +113,80 @@ def ingest_session(
         raise InvalidStateError(
             f"codebook is at session {cb.session}, cannot produce session {target_session}"
         )
-    out = cb.copy()
-    out.session = t
-    codes: dict = {}
-    log: list[UpdateDecision] = []
-
-    for doc_id, x in new_docs:
-        x = np.asarray(x, dtype=float)
+    # The groups are rebuilt below: arrays no decision touches are shared, never written.
+    out = Codebook(t, cb.dim, [SubCodebook(g.centroids, list(g.member_vecs)) for g in cb.groups])
+    rows = [np.asarray(x, dtype=float) for _, x in new_docs]
+    for x in rows:
         if x.shape != (cb.dim,):
             raise ValueError(f"expected vector of dim {cb.dim}, got {x.shape}")
-        subs = split_groups(x, out.n_groups)
-        code = []
-        for m, (group, sub) in enumerate(zip(out.groups, subs)):
-            k, dist = group.nearest(sub)
-            if threshold_mode == "none":
-                code.append(k)
-                log.append(UpdateDecision(doc_id, m, UpdateKind.UNCHANGED, k, dist, None, None))
-                continue
-            th = compute_thresholds(group, k, rng)
-            kind = _decide(dist, th, threshold_mode)
-            if kind is UpdateKind.UNCHANGED:
-                code.append(k)
-            elif kind is UpdateKind.CHANGED:
-                group.add_member(k, sub)
-                size = len(group.member_vecs[k])
-                group.centroids[k] = group.centroids[k] + (sub - group.centroids[k]) / size
-                code.append(k)
-            else:
-                new_k = group.add_centroid(sub)
-                code.append(new_k)
-                k = new_k
-            log.append(UpdateDecision(doc_id, m, kind, k, dist, th.ad, th.md))
-        codes[doc_id] = tuple(code)
+    subs = np.reshape(rows, (len(rows), out.n_groups, out.sub_dim))
+    # One U(0, ad) per (document, group), in document-major order: numpy draws
+    # it as 0 + ad * u, so md is max + ad * u.
+    slack = None if threshold_mode == "none" else rng.uniform(size=subs.shape[:2]).tolist()
+    ids = [doc_id for doc_id, _ in new_docs]
+    by_group = [_ingest_group(g, m, ids, subs[:, m], slack, threshold_mode) for m, g in enumerate(out.groups)]
+    codes, log = {}, []
+    for doc_id, made in zip(ids, zip(*by_group)):
+        codes[doc_id] = tuple(d.cluster for d in made)
+        log += made
     return out, codes, log
+
+
+def _ingest_group(group, m: int, ids: list, subs: np.ndarray, slack, mode: str) -> list[UpdateDecision]:
+    """Group m's decision for each document, in order; updates `group` in place.
+
+    Squared distances to the centroids are one array expression per block of
+    DIST_BLOCK documents; a decision that moves or adds a centroid recomputes
+    its column only. A cluster's (ad, max) is cached until a decision changes
+    it, and its new members go into a buffer that doubles when full.
+    """
+    k_now, members = group.n_centroids, group.member_vecs
+    cents = np.concatenate([group.centroids, np.empty_like(subs)])
+    used: dict[int, int] = {}  # rows in use of each member buffer grown here
+    stats: dict[int, tuple[float, float]] = {}
+    made = []
+    for lo in range(0, len(subs), DIST_BLOCK):
+        block = subs[lo : lo + DIST_BLOCK]
+        d2 = np.empty((len(block), k_now + len(block)))
+        d2[:, :k_now] = ((cents[None, :k_now] - block[:, None]) ** 2).sum(axis=2)
+        for j, sub in enumerate(block):
+            k = int(d2[j, :k_now].argmin())
+            dist = math.sqrt(d2[j, k])
+            if mode == "none":
+                made.append(UpdateDecision(ids[lo + j], m, UpdateKind.UNCHANGED, k, dist, None, None))
+                continue
+            if k not in stats:
+                stats[k] = _member_stats(members[k][: used.get(k, len(members[k]))], cents[k], k)
+            ad, top = stats[k]
+            if not math.isfinite(ad):
+                raise ValueError(f"group {m}, cluster {k}: mean member distance {ad} is not finite")
+            md = top + ad * slack[lo + j][m]
+            kind = _decide(dist, ad, md, mode)
+            if kind is UpdateKind.CHANGED:
+                used[k] = size = used.get(k, len(members[k])) + 1
+                if size > len(members[k]):
+                    members[k] = np.concatenate([members[k], np.empty_like(members[k])])
+                members[k][size - 1] = sub
+                cents[k] = cents[k] + (sub - cents[k]) / size
+                del stats[k]
+            elif kind is UpdateKind.ADDED:
+                k, k_now = k_now, k_now + 1
+                cents[k], stats[k] = sub, (0.0, 0.0)
+                members.append(sub[None, :].copy())
+            if kind is not UpdateKind.UNCHANGED:
+                d2[j + 1 :, k] = ((cents[k] - block[j + 1 :]) ** 2).sum(axis=1)
+            made.append(UpdateDecision(ids[lo + j], m, kind, k, dist, ad, md))
+    for k, size in used.items():
+        members[k] = members[k][:size].copy()
+    group.centroids = cents[:k_now].copy()
+    return made
 
 
 def decision_log_lines(session: int, log: list[UpdateDecision]) -> list[str]:
     """Line-delimited JSON records of a session's update decisions."""
-    lines = []
-    for d in log:
-        lines.append(
-            json.dumps(
-                {
-                    "session": session,
-                    "doc_id": d.doc_id,
-                    "group": d.group,
-                    "kind": d.kind.value,
-                    "dist": d.dist,
-                    "ad": d.ad,
-                    "md": d.md,
-                },
-                sort_keys=True,
-            )
-        )
-    return lines
+    fields = ("doc_id", "group", "dist", "ad", "md")
+    return [
+        json.dumps({"session": session, "kind": d.kind.value, **{f: getattr(d, f) for f in fields}},
+                   sort_keys=True)
+        for d in log
+    ]

@@ -73,31 +73,33 @@ def perturb_codes(code: PqCode, o: int, c: int, cb: Codebook, rng: RandomSource)
     if fewer than o positions remain, no perturbation exists and the result is
     empty. Duplicates across the c draws are removed, preserving draw order.
     """
-    code = tuple(code)
     m = cb.n_groups
     if not 1 <= o <= m:
         raise ValueError(f"o={o} must be in [1, {m}]")
     if c < 1:
         raise ValueError("c must be >= 1")
-    selectable = [i for i in range(m) if cb.groups[i].n_centroids >= 2]
+    return _perturb(tuple(code), o, c, _selectable(cb), rng)
+
+
+def _selectable(cb: Codebook) -> list[tuple[int, int]]:
+    """(position, centroid count) of every group with at least two centroids."""
+    return [(d, g.n_centroids) for d, g in enumerate(cb.groups) if g.n_centroids >= 2]
+
+
+def _perturb(code: PqCode, o: int, c: int, selectable: list, rng: RandomSource) -> list[PqCode]:
     if len(selectable) < o:
         return []
-    out: list[PqCode] = []
-    seen = set()
+    out: dict[PqCode, None] = {}
     for _ in range(c):
-        dims = [selectable[int(i)] for i in rng.choice_without_replacement(len(selectable), o)]
-        new = list(code)
-        for d in dims:
-            k_d = cb.groups[d].n_centroids
+        new = code
+        for i in rng.choice_without_replacement(len(selectable), o):
+            d, k_d = selectable[i]
             alt = int(rng.integers(k_d - 1))
             if alt >= code[d]:
                 alt += 1
-            new[d] = alt
-        cand = tuple(new)
-        if cand not in seen:
-            seen.add(cand)
-            out.append(cand)
-    return out
+            new = new[:d] + (alt,) + new[d + 1 :]
+        out[new] = None
+    return list(out)
 
 
 def build_memory_bank(
@@ -115,11 +117,14 @@ def build_memory_bank(
     uses a stream derived from the id and o, so the bank is independent of
     iteration order.
     """
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    selectable = _selectable(cb)
     bank = MemoryBank(session=session)
     for doc_id, code in new_codes.items():
         found: set = set()
         for o in range(1, max_perturb_dims(cb.n_groups) + 1):
-            for cand in perturb_codes(code, o, c, cb, rng.derive(doc_id, o)):
+            for cand in _perturb(tuple(code), o, c, selectable, rng.derive(doc_id, o)):
                 for old_id in index.lookup(cand):
                     if old_id not in found:
                         found.add(old_id)

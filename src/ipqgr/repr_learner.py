@@ -68,10 +68,6 @@ class ProjectorParams:
     def in_dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.w2.shape[0]
-
     def forward(self, pooled: np.ndarray) -> np.ndarray:
         """Map pooled inputs (n, E) to representations (n, D)."""
         pooled = np.atleast_2d(np.asarray(pooled, dtype=float))

@@ -58,6 +58,9 @@ class RandomSource:
         return self._gen.integers(0, high, size=size)
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
+        if k == 1:
+            # numpy's choice picks one by Floyd's algorithm, the draw integers(0, n) makes.
+            return np.array([self._gen.integers(0, n)])
         return self._gen.choice(n, size=k, replace=False)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -482,6 +482,30 @@ class TestEngineGuards:
         assert state.session == 1
         assert state.codes == issued
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vectors_that_are_not_finite_are_refused_by_row(self, bad):
+        # Unchecked, an inf document fails an assertion in k-means, a NaN one
+        # ends in an OverflowError deep in IPQ, and a NaN query ranks nothing.
+        cfg = small_config()
+        data = small_inputs()
+        engine = Engine(cfg)
+        docs = data.doc_embs.copy()
+        docs[[7, 9], 3] = bad
+        with pytest.raises(ValueError, match="^documents row 7 holds a value that is not finite$"):
+            engine.build_base(data.doc_ids[:80], docs[:80], [])
+        with pytest.raises(ValueError, match="^training queries row 1 holds"):
+            engine.build_base(data.doc_ids[:80], data.doc_embs[:80], [(docs[0], 0), (docs[7], 7)])
+        assert engine.state is None
+        engine.build_base(data.doc_ids[:80], data.doc_embs[:80], [])
+        docs[[85, 90], 0] = bad
+        issued = dict(engine.state.codes)
+        with pytest.raises(ValueError, match="^documents row 5 holds"):
+            engine.ingest(1, data.doc_ids[80:], docs[80:])
+        assert engine.state.session == 0
+        assert engine.state.codes == issued
+        with pytest.raises(ValueError, match="^queries row 2 holds"):
+            engine.evaluate(range(4), docs[83:87])
+
     def test_int_and_str_ids_evaluate_together(self):
         # Equal scores rank int ids before str ids, which do not compare with each other.
         cfg = small_config(top_n=500)
@@ -707,6 +731,26 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: queries are 32 wide, but the state's dim is 16"
+
+    def test_ingest_of_a_nan_row_is_a_clean_error(self, tmp_path, capsys):
+        from ipqgr.io_formats import read_embeddings, write_embeddings
+
+        self.gen(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
+        assert cli.main([*self.base_args(tmp_path), "--config", str(tmp_path / "cfg.json")]) == 0
+        new = read_embeddings(tmp_path / "docs.emb")[:6] + 0.01
+        new[4, 2] = np.nan
+        write_embeddings(tmp_path / "new.emb", new)
+        capsys.readouterr()
+        code = cli.main(
+            [
+                "ingest", "--config", str(tmp_path / "cfg.json"),
+                "--state", str(tmp_path / "engine.state"), "--docs", str(tmp_path / "new.emb"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: documents row 4 holds a value that is not finite"
+        assert load_state(tmp_path / "engine.state").session == 0
 
     def test_variant_label_without_its_preset_is_a_clean_error(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"variant": "base"}))

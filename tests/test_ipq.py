@@ -2,16 +2,20 @@
 
 import copy
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipqgr.codebook import build_base_codebook, split_groups
+from ipqgr import ipq
+from ipqgr.codebook import Codebook, SubCodebook, build_base_codebook, split_groups
 from ipqgr.ipq import (
+    THRESHOLD_MODES,
     InvalidStateError,
     Thresholds,
+    UpdateDecision,
     UpdateKind,
     classify,
     compute_thresholds,
@@ -226,3 +230,131 @@ def test_decision_log_lines_are_json_records():
     assert rec["doc_id"] == 7
     assert rec["kind"] in ("unchanged", "changed", "added")
     assert rec["dist"] >= 0
+
+
+def reference_ingest_session(cb, new_docs, rng, threshold_mode="both"):
+    """The per-document, per-group loop that `ingest_session` must reproduce.
+
+    Every (document, group) finds its nearest centroid over all centroids,
+    recomputes the cluster's member distances, draws its own U(0, ad) slack
+    and grows the arrays by `np.vstack`.
+    """
+    out = copy.deepcopy(cb)
+    out.session = cb.session + 1
+    codes, log = {}, []
+    for doc_id, x in new_docs:
+        code = []
+        for m, (group, sub) in enumerate(zip(out.groups, split_groups(x, out.n_groups))):
+            d2 = ((group.centroids - sub) ** 2).sum(axis=1)
+            k = int(d2.argmin())
+            dist = float(np.sqrt(d2[k]))
+            if threshold_mode == "none":
+                code.append(k)
+                log.append(UpdateDecision(doc_id, m, UpdateKind.UNCHANGED, k, dist, None, None))
+                continue
+            dists = np.sqrt(((group.member_vecs[k] - group.centroids[k]) ** 2).sum(axis=1))
+            ad = float(dists.mean())
+            md = float(dists.max()) + float(rng.uniform(0.0, ad))
+            if threshold_mode == "both":
+                kind = classify(dist, Thresholds(ad, md))
+            elif threshold_mode == "ad_only":
+                kind = UpdateKind.UNCHANGED if dist < ad else UpdateKind.CHANGED
+            else:
+                kind = UpdateKind.CHANGED if dist <= md else UpdateKind.ADDED
+            if kind is UpdateKind.CHANGED:
+                group.member_vecs[k] = np.vstack([group.member_vecs[k], sub[None, :]])
+                size = len(group.member_vecs[k])
+                group.centroids[k] = group.centroids[k] + (sub - group.centroids[k]) / size
+            elif kind is UpdateKind.ADDED:
+                group.centroids = np.vstack([group.centroids, sub[None, :]])
+                group.member_vecs.append(sub[None, :].copy())
+                k = group.n_centroids - 1
+            code.append(k)
+            log.append(UpdateDecision(doc_id, m, kind, k, dist, ad, md))
+        codes[doc_id] = tuple(code)
+    return out, codes, log
+
+
+@st.composite
+def ingest_cases(draw):
+    """A hand-built codebook and a session for it.
+
+    Small-integer values give exact distance ties and duplicate documents;
+    clusters have one to three members, and some one-member clusters sit on
+    their centroid (ad = 0). Ids mix ints and strings.
+    """
+    m, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    n = draw(st.integers(0, 12))
+    grid = draw(st.booleans())
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(*shape):
+        return r.integers(-2, 3, size=shape).astype(float) if grid else r.normal(size=shape)
+
+    groups = []
+    for k in sizes:
+        centroids = values(k, width)
+        members = [values(int(r.integers(1, 4)), width) for _ in range(k)]
+        for c in range(k):
+            if r.random() < 0.3:
+                members[c] = centroids[c][None, :].copy()
+        groups.append(SubCodebook(centroids=centroids, member_vecs=members))
+    docs = values(n, m * width)
+    for i in range(1, n):
+        if r.random() < 0.3:
+            docs[i] = docs[int(r.integers(0, i))]
+    ids = [i if i % 3 else f"doc-{i}" for i in range(n)]
+    return Codebook(session=2, dim=m * width, groups=groups), list(zip(ids, docs))
+
+
+def assert_same_ingest(got, want):
+    (cb_got, codes_got, log_got), (cb_want, codes_want, log_want) = got, want
+    assert repr(list(codes_got.items())) == repr(list(codes_want.items()))
+    assert repr(log_got) == repr(log_want)  # every field, its type and every bit of each float
+    assert cb_got.session == cb_want.session
+    assert len(cb_got.groups) == len(cb_want.groups)
+    for g, w in zip(cb_got.groups, cb_want.groups):
+        assert g.centroids.shape == w.centroids.shape
+        assert g.centroids.tobytes() == w.centroids.tobytes()
+        assert [v.shape for v in g.member_vecs] == [v.shape for v in w.member_vecs]
+        assert [v.tobytes() for v in g.member_vecs] == [v.tobytes() for v in w.member_vecs]
+
+
+class TestIngestMatchesTheReferenceLoop:
+    @given(ingest_cases(), st.sampled_from(THRESHOLD_MODES), st.sampled_from([1, 2, 3, 256]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_codes_log_and_codebook_are_bit_equal(self, case, mode, block, seed):
+        cb, docs = case
+        before = copy.deepcopy(cb)
+        rng_got, rng_want = RandomSource(seed), RandomSource(seed)
+        with mock.patch.object(ipq, "DIST_BLOCK", block):
+            got = ingest_session(cb, docs, rng_got, mode)
+        assert_same_ingest(got, reference_ingest_session(cb, docs, rng_want, mode))
+        assert_same_ingest((cb, {}, []), (before, {}, []))  # the input codebook is untouched
+        # Both consumed the same stretch of the stream.
+        assert rng_got.uniform() == rng_want.uniform()
+
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    def test_a_stream_session_in_small_blocks(self, mode):
+        cb, _ = base_codebook(n=200, dim=16, m=4, k=8, seed=30)
+        docs = [(i, v) for i, v in enumerate(np.random.default_rng(31).normal(size=(60, 16)))]
+        with mock.patch.object(ipq, "DIST_BLOCK", 7):
+            got = ingest_session(cb, docs, RandomSource(32), mode)
+        assert_same_ingest(got, reference_ingest_session(cb, docs, RandomSource(32), mode))
+        if mode == "both":
+            kinds = {d.kind for d in got[2]}
+            assert kinds == set(UpdateKind)
+
+    def test_a_mean_distance_that_is_not_finite_names_group_and_cluster(self):
+        # Squared distances of 1e200 overflow, so cluster 2 of group 1 has
+        # ad = inf, for which numpy's U(0, ad) raises an OverflowError.
+        cb, _ = base_codebook()
+        g = cb.groups[1]
+        g.member_vecs[2] = g.centroids[2] + np.array([[1e200, 0.0, 0.0, 0.0]])
+        x = np.concatenate([cb.groups[0].centroids[0], g.centroids[2]])
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="group 1, cluster 2: mean member distance inf"
+        ):
+            ingest_session(cb, [(0, x)], RandomSource(0))

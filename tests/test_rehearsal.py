@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipqgr.codebook import Codebook, SubCodebook
 from ipqgr.rehearsal import (
@@ -29,6 +31,23 @@ def hamming(a, b):
     return sum(x != y for x, y in zip(a, b))
 
 
+def reference_perturb_codes(code, o, c, cb, rng):
+    """The draw loop `perturb_codes` must reproduce: numpy's `choice` picks the positions."""
+    selectable = [i for i in range(cb.n_groups) if cb.groups[i].n_centroids >= 2]
+    if len(selectable) < o:
+        return []
+    out = []
+    for _ in range(c):
+        dims = [selectable[int(i)] for i in rng._gen.choice(len(selectable), size=o, replace=False)]
+        new = list(code)
+        for d in dims:
+            alt = int(rng.integers(cb.groups[d].n_centroids - 1))
+            new[d] = alt + 1 if alt >= code[d] else alt
+        if tuple(new) not in out:
+            out.append(tuple(new))
+    return out
+
+
 def reference_build_memory_bank(new_codes, index, c, cb, rng, session):
     """A stream per new document, and from it one per flip count."""
     bank = MemoryBank(session=session)
@@ -36,7 +55,7 @@ def reference_build_memory_bank(new_codes, index, c, cb, rng, session):
         doc_rng = rng.derive(doc_id)
         found = set()
         for o in range(1, max_perturb_dims(cb.n_groups) + 1):
-            for cand in perturb_codes(code, o, c, cb, doc_rng.derive(o)):
+            for cand in reference_perturb_codes(code, o, c, cb, doc_rng.derive(o)):
                 for old_id in index.lookup(cand):
                     if old_id not in found:
                         found.add(old_id)
@@ -184,6 +203,23 @@ class TestBuildMemoryBank:
         entries = [e for e in bank.entries if e.old_id == 7]
         assert len(entries) == 1
         assert entries[0].o == 1
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=12), st.integers(1, 50),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bank_equals_the_reference_draws(self, sizes, c, seed):
+        # M up to 12 sweeps o over {1, 2}; groups of one centroid are never flipped.
+        cb = toy_codebook(sizes)
+        r = np.random.default_rng(seed)
+
+        def code():
+            return tuple(int(r.integers(0, k)) for k in sizes)
+
+        old_codes = {i: code() for i in range(30)}
+        new_codes = {(f"new-{i}" if i % 2 else 100 + i): code() for i in range(6)}
+        index = CodeIndex.from_codes(old_codes)
+        bank = build_memory_bank(new_codes, index, c, cb, RandomSource(seed), session=3)
+        assert bank == reference_build_memory_bank(new_codes, index, c, cb, RandomSource(seed), 3)
 
 
 class TestGeneratePseudoQueries:

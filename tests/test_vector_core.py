@@ -92,3 +92,15 @@ class TestRandomSource:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RandomSource(-1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 33, 1000, 10_000, 10_001, 123_457, 2**32 + 5])
+    def test_one_pick_without_replacement_is_numpys_choice(self, n):
+        # A numpy release that draws one pick differently fails here rather
+        # than silently changing memory banks and k-means seeds.
+        for seed in range(200):
+            ours = RandomSource(seed)
+            numpy_gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+            got = ours.choice_without_replacement(n, 1)
+            want = numpy_gen.choice(n, size=1, replace=False)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert ours.integers(n) == numpy_gen.integers(0, n)  # the stream stays in step
