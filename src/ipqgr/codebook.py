@@ -83,6 +83,14 @@ def split_groups(x, m: int) -> list[np.ndarray]:
 
 def build_base_codebook(embeddings, m: int, k: int, rng: RandomSource) -> Codebook:
     """Session-0 codebook: k-means per group with memberships from assignments."""
+    return cluster_base(embeddings, m, k, rng)[0]
+
+
+def cluster_base(embeddings, m: int, k: int, rng: RandomSource) -> tuple[Codebook, np.ndarray]:
+    """`build_base_codebook` and its (n x m) codes, k-means' final assignments.
+
+    Row i is `quantize(embeddings[i])`: nearest, with ties to the lowest index.
+    """
     embs = np.asarray(embeddings, dtype=float)
     if embs.ndim != 2:
         raise ValueError("embeddings must be a 2-D array")
@@ -93,12 +101,9 @@ def build_base_codebook(embeddings, m: int, k: int, rng: RandomSource) -> Codebo
         raise ValueError(f"dimension {dim} not divisible by {m} groups")
 
     sub_dim = dim // m
-    groups = []
+    groups, codes = [], np.empty((n, m), dtype=np.int64)
     for g in range(m):
         sub = embs[:, g * sub_dim : (g + 1) * sub_dim]
-        centroids, assign = kmeans(sub, k, rng.derive("kmeans", g))
-        sc = SubCodebook(centroids=centroids)
-        for c in range(k):
-            sc.member_vecs.append(sub[assign == c])
-        groups.append(sc)
-    return Codebook(session=0, dim=dim, groups=groups)
+        centroids, codes[:, g] = kmeans(sub, k, rng.derive("kmeans", g))
+        groups.append(SubCodebook(centroids, [sub[codes[:, g] == c] for c in range(k)]))
+    return Codebook(session=0, dim=dim, groups=groups), codes

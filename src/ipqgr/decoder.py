@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import Codebook, PqCode
+from .vector_core import backtracking_descent
 
 Pair = tuple[np.ndarray, PqCode]  # (conditioning vector, target code)
 
@@ -312,9 +313,10 @@ def train_session(
 
     The three pair lists are stacked into one batch once per session, and
     its target rows checked once. The anchor and the Fisher are padded once
-    to the session's layout, zero where the codebook grew. The step size is
-    halved (deterministically, per step) whenever the full step would
-    increase the loss, which keeps the loss non-increasing.
+    to the session's layout, zero where the codebook grew. Each of the
+    `steps` steps is a `backtracking_descent` step: it starts at `step`, or
+    after the first at min(step, STEP_GROWTH x the last accepted step size),
+    and halves until the loss does not rise.
     """
     params = align_to_codebook(prev, cb)
     pairs = doc_pairs + bank_pairs + pseudo_pairs
@@ -334,21 +336,7 @@ def train_session(
             grad.b += lam * g.b
         return loss, grad
 
-    cur, grad = objective(params)
-    for _ in range(steps):
-        lr = step
-        accepted = False
-        for _ in range(40):
-            trial = params.step(lr, grad)
-            trial_loss, trial_grad = objective(trial)
-            if trial_loss <= cur + 1e-9 * max(1.0, abs(cur)):
-                params, cur, grad = trial, trial_loss, trial_grad
-                accepted = True
-                break
-            lr *= 0.5
-        if not accepted:
-            break
-    return params
+    return backtracking_descent(objective, params, step, steps)
 
 
 class DocidTrie:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import synthetic
-from .codebook import Codebook, SubCodebook, build_base_codebook
+from .codebook import Codebook, SubCodebook, cluster_base
 from .decoder import (
     TRAIN_STEP,
     DecoderParams,
@@ -566,16 +566,14 @@ class Engine:
         rng = self._rng("base")
         projector = None
         if token_docs is not None:
-            projector, cb, code_list = iterative_train(
+            projector, cb, code_rows, embs = iterative_train(
                 token_docs, cfg.m_groups, cfg.k_clusters, cfg.v_epochs, TAU, SPANS_PER_LEVEL,
                 PROJ_STEP, rng.derive("repr"), out_dim=cfg.dim, inner_iters=cfg.proj_inner_iters,
             )
-            embs = np.stack([doc_embedding(d, projector) for d in token_docs])
-            codes = {doc_id: code for doc_id, code in zip(doc_ids, code_list)}
         else:
             embs = np.asarray(doc_embs, dtype=float)
-            cb = build_base_codebook(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"))
-            codes = {doc_id: cb.quantize(e) for doc_id, e in zip(doc_ids, embs)}
+            cb, code_rows = cluster_base(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"))
+        codes = dict(zip(doc_ids, map(tuple, code_rows.tolist())))
 
         decoder = DecoderParams.zeros(cb.sizes(), cfg.dim)
         doc_pairs = [(e, codes[doc_id]) for doc_id, e in zip(doc_ids, embs)]
@@ -631,9 +629,9 @@ class Engine:
         log: list = []
         if cfg.threshold_mode == "recluster":
             all_embs = np.vstack([np.stack([st.doc_embs[i] for i in old_ids]), embs])
-            cb = build_base_codebook(all_embs, cfg.m_groups, cfg.k_clusters, self._rng("ingest", t))
+            cb, code_rows = cluster_base(all_embs, cfg.m_groups, cfg.k_clusters, self._rng("ingest", t))
             cb.session = t
-            codes = {i: cb.quantize(e) for i, e in zip(old_ids + list(doc_ids), all_embs)}
+            codes = dict(zip(old_ids + list(doc_ids), map(tuple, code_rows.tolist())))
             changed_old = sum(1 for i in old_ids if codes[i] != st.codes[i])
             decision_counts = {"reclustered_old_codes_changed": changed_old}
             st.codes = codes

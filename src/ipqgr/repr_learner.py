@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, build_base_codebook
+from .codebook import Codebook, cluster_base
 from .rng import RandomSource
-from .vector_core import beta_sample
+from .vector_core import backtracking_descent, beta_sample
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class ProjectorParams:
         d_b1 = d_h.sum(axis=0)
         return ProjectorParams(d_w1, d_b1, d_w2, d_b2)
 
-    def step(self, grads: "ProjectorParams", lr: float) -> "ProjectorParams":
+    def step(self, lr: float, grads: "ProjectorParams") -> "ProjectorParams":
         return ProjectorParams(
             self.w1 - lr * grads.w1,
             self.b1 - lr * grads.b1,
@@ -155,13 +155,13 @@ def doc_embedding(doc: np.ndarray, proj: ProjectorParams) -> np.ndarray:
     return proj.forward(doc.mean(axis=0))[0]
 
 
-def contrastive_loss(reps: np.ndarray, n_docs: int, n_spans: int, tau: float, grad: bool = True):
+def contrastive_loss(reps: np.ndarray, n_docs: int, n_spans: int, tau: float):
     """Span-contrastive loss over a batch of projected representations.
 
     `reps` has shape (n_docs * (n_spans + 1), dim): rows [0, n_docs) are the
     whole-document anchors, rows [n_docs + i*n_spans, n_docs + (i+1)*n_spans)
     are the spans of document i. Similarity is the dot product. Returns
-    (loss, gradient wrt reps), or (loss, None) without `grad`.
+    (loss, gradient wrt reps).
 
     Only the anchor rows carry a loss term, so only their (n_docs, total)
     block of logits is built.
@@ -175,7 +175,7 @@ def contrastive_loss(reps: np.ndarray, n_docs: int, n_spans: int, tau: float, gr
     if reps.shape[0] != total:
         raise ValueError(f"expected {total} representations, got {reps.shape[0]}")
     if n_docs == 0:
-        return 0.0, np.zeros_like(reps) if grad else None
+        return 0.0, np.zeros_like(reps)
 
     anchors = reps[:n_docs]
     diag = np.arange(n_docs)
@@ -194,8 +194,6 @@ def contrastive_loss(reps: np.ndarray, n_docs: int, n_spans: int, tau: float, gr
     loss = 0.0
     for term in (-(logits[rows, pos] - lse).sum(axis=1) / n_spans).tolist():
         loss += term
-    if not grad:
-        return loss, None
     # d(loss)/d(logits): the softmax (0 on the diagonal) minus 1/n_spans at
     # each positive.
     np.subtract(logits, lse, out=soft)
@@ -236,11 +234,12 @@ def iterative_train(
     """Alternate per-group clustering with projector gradient descent.
 
     Each epoch rebuilds the codebook from the current document representations,
-    freezes the resulting reconstructions, and runs `inner_iters` descent steps
-    on contrastive + MSE loss over spans at the `DEFAULT_GRANULARITIES`. The
-    projector's hidden layer is `out_dim` wide. The step size is halved
-    (deterministically) for any iteration where the full step would increase
-    the loss. Returns (projector, session-0 codebook, doc-id-index -> PqCode list).
+    freezes the resulting reconstructions, and runs `inner_iters`
+    `backtracking_descent` steps from `step` on contrastive + MSE loss over
+    spans at the `DEFAULT_GRANULARITIES`; each trial evaluates the loss and
+    its gradient once. The projector's hidden layer is `out_dim` wide.
+    Returns (projector, session-0 codebook, (n x m) codes, (n x out_dim)
+    representations the codebook was clustered from).
     """
     if len(docs) < k:
         raise ValueError(f"need at least k={k} documents, got {len(docs)}")
@@ -251,37 +250,20 @@ def iterative_train(
     n_spans = len(DEFAULT_GRANULARITIES) * g_per_level
 
     for epoch in range(v):
-        reps = proj.forward(pooled_docs)
-        cb = build_base_codebook(reps, m, k, rng.derive("kmeans", epoch))
-        frozen = np.stack([cb.reconstruct(cb.quantize(r)) for r in reps])
+        cb, codes = cluster_base(proj.forward(pooled_docs), m, k, rng.derive("kmeans", epoch))
+        frozen = np.hstack([g.centroids[c] for g, c in zip(cb.groups, codes.T)])
         spans = _sample_epoch_spans(docs, g_per_level, DEFAULT_GRANULARITIES, rng.derive("spans", epoch))
         pooled_all = np.vstack([pooled_docs, _pool_spans(docs, *spans)])
 
-        def total_loss(p, grad=True):
+        def total_loss(p):
             reps_all = p.forward(pooled_all)
-            l_cl, g_all = contrastive_loss(reps_all, n, n_spans, tau, grad=grad)
+            l_cl, g_all = contrastive_loss(reps_all, n, n_spans, tau)
             l_mse, g_mse = mse_to_targets(reps_all[:n], frozen)
-            if grad:
-                g_all[:n] += g_mse
-            return l_cl + l_mse, g_all
+            g_all[:n] += g_mse
+            return l_cl + l_mse, p.backward(pooled_all, g_all)
 
-        cur, grad_reps = total_loss(proj)
-        for _ in range(inner_iters):
-            grads = proj.backward(pooled_all, grad_reps)
-            lr = step
-            for _ in range(40):
-                # A trial is judged on its loss alone; only the accepted one
-                # pays for a gradient.
-                trial = proj.step(grads, lr)
-                if total_loss(trial, grad=False)[0] <= cur + 1e-9 * max(1.0, abs(cur)):
-                    proj = trial
-                    cur, grad_reps = total_loss(proj)
-                    break
-                lr *= 0.5
-            else:
-                break  # no improving step at any tried scale
+        proj = backtracking_descent(total_loss, proj, step, inner_iters)
 
     reps = proj.forward(pooled_docs)
-    cb = build_base_codebook(reps, m, k, rng.derive("kmeans", v))
-    codes = [cb.quantize(r) for r in reps]
-    return proj, cb, codes
+    cb, codes = cluster_base(reps, m, k, rng.derive("kmeans", v))
+    return proj, cb, codes, reps

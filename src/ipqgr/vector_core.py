@@ -1,4 +1,4 @@
-"""Numeric primitives: k-means clustering and beta sampling."""
+"""Numeric primitives: k-means clustering, backtracking descent and beta sampling."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import numpy as np
 from .rng import RandomSource
 
 KMEANS_MAX_ITERS = 50  # Lloyd iterations per k-means run, at most
+STEP_GROWTH = 1.25  # a descent step starts at this multiple of the last accepted step size
 
 
 def beta_sample(alpha: float, beta: float, rng: RandomSource, size=None):
@@ -76,3 +77,28 @@ def kmeans(points, k: int, rng: RandomSource):
             centroids[c] = pts[assign == c].mean(axis=0)
     final_assign, _ = _nearest(pts, centroids)
     return centroids, final_assign
+
+
+def backtracking_descent(objective, params, step: float, steps: int):
+    """Up to `steps` descent steps from `params`; returns the last accepted parameters.
+
+    `objective(p)` returns (loss, gradient); `p.step(lr, gradient)` moves
+    against it. A trial whose loss does not rise (up to a 1e-9 relative
+    slack) is accepted; otherwise its step size halves, and 40 halvings end
+    the descent. The first step starts at `step`, each later one at
+    min(step, STEP_GROWTH * the last accepted step size).
+    """
+    cur, grad = objective(params)
+    lr = step
+    for _ in range(steps):
+        for _ in range(40):
+            trial = params.step(lr, grad)
+            trial_loss, trial_grad = objective(trial)
+            if trial_loss <= cur + 1e-9 * max(1.0, abs(cur)):
+                params, cur, grad = trial, trial_loss, trial_grad
+                break
+            lr *= 0.5
+        else:
+            break
+        lr = min(step, STEP_GROWTH * lr)
+    return params

@@ -4,8 +4,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ipqgr.codebook import Codebook, SubCodebook, build_base_codebook, split_groups
+from ipqgr.codebook import Codebook, SubCodebook, build_base_codebook, cluster_base, split_groups
 from ipqgr.rng import RandomSource
 
 
@@ -89,6 +91,38 @@ class TestBuildBaseCodebook:
     def test_too_few_documents(self):
         with pytest.raises(ValueError):
             build_base_codebook(np.random.default_rng(0).normal(size=(3, 4)), 2, 4, RandomSource(0))
+
+
+@st.composite
+def grid_corpora(draw):
+    """Embeddings on a small integer grid, where documents can tie between centroids."""
+    m, sub_dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(4, 40))
+    embs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-2, 3, size=(n, m * sub_dim))
+    embs = embs.astype(float)
+    distinct = min(len(np.unique(sub, axis=0)) for sub in np.split(embs, m, axis=1))
+    return embs, m, draw(st.integers(1, distinct)), draw(st.integers(0, 2**16))
+
+
+class TestClusterBase:
+    @given(grid_corpora())
+    @settings(max_examples=100, deadline=None)
+    def test_codes_are_the_quantized_embeddings(self, corpus):
+        embs, m, k, seed = corpus
+        cb, codes = cluster_base(embs, m, k, RandomSource(seed))
+        assert codes.shape == (len(embs), m)
+        assert list(map(tuple, codes.tolist())) == [cb.quantize(e) for e in embs]
+        plain = build_base_codebook(embs, m, k, RandomSource(seed))
+        for g, want in zip(cb.groups, plain.groups):
+            assert g.centroids.tobytes() == want.centroids.tobytes()
+            assert [v.tobytes() for v in g.member_vecs] == [v.tobytes() for v in want.member_vecs]
+
+    def test_a_tie_goes_to_the_lowest_index(self):
+        embs = np.array([[1.0, 0.0], [1.0, -1.0], [-2.0, 1.0], [-2.0, -2.0]])
+        cb, codes = cluster_base(embs, 2, 2, RandomSource(0))
+        # Document 0's second coordinate sits midway between that group's centroids.
+        assert cb.groups[1].centroids.ravel().tolist() == [-1.0, 1.0]
+        assert codes[0].tolist() == [0, 0]
+        assert list(map(tuple, codes.tolist())) == [cb.quantize(e) for e in embs]
 
 
 class TestQuantize:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ipqgr import decoder
+from ipqgr import decoder, harness, synthetic
 from ipqgr.codebook import Codebook, SubCodebook
 from ipqgr.decoder import (
     LOSS_BLOCK,
@@ -293,6 +293,67 @@ class TestTrainSession:
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
+def record_trials(monkeypatch, run):
+    """The step size of every trial that `run` makes, and every loss evaluated.
+
+    A session's first loss is that of its starting point; each later one is
+    a trial's.
+    """
+    lrs, losses = [], []
+    step, mle = DecoderParams.step, decoder.mle_loss
+
+    def recorded_step(p, lr, grad):
+        lrs.append(lr)
+        return step(p, lr, grad)
+
+    def recorded_loss(*args):
+        out = mle(*args)
+        losses.append(out[0])
+        return out
+
+    monkeypatch.setattr(DecoderParams, "step", recorded_step)
+    monkeypatch.setattr(decoder, "mle_loss", recorded_loss)
+    run()
+    return lrs, losses
+
+
+def accepted_trials(losses):
+    """Whether each trial was accepted: its loss did not rise above the current one."""
+    cur, out = losses[0], []
+    for loss in losses[1:]:
+        out.append(loss <= cur + 1e-9 * max(1.0, abs(cur)))
+        cur = loss if out[-1] else cur
+    return out
+
+
+class TestStepRule:
+    def test_a_step_starts_at_most_a_quarter_above_the_last_accepted_one(self, monkeypatch):
+        cb = toy_codebook([4, 4])
+        pairs = TestTrainSession().make_pairs([4, 4], 3, 10, 29)
+        lrs, losses = record_trials(
+            monkeypatch,
+            lambda: train_session(DecoderParams.zeros([4, 4], 3), cb, pairs, [], [], None, 0.0, 5.0, 30),
+        )
+        accepted = accepted_trials(losses)
+        assert len(accepted) == len(lrs) and lrs[0] == 5.0
+        for lr, ok, nxt in zip(lrs, accepted, lrs[1:]):
+            assert nxt == (min(5.0, 1.25 * lr) if ok else 0.5 * lr)
+        assert max(lrs) == 5.0
+        # After a halving, an accepted step carries over to the next one's start.
+        assert any(ok and nxt == 1.25 * lr < 5.0 for lr, ok, nxt in zip(lrs, accepted, lrs[1:]))
+
+    def test_an_s_base_session_takes_at_most_one_and_a_half_losses_per_step(self, monkeypatch):
+        cfg = harness.ExperimentConfig(dim=16, m_groups=4, k_clusters=8, seed=0, decoder_steps=100)
+        data = synthetic.generate(500, 16, 25, RandomSource(0).derive("synthetic"))
+        inputs = harness.ExperimentInputs.from_synthetic(data)
+        _, losses = record_trials(
+            monkeypatch, lambda: harness.run_experiment(cfg, inputs, stop_after_session=0)
+        )
+        accepted = sum(accepted_trials(losses))
+        assert accepted == 100
+        assert len(losses) <= 1.5 * accepted
+
+
 def reference_ewc_loss(params, prev, fisher):
     """The per-group loop: rows appended after `prev` was trained are left out."""
     loss, d_w, d_b = 0.0, [], []
@@ -309,7 +370,12 @@ def reference_ewc_loss(params, prev, fisher):
 
 
 def reference_train_session(prev, cb, pair_groups, fisher, lam, step, steps):
-    """Descent on the sum of one mle_loss per pair list plus lam * the per-group EWC."""
+    """Descent on the sum of one mle_loss per pair list plus lam * the per-group EWC.
+
+    A step starts at `step`, or after the first at 1.25 times the last
+    accepted step size if that is smaller, and halves until the loss does
+    not rise.
+    """
 
     def total(p):
         loss = 0.0
@@ -329,8 +395,8 @@ def reference_train_session(prev, cb, pair_groups, fisher, lam, step, steps):
 
     params = align_to_codebook(prev, cb)
     cur, (gw, gb) = total(params)
+    lr = step
     for _ in range(steps):
-        lr = step
         for _ in range(40):
             trial = DecoderParams(
                 [w - lr * g for w, g in zip(params.weights, gw)],
@@ -343,6 +409,7 @@ def reference_train_session(prev, cb, pair_groups, fisher, lam, step, steps):
             lr *= 0.5
         else:
             break
+        lr = min(step, 1.25 * lr)
     return params
 
 

@@ -402,6 +402,19 @@ class TestRunExperiment:
         assert state.projector is not None
         assert len(report["sessions"]) == 2
 
+    def test_token_base_stores_the_representations_it_clustered(self):
+        data = synthetic.generate(
+            60, 8, 5, RandomSource(2).derive("synthetic"), with_tokens=True, token_range=(5, 12)
+        )
+        cfg = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=2, proj_inner_iters=3)
+        engine = Engine(cfg)
+        engine.build_base(data.doc_ids, None, [], token_docs=data.token_docs)
+        st, d = engine.state, engine.state.codebook.sub_dim
+        for g, group in enumerate(st.codebook.groups):
+            for c, members in enumerate(group.member_vecs):
+                stored = [st.doc_embs[i][d * g : d * (g + 1)] for i in st.codes if st.codes[i][g] == c]
+                assert [v.tobytes() for v in members] == [v.tobytes() for v in stored]
+
 
 class TestEngineGuards:
     def test_ingest_requires_consecutive_sessions(self):

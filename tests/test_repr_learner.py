@@ -348,15 +348,6 @@ class TestContrastiveLossMatchesDenseReference:
         assert grad.shape == ref_grad.shape
         assert np.abs(grad - ref_grad).max() <= 1e-12 * max(1.0, np.abs(ref_grad).max())
 
-    @given(contrastive_batches())
-    @settings(max_examples=50, deadline=None)
-    def test_loss_only_call_gives_the_same_loss(self, batch):
-        reps, n_docs, n_spans, tau = batch
-        loss, grad = contrastive_loss(reps, n_docs, n_spans, tau, grad=False)
-        assert grad is None
-        want, _ = contrastive_loss(reps, n_docs, n_spans, tau)
-        assert np.float64(loss).tobytes() == np.float64(want).tobytes()
-
 
 class TestClusteringLoss:
     @pytest.fixture()
@@ -409,7 +400,7 @@ class TestIterativeTrain:
     def test_zero_epochs_skips_training(self):
         docs = self.make_docs()
         rng = RandomSource(11)
-        proj, cb, codes = iterative_train(
+        proj, cb, codes, reps = iterative_train(
             docs, m=2, k=4, v=0, tau=0.1, g_per_level=1, step=1e-2, rng=rng, out_dim=8
         )
         # The projector is exactly its random initialization and the codebook
@@ -417,11 +408,11 @@ class TestIterativeTrain:
         init = ProjectorParams.init_random(6, 8, 8, RandomSource(11).derive("proj-init"))
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(proj, name), getattr(init, name))
-        reps = proj.forward(np.stack([d.mean(axis=0) for d in docs]))
+        assert reps.tobytes() == proj.forward(np.stack([d.mean(axis=0) for d in docs])).tobytes()
         cb_oracle = build_base_codebook(reps, 2, 4, RandomSource(11).derive("kmeans", 0))
         for g, go in zip(cb.groups, cb_oracle.groups):
             assert np.array_equal(g.centroids, go.centroids)
-        assert codes == [cb.quantize(r) for r in reps]
+        assert list(map(tuple, codes.tolist())) == [cb.quantize(r) for r in reps]
 
     def test_training_improves_span_alignment(self):
         # Training minimizes a joint contrastive + quantization objective, so
@@ -446,7 +437,7 @@ class TestIterativeTrain:
 
         losses = []
         for v in (0, 2):
-            proj, _, _ = iterative_train(
+            proj, *_ = iterative_train(
                 docs, m=2, k=4, v=v, tau=0.1, g_per_level=1, step=1e-2,
                 rng=RandomSource(13), out_dim=8,
             )
@@ -459,7 +450,8 @@ class TestIterativeTrain:
         out2 = iterative_train(docs, 2, 4, 2, 0.1, 1, 1e-2, RandomSource(15), out_dim=8)
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(out1[0], name), getattr(out2[0], name))
-        assert out1[2] == out2[2]
+        assert np.array_equal(out1[2], out2[2])
+        assert out1[3].tobytes() == out2[3].tobytes()
 
     def test_too_few_documents(self):
         with pytest.raises(ValueError):
@@ -469,16 +461,21 @@ class TestIterativeTrain:
     def test_loss_only_trials_keep_every_byte(self, seed, step):
         docs = self.make_docs(n=20, seed=seed)
         args = (docs, 2, 4, 2, 0.1, 2, step, RandomSource(seed), 8)
-        proj, cb, codes = iterative_train(*args, inner_iters=6)
+        proj, cb, codes, _ = iterative_train(*args, inner_iters=6)
         want_proj, want_cb, want_codes = reference_iterative_train(*args, inner_iters=6)
         for name in ("w1", "b1", "w2", "b2"):
             assert getattr(proj, name).tobytes() == getattr(want_proj, name).tobytes()
         assert [g.centroids.tobytes() for g in cb.groups] == [g.centroids.tobytes() for g in want_cb.groups]
-        assert codes == want_codes
+        assert list(map(tuple, codes.tolist())) == want_codes
 
 
 def reference_iterative_train(docs, m, k, v, tau, g_per_level, step, rng, out_dim, inner_iters):
-    """The projector loop that computes the loss and its gradient at every trial step."""
+    """The projector loop, quantizing every document, with the step rule written out.
+
+    A step starts at `step`, or after the first step of an epoch at 1.25 times
+    the last accepted step size if that is smaller, and halves until the loss
+    does not rise.
+    """
     in_dim = np.asarray(docs[0]).shape[1]
     proj = ProjectorParams.init_random(in_dim, out_dim, out_dim, rng.derive("proj-init"))
     pooled_docs = np.stack([np.asarray(d, dtype=float).mean(axis=0) for d in docs])
@@ -499,11 +496,11 @@ def reference_iterative_train(docs, m, k, v, tau, g_per_level, step, rng, out_di
             return l_cl + l_mse, g_cl
 
         cur, grad_reps = total_loss(proj)
+        lr = step
         for _ in range(inner_iters):
             grads = proj.backward(pooled_all, grad_reps)
-            lr = step
             for _ in range(40):
-                trial = proj.step(grads, lr)
+                trial = proj.step(lr, grads)
                 trial_loss, trial_grad = total_loss(trial)
                 if trial_loss <= cur + 1e-9 * max(1.0, abs(cur)):
                     proj, cur, grad_reps = trial, trial_loss, trial_grad
@@ -511,6 +508,7 @@ def reference_iterative_train(docs, m, k, v, tau, g_per_level, step, rng, out_di
                 lr *= 0.5
             else:
                 break
+            lr = min(step, 1.25 * lr)
     reps = proj.forward(pooled_docs)
     cb = build_base_codebook(reps, m, k, rng.derive("kmeans", v))
     return proj, cb, [cb.quantize(r) for r in reps]
