@@ -56,10 +56,9 @@ def _load_inputs(args, cfg) -> ExperimentInputs:
     test_qrels = {q: qrels[q].doc_id for q in query_ids if q in qrels}
     train_query_ids, train_embs, train_qrels = [], None, {}
     if args.train_queries:
-        train = io_formats.read_embeddings(args.train_queries)
+        train_embs = io_formats.read_embeddings(args.train_queries)
         train_qrels_all = io_formats.read_qrels(args.train_qrels)
-        train_query_ids = list(range(train.shape[0]))
-        train_embs = train
+        train_query_ids = list(range(train_embs.shape[0]))
         train_qrels = {q: train_qrels_all[q].doc_id for q in train_query_ids if q in train_qrels_all}
     token_docs = io_formats.read_token_docs(args.tokens) if getattr(args, "tokens", None) else None
     return ExperimentInputs(
@@ -150,15 +149,8 @@ def cmd_evaluate(args) -> int:
     if args.qrels:
         qrels = io_formats.read_qrels(args.qrels)
         run = {q: [d for d, _ in ranking] for q, ranking in scored.items()}
-        print(
-            json.dumps(
-                {
-                    f"mrr@{CUTOFF}": mrr_at(run, qrels, CUTOFF),
-                    f"hits@{CUTOFF}": hits_at(run, qrels, CUTOFF),
-                },
-                sort_keys=True,
-            )
-        )
+        scores = {f"mrr@{CUTOFF}": mrr_at(run, qrels, CUTOFF), f"hits@{CUTOFF}": hits_at(run, qrels, CUTOFF)}
+        print(json.dumps(scores, sort_keys=True))
     return 0
 
 

@@ -222,6 +222,7 @@ class EngineState:
     codebook: Codebook
     codes: dict
     doc_embs: dict
+    member: np.ndarray  # (n x M) u1 in `codes` order: 1 if the doc is in its code's cluster
     decoder: DecoderParams
     fisher: FisherDiag | None
     projector: object | None
@@ -229,7 +230,7 @@ class EngineState:
 
 
 STATE_MAGIC = b"IPQS"
-STATE_VERSION = 4
+STATE_VERSION = 5
 _HEADER = struct.Struct("<4sI32sQ")  # magic, version, SHA-256 of the payload, payload length
 _ALIGN = 16  # every array starts at a multiple of this many bytes into the file
 
@@ -239,7 +240,7 @@ _META_FIELDS = {
     "session": "int",
     "ids": "list",
     "history": "list",
-    "codebook": {"dim": "count", "sizes": "counts", "members": "count"},
+    "codebook": {"dim": "count", "sizes": "counts"},
     "fisher": {"sizes": "counts"},
     "projector": {"hidden": "count", "in_dim": "count"},
 }
@@ -266,7 +267,6 @@ def _array_layout(meta: dict) -> dict:
     layout = {
         "embeddings": ("<f8", (n, dim)),
         "centroids": ("<f8", (k, dim // m)),
-        "members": ("<f8", (cb["members"], dim // m)),
         "decoder_weights": ("<f8", (k, dim)),
         "decoder_biases": ("<f8", (k,)),
     }
@@ -280,8 +280,8 @@ def _array_layout(meta: dict) -> dict:
         layout["projector_b1"] = ("<f8", (hidden,))
         layout["projector_w2"] = ("<f8", (dim, hidden))
         layout["projector_b2"] = ("<f8", (dim,))
-    layout["member_counts"] = ("<i8", (k,))
     layout["codes"] = ("<i4", (n, m))
+    layout["member"] = ("<u1", (n, m))
     return layout
 
 
@@ -301,16 +301,16 @@ def _metadata(state: EngineState, history: list) -> dict:
     ids = list(state.codes)
     if not all(type(i) is int or type(i) is str for i in ids):
         ids = [_stored_id(i) for i in ids]
-    if len(state.doc_embs) != len(ids):
-        raise ValueError(f"{len(ids)} coded docs but {len(state.doc_embs)} embeddings")
+    for what, rows in (("embeddings", state.doc_embs), ("member flag rows", state.member)):
+        if len(rows) != len(ids):
+            raise ValueError(f"{len(ids)} coded docs but {len(rows)} {what}")
     if state.decoder.sizes() != cb.sizes():
         raise ValueError(f"decoder group sizes {state.decoder.sizes()} differ from the codebook's {cb.sizes()}")
     return {
         "session": state.session,
         "ids": ids,
         "history": history,
-        "codebook": {"dim": cb.dim, "sizes": cb.sizes(),
-                     "members": sum(len(v) for g in cb.groups for v in g.member_vecs)},
+        "codebook": {"dim": cb.dim, "sizes": cb.sizes()},
         "fisher": None if fisher is None else {"sizes": fisher.sizes()},
         "projector": None if projector is None else {
             "hidden": projector.w1.shape[0], "in_dim": projector.w1.shape[1]
@@ -323,15 +323,13 @@ def _payload(state: EngineState, history: list) -> list:
     meta = _metadata(state, history)
     cb, projector = state.codebook, state.projector
     rows = [state.doc_embs[i] for i in state.codes] or [np.zeros(0)]
-    members = [v for g in cb.groups for v in g.member_vecs]
     arrays = {
         "embeddings": np.concatenate(rows).reshape(len(state.codes), cb.dim),
         "centroids": np.concatenate([g.centroids for g in cb.groups]),
-        "members": np.concatenate(members),
         "decoder_weights": state.decoder.w,
         "decoder_biases": state.decoder.b,
-        "member_counts": np.array([len(v) for v in members]),
         "codes": np.array(list(state.codes.values()), "<i4").reshape(len(state.codes), cb.n_groups),
+        "member": state.member,
     }
     if state.fisher is not None:
         arrays["fisher_weights"], arrays["fisher_biases"] = state.fisher.w, state.fisher.b
@@ -347,6 +345,10 @@ def _payload(state: EngineState, history: list) -> list:
         out.append(b"\0" * (_aligned(end) - end))
         out.append(a)
         end = _aligned(end) + a.nbytes
+    for m, g in enumerate(cb.groups):
+        counts = [len(v) for v in g.member_vecs]
+        if np.bincount(arrays["codes"][state.member[:, m] == 1, m], minlength=len(counts)).tolist() != counts:
+            raise ValueError(f"group {m}'s member counts {counts} differ from its flagged codes'")
     return out
 
 
@@ -462,18 +464,19 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     if end != _HEADER.size + length:
         raise ValueError(f"{_HEADER.size + length - end} bytes after the last array")
 
-    counts, members = arrays["member_counts"].tolist(), arrays["members"]
-    if min(counts, default=0) < 0 or sum(counts) != len(members):
-        raise ValueError(f"member counts sum to {sum(counts)}, not {len(members)} member rows")
-    codes = arrays["codes"]
+    codes, flags, sub_dim = arrays["codes"], arrays["member"], dim // len(sizes)
     if len(codes) and ((codes.min(axis=0) < 0) | (codes.max(axis=0) >= sizes)).any():
         raise ValueError("a code is out of range of its group's centroids")
-
-    member_vecs = _split_rows(members, counts)
-    groups, first = [], 0
-    for k, centroids in zip(sizes, _split_rows(arrays["centroids"], sizes)):
-        groups.append(SubCodebook(centroids, member_vecs[first : first + k]))
-        first += k
+    if (flags > 1).any():
+        raise ValueError("array 'member' holds a flag other than 0 or 1")
+    # A cluster's members are its flagged docs in row order: one stable sort by code per group.
+    groups = []
+    for m, (k, centroids) in enumerate(zip(sizes, _split_rows(arrays["centroids"], sizes))):
+        rows = np.flatnonzero(flags[:, m])
+        rows = rows[np.argsort(codes[rows, m], kind="stable")]
+        vecs = arrays["embeddings"][rows, m * sub_dim : (m + 1) * sub_dim]
+        counts = np.bincount(codes[rows, m], minlength=k).tolist()
+        groups.append(SubCodebook(centroids, _split_rows(vecs, counts)))
     decoder = DecoderParams(arrays["decoder_weights"], arrays["decoder_biases"], layout=Layout.of(sizes))
     fisher = None if meta["fisher"] is None else FisherDiag(
         arrays["fisher_weights"], arrays["fisher_biases"], layout=Layout.of(fisher_sizes))
@@ -485,6 +488,7 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
         codebook=Codebook(meta["session"], dim, groups),
         codes=dict(zip(ids, map(tuple, codes.tolist()))),
         doc_embs=dict(zip(ids, arrays["embeddings"])),
+        member=flags,
         decoder=decoder,
         fisher=fisher,
         projector=projector,
@@ -495,9 +499,9 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
 def load_state(path) -> EngineState:
     """Read a state file written by `save_state`.
 
-    Only the current version loads. Versions 1 and 2 held a pickle, and version
-    3 a table of array shapes that version 4 derives from its counts. They are
-    refused unread, so loading never runs code from the file.
+    Only the current version loads. Versions 1 and 2 held a pickle, 3 a table of
+    array shapes and 4 each member's sub-vector, which version 5 flags by document.
+    They are refused unread, so loading never runs code from the file.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -507,8 +511,9 @@ def load_state(path) -> EngineState:
         if version > STATE_VERSION:
             raise ValueError(f"{path}: state version {version} is newer than supported {STATE_VERSION}")
         if version < STATE_VERSION:
-            held = "a pickle, which is not loaded" if version < 3 else "a per-array table, which is not read"
-            raise ValueError(f"{path}: state version {version} holds {held}; rebuild it (version {STATE_VERSION})")
+            held = {3: "a per-array table", 4: "member vectors"}.get(version, "a pickle")
+            raise ValueError(f"{path}: state version {version} holds {held} and is not read; "
+                             f"rebuild it (version {STATE_VERSION})")
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != length:
             raise ValueError(f"{path}: truncated payload ({size} of {length} bytes)")
@@ -587,6 +592,7 @@ class Engine:
             codebook=cb,
             codes=codes,
             doc_embs={doc_id: np.asarray(e, dtype=float) for doc_id, e in zip(doc_ids, embs)},
+            member=np.ones(code_rows.shape, "u1"),  # k-means makes every doc a member
             decoder=decoder,
             fisher=fisher,
             projector=projector,
@@ -634,7 +640,7 @@ class Engine:
             codes = dict(zip(old_ids + list(doc_ids), map(tuple, code_rows.tolist())))
             changed_old = sum(1 for i in old_ids if codes[i] != st.codes[i])
             decision_counts = {"reclustered_old_codes_changed": changed_old}
-            st.codes = codes
+            st.codes, st.member = codes, np.ones(code_rows.shape, "u1")
             new_code_map = {i: codes[i] for i in doc_ids}
         else:
             cb, new_code_map, log = ingest_session(
@@ -645,6 +651,8 @@ class Engine:
                 target_session=t,
             )
             st.codes.update(new_code_map)
+            joined = np.array([d.kind is not UpdateKind.UNCHANGED for d in log], "u1")  # document-major
+            st.member = np.vstack([st.member, joined.reshape(len(doc_ids), cb.n_groups)])
             decision_counts = dict(Counter(d.kind.value for d in log))
 
         bank = MemoryBank(t)
@@ -746,14 +754,8 @@ def run_experiment(
         for s in range(n_sessions)
     ]
     emb_of = {d: e for d, e in zip(inputs.doc_ids, np.asarray(inputs.doc_embs, dtype=float))}
-    qemb_of = {
-        q: e for q, e in zip(inputs.test_query_ids, np.asarray(inputs.test_query_embs, dtype=float))
-    }
-    tokens_of = (
-        {d: tok for d, tok in zip(inputs.doc_ids, inputs.token_docs)}
-        if inputs.token_docs is not None
-        else None
-    )
+    qemb_of = dict(zip(inputs.test_query_ids, np.asarray(inputs.test_query_embs, dtype=float)))
+    tokens_of = None if inputs.token_docs is None else dict(zip(inputs.doc_ids, inputs.token_docs))
     metric = config.metric_fn()
 
     engine = Engine(config, state=resume_state)
@@ -794,8 +796,7 @@ def run_experiment(
             return None, engine.state
 
     history = engine.state.history
-    matrix = None
-    continual = None
+    matrix = continual = None
     if config.setting == "sequential":
         matrix = [rec["metrics"]["matrix_row"] for rec in history]
         ap, bwt, fwt = continual_metrics(matrix)

@@ -70,15 +70,20 @@ class ProjectorParams:
 
     def forward(self, pooled: np.ndarray) -> np.ndarray:
         """Map pooled inputs (n, E) to representations (n, D)."""
+        return self.layers(pooled)[1]
+
+    def layers(self, pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The hidden layer (n, H) and the representations (n, D) of pooled inputs (n, E)."""
         pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
         if pooled.shape[1] != self.in_dim:
             raise ValueError(f"expected input dim {self.in_dim}, got {pooled.shape[1]}")
-        return np.tanh(pooled @ self.w1.T + self.b1) @ self.w2.T + self.b2
-
-    def backward(self, pooled: np.ndarray, d_out: np.ndarray):
-        """Parameter gradients given upstream gradients d_out (n, D)."""
-        pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
         h = np.tanh(pooled @ self.w1.T + self.b1)
+        return h, h @ self.w2.T + self.b2
+
+    def backward(self, pooled: np.ndarray, d_out: np.ndarray, h: np.ndarray | None = None):
+        """Parameter gradients given upstream gradients d_out (n, D) and the hidden layer h, if known."""
+        pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
+        h = np.tanh(pooled @ self.w1.T + self.b1) if h is None else h
         d_w2 = d_out.T @ h
         d_b2 = d_out.sum(axis=0)
         d_h = (d_out @ self.w2) * (1.0 - h**2)
@@ -256,11 +261,11 @@ def iterative_train(
         pooled_all = np.vstack([pooled_docs, _pool_spans(docs, *spans)])
 
         def total_loss(p):
-            reps_all = p.forward(pooled_all)
+            hidden, reps_all = p.layers(pooled_all)
             l_cl, g_all = contrastive_loss(reps_all, n, n_spans, tau)
             l_mse, g_mse = mse_to_targets(reps_all[:n], frozen)
             g_all[:n] += g_mse
-            return l_cl + l_mse, p.backward(pooled_all, g_all)
+            return l_cl + l_mse, p.backward(pooled_all, g_all, hidden)
 
         proj = backtracking_descent(total_loss, proj, step, inner_iters)
 

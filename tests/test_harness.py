@@ -200,11 +200,12 @@ class TestStatePersistence:
         save_state(self.make_state(tmp_path), path)
         tracemalloc.start()
         try:
-            load_state(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            state = load_state(path)  # noqa: F841 (held, so the state counts as still allocated)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * path.stat().st_size
+        # Beyond the state it returns, loading allocates less than half the file.
+        assert peak <= held + path.stat().st_size // 2
 
     def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "s.state"

@@ -213,6 +213,16 @@ class TestProjector:
                 numeric = (objective(p_hi) - objective(p_lo)) / (2 * h)
                 assert rel_err(float(g[idx]), numeric) < 1e-4
 
+    def test_backward_from_the_forward_hidden_layer_is_bit_identical(self):
+        proj = ProjectorParams.init_random(5, 3, 4, RandomSource(6))
+        pooled = np.random.default_rng(7).normal(size=(6, 5))
+        d_out = np.random.default_rng(8).normal(size=(6, 4))
+        hidden, reps = proj.layers(pooled)
+        assert reps.tobytes() == proj.forward(pooled).tobytes()
+        given, recomputed = proj.backward(pooled, d_out, hidden), proj.backward(pooled, d_out)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(given, name).tobytes() == getattr(recomputed, name).tobytes()
+
     def test_dimension_mismatch(self):
         proj = ProjectorParams.init_random(4, 4, 4, RandomSource(0))
         with pytest.raises(ValueError):

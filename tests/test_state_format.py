@@ -30,21 +30,26 @@ from ipqgr.repr_learner import ProjectorParams
 from ipqgr.rng import RandomSource
 
 
-def build_state(ids, sizes, sub_dim, member_counts, fisher_sizes, projector_hidden, seed,
-                history=(), session=3):
-    """An EngineState filled with random values; `member_counts` has one entry per centroid."""
+def build_state(ids, sizes, sub_dim, fisher_sizes, projector_hidden, seed, history=(), session=3):
+    """An EngineState filled with random values, whose members are flagged documents.
+
+    Each (document, group) flag is drawn; cluster k of group m holds the
+    sub-vectors of the flagged documents coded k there, in row order.
+    """
     rng = np.random.default_rng(seed)
     m = len(sizes)
     dim = m * sub_dim
-    counts = iter(member_counts)
-    groups = [
-        SubCodebook(rng.normal(size=(k, sub_dim)),
-                    [rng.normal(size=(next(counts), sub_dim)) for _ in range(k)])
-        for k in sizes
-    ]
     embs = rng.normal(size=(len(ids), dim))
     if len(ids):
         embs[0, 0], embs[-1, -1] = -0.0, np.nan  # bit patterns that == would not check
+    codes = np.array([[rng.integers(k) for k in sizes] for _ in ids], dtype=int).reshape(len(ids), m)
+    member = rng.integers(0, 2, size=(len(ids), m)).astype("u1")
+    groups = [
+        SubCodebook(rng.normal(size=(k, sub_dim)),
+                    [embs[(codes[:, g] == c) & (member[:, g] == 1), g * sub_dim : (g + 1) * sub_dim]
+                     for c in range(k)])
+        for g, k in enumerate(sizes)
+    ]
     fisher = None
     if fisher_sizes is not None:
         fisher = FisherDiag([rng.random((k, dim)) for k in fisher_sizes],
@@ -57,8 +62,9 @@ def build_state(ids, sizes, sub_dim, member_counts, fisher_sizes, projector_hidd
     return EngineState(
         session=session,
         codebook=Codebook(session, dim, groups),
-        codes={i: tuple(int(rng.integers(k)) for k in sizes) for i in ids},
+        codes={i: tuple(code) for i, code in zip(ids, codes.tolist())},
         doc_embs={i: e for i, e in zip(ids, embs)},
+        member=member,
         decoder=DecoderParams([rng.normal(size=(k, dim)) for k in sizes],
                               [rng.normal(size=k) for k in sizes]),
         fisher=fisher,
@@ -83,6 +89,7 @@ def assert_same_state(a: EngineState, b: EngineState) -> None:
     assert all(type(c) is int for code in b.codes.values() for c in code)
     assert list(a.doc_embs) == list(b.doc_embs)
     assert all_bit_equal(list(a.doc_embs.values()), list(b.doc_embs.values()))
+    assert bit_equal(a.member, b.member)
     for ga, gb in zip(a.codebook.groups, b.codebook.groups, strict=True):
         assert bit_equal(ga.centroids, gb.centroids)
         assert all_bit_equal(ga.member_vecs, gb.member_vecs)
@@ -115,7 +122,6 @@ def engine_states(draw):
         ids=draw(st.lists(st.integers(-(2**70), 2**70) | st.text(), max_size=6, unique=True)),
         sizes=sizes,
         sub_dim=draw(st.integers(1, 3)),
-        member_counts=draw(st.lists(st.integers(0, 3), min_size=sum(sizes), max_size=sum(sizes))),
         fisher_sizes=fisher,
         projector_hidden=draw(st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3))),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -155,15 +161,14 @@ class TestRoundTrip:
     @pytest.mark.parametrize("fisher", [None, [2, 1]], ids=["no-fisher", "fisher"])
     @pytest.mark.parametrize("projector", [None, (3, 5)], ids=["no-projector", "projector"])
     def test_id_kinds_and_optional_parts(self, tmp_path, ids, fisher, projector):
-        # Group 0 has a one-member cluster and an empty one.
-        state = build_state(ids, [3, 2], 2, [1, 0, 4, 1, 2], fisher, projector, seed=len(ids),
+        state = build_state(ids, [3, 2], 2, fisher, projector, seed=len(ids),
                             history=[{"z": 1, "a": [0.1, None], "m": {"vert": 0.5}}])
         path = tmp_path / "s.state"
         save_state(state, path)
         assert_same_state(state, load_state(path))
 
     def test_numpy_integer_ids_are_stored_as_int(self, tmp_path):
-        state = build_state([np.int64(4), np.int32(9)], [2], 2, [1, 1], None, None, seed=0)
+        state = build_state([np.int64(4), np.int32(9)], [2], 2, None, None, seed=0)
         save_state(state, tmp_path / "s.state")
         loaded = load_state(tmp_path / "s.state")
         assert [(type(i), i) for i in loaded.codes] == [(int, 4), (int, 9)]
@@ -271,8 +276,8 @@ def change_dim(by_groups):
     return edit
 
 
-def miscount_members(meta, arrays):
-    arrays["member_counts"][0] += 1
+def flag_two(meta, arrays):
+    arrays["member"][0, 0] = 2
 
 
 def code_out_of_range(meta, arrays):
@@ -300,7 +305,7 @@ MALFORMED = {
     "missing-array": (dict(edit=drop_embeddings), r"array '\w+' runs past the payload"),
     "wrong-shape": (dict(edit=change_dim(1)), r"array '\w+' runs past the payload"),
     "narrower-shape": (dict(edit=change_dim(-1)), r"\d+ bytes after the last array"),
-    "count-mismatch": (dict(edit=miscount_members), "member counts sum to"),
+    "member-flag-two": (dict(edit=flag_two), "array 'member' holds a flag other than 0 or 1"),
     "code-out-of-range": (dict(edit=code_out_of_range), "a code is out of range"),
     "truncated-json": (dict(cut_text=7), "unreadable metadata"),
 }
@@ -326,7 +331,7 @@ def test_metadata_holds_only_the_counts(saved_state):
     (n_text,) = struct.unpack_from("<Q", saved_state, 48)
     meta = json.loads(saved_state[56 : 56 + n_text])
     assert list(meta) == ["session", "ids", "history", "codebook", "fisher", "projector"]
-    assert list(meta["codebook"]) == ["dim", "sizes", "members"]
+    assert list(meta["codebook"]) == ["dim", "sizes"]
     assert list(meta["fisher"]) == ["sizes"] and meta["projector"] is None
 
 
@@ -338,15 +343,75 @@ def test_version_3_is_refused_by_name(tmp_path, saved_state):
         load_state(path)
 
 
+def test_version_4_is_refused_by_name(tmp_path, capsys, saved_state):
+    # Version 4 stored a copy of every member's sub-vector; version 5 flags the documents.
+    path = tmp_path / "v4.state"
+    path.write_bytes(saved_state[:4] + struct.pack("<I", 4) + saved_state[8:])
+    with pytest.raises(ValueError, match="state version 4 holds member vectors and is not read"):
+        load_state(path)
+    code = cli.main(["ingest", "--state", str(path), "--docs", str(tmp_path / "new.emb")])
+    assert code == 2
+    assert "state version 4 holds member vectors" in capsys.readouterr().err
+
+
 def test_save_refuses_a_decoder_unlike_the_codebook(tmp_path):
     # The file stores the codebook's group sizes only, so the decoder must share them.
-    state = build_state([1, 2], [3, 2], 2, [1] * 5, None, None, seed=0)
+    state = build_state([1, 2], [3, 2], 2, None, None, seed=0)
     state.decoder = DecoderParams.zeros([2, 3], dim=4)
     with pytest.raises(ValueError, match=r"decoder group sizes \[2, 3\] differ from the codebook's \[3, 2\]"):
         save_state(state, tmp_path / "s.state")
     with pytest.raises(ValueError, match="differ from the codebook's"):
         state_core_bytes(state)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_save_refuses_members_unlike_their_flags(tmp_path):
+    # The file stores only the flags, so each cluster's member count must be its flagged codes'.
+    state = build_state([1, 2, 3], [3, 2], 2, None, None, seed=0)
+    state.member[0, 1] ^= 1
+    with pytest.raises(ValueError, match=r"group 1's member counts \[\d+, \d+\] differ from its flagged codes'"):
+        save_state(state, tmp_path / "s.state")
+    state.member[0, 1] ^= 1
+    state.member = state.member[:-1]
+    with pytest.raises(ValueError, match="3 coded docs but 2 member flag rows"):
+        save_state(state, tmp_path / "s.state")
+    with pytest.raises(ValueError, match="3 coded docs but 2 member flag rows"):
+        state_core_bytes(state)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_clusters_without_members_are_saved(tmp_path):
+    # k-means' final reassignment can leave a cluster empty, and "none" ingests flag no one.
+    state = build_state([1, 2, 3], [3, 2], 2, None, None, seed=0)
+    state.member[:] = 0
+    for g in state.codebook.groups:
+        g.member_vecs = [v[:0] for v in g.member_vecs]
+    save_state(state, tmp_path / "s.state")
+    assert_same_state(state, load_state(tmp_path / "s.state"))
+
+
+def s_run(variant):
+    """The S corpus (N=500, D=16, M=4, K=8) under `variant`, with a short decoder budget."""
+    cfg = ExperimentConfig(decoder_steps=10).with_variant(variant)
+    data = synthetic.generate(500, 16, 25, RandomSource(0).derive("synthetic"))
+    return cfg, ExperimentInputs.from_synthetic(data)
+
+
+ENGINE_RUNS = {**{v: lambda v=v: s_run(v) for v in ("full", "base", "pq-re", "pq-dis-md")}, "tokens": token_run}
+
+
+@pytest.mark.parametrize("run", sorted(ENGINE_RUNS))
+def test_engine_members_survive_save_and_load_after_every_session(tmp_path, run):
+    # A loaded cluster's members are its flagged documents' sub-vectors, sorted by code.
+    cfg, inputs = ENGINE_RUNS[run]()
+    state = None
+    for t in range(len(cfg.fractions)):
+        _, state = run_experiment(cfg, inputs, resume_state=state, stop_after_session=t)
+        save_state(state, tmp_path / "s.state")
+        loaded = load_state(tmp_path / "s.state")
+        assert bit_equal(loaded.member, state.member)
+        for ga, gb in zip(state.codebook.groups, loaded.codebook.groups, strict=True):
+            assert all_bit_equal(ga.member_vecs, gb.member_vecs)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
