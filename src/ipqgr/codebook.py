@@ -1,7 +1,8 @@
 """Product-quantization codebook: base construction, quantization, reconstruction.
 
 A codebook holds M sub-codebooks, one per vector group. Each sub-codebook
-keeps the member sub-vectors of every centroid: those it was clustered from,
+keeps its group's sub-vector of every coded document, in arrival order, and
+per centroid the rows of its members: the documents it was clustered from,
 those that moved it by a streaming-mean update, and the one that seeded it if
 it was added incrementally. Documents that only take a centroid's index are
 not members. The incremental update thresholds are functions of the members'
@@ -10,7 +11,8 @@ distances to the current centroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +24,20 @@ PqCode = tuple[int, ...]
 
 @dataclass
 class SubCodebook:
-    """Centroids and their member sub-vectors for one vector group."""
+    """Centroids, the group's document sub-vectors and each centroid's member rows."""
 
     centroids: np.ndarray  # (K_m, sub_dim)
-    member_vecs: list[np.ndarray] = field(default_factory=list)
+    vecs: np.ndarray | None = None  # (N, sub_dim), in the order the documents were coded
+    members: tuple = ()  # per centroid, its members' rows of `vecs` in ascending order
 
     @property
     def n_centroids(self) -> int:
         return self.centroids.shape[0]
+
+    @property
+    def member_vecs(self) -> tuple[np.ndarray, ...]:
+        """Each centroid's member sub-vectors, gathered by row."""
+        return tuple(self.vecs.take(rows, axis=0) for rows in self.members)
 
 
 @dataclass
@@ -70,6 +78,10 @@ class Codebook:
     def sizes(self) -> list[int]:
         return [g.n_centroids for g in self.groups]
 
+    def vectors(self, rows=slice(None)) -> np.ndarray:
+        """The coded documents' vectors at `rows` (default all): each group's sub-vectors side by side."""
+        return np.hstack([g.vecs[rows] for g in self.groups])
+
 
 def split_groups(x, m: int) -> list[np.ndarray]:
     """Split a D-dim vector into M contiguous sub-vectors of dim D/M."""
@@ -79,6 +91,23 @@ def split_groups(x, m: int) -> list[np.ndarray]:
     if m < 1 or x.shape[0] % m != 0:
         raise ValueError(f"dimension {x.shape[0]} not divisible by {m} groups")
     return list(x.reshape(m, x.shape[0] // m))
+
+
+def split_rows(a, counts) -> list:
+    """Consecutive row blocks of `a` with the given row counts, as views (or slices of a tuple)."""
+    ends = list(itertools.accumulate(counts))
+    return [a[e - c : e] for c, e in zip(counts, ends)]
+
+
+def member_rows(codes: np.ndarray, rows: np.ndarray, k: int) -> tuple[tuple[int, ...], ...]:
+    """`rows` by their code in `codes` (one group's column): k tuples of ascending rows."""
+    counts = np.bincount(codes[rows], minlength=k).tolist()
+    keys = codes[rows].astype(np.int64)  # code * n + row orders by code, then row; in place
+    keys *= len(codes)
+    keys += rows
+    keys.sort()
+    keys %= max(len(codes), 1)
+    return tuple(split_rows(tuple(keys.tolist()), counts))
 
 
 def build_base_codebook(embeddings, m: int, k: int, rng: RandomSource) -> Codebook:
@@ -105,5 +134,5 @@ def cluster_base(embeddings, m: int, k: int, rng: RandomSource) -> tuple[Codeboo
     for g in range(m):
         sub = embs[:, g * sub_dim : (g + 1) * sub_dim]
         centroids, codes[:, g] = kmeans(sub, k, rng.derive("kmeans", g))
-        groups.append(SubCodebook(centroids, [sub[codes[:, g] == c] for c in range(k)]))
+        groups.append(SubCodebook(centroids, sub.copy(), member_rows(codes[:, g], np.arange(n), k)))
     return Codebook(session=0, dim=dim, groups=groups), codes

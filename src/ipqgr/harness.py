@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import synthetic
-from .codebook import Codebook, SubCodebook, cluster_base
+from .codebook import Codebook, SubCodebook, cluster_base, member_rows, split_rows
 from .decoder import (
     TRAIN_STEP,
     DecoderParams,
@@ -35,7 +35,7 @@ from .decoder import (
     search,
     train_session,
 )
-from .ipq import THRESHOLD_MODES, InvalidStateError, UpdateKind, ingest_session
+from .ipq import THRESHOLD_MODES, InvalidStateError, ingest_session
 from .metrics import CUTOFF, QrelEntry, continual_metrics, hits_at, mrr_at, vert
 from .rehearsal import (
     SIGMA,
@@ -213,16 +213,14 @@ def split_benchmark(ids: list, fractions, rng: RandomSource) -> list[list]:
     order = sorted(range(len(fractions)), key=lambda i: (-(raw[i] - sizes[i]), i))
     for i in order[:leftovers]:
         sizes[i] += 1
-    return [[ids[i] for i in part] for part in _split_rows(rng.permutation(n), sizes)]
+    return [[ids[i] for i in part] for part in split_rows(rng.permutation(n), sizes)]
 
 
 @dataclass
 class EngineState:
     session: int
     codebook: Codebook
-    codes: dict
-    doc_embs: dict
-    member: np.ndarray  # (n x M) u1 in `codes` order: 1 if the doc is in its code's cluster
+    codes: dict  # doc id -> code, in the row order of the codebook's vectors
     decoder: DecoderParams
     fisher: FisherDiag | None
     projector: object | None
@@ -289,21 +287,15 @@ def _aligned(offset: int) -> int:
     return -(-offset // _ALIGN) * _ALIGN
 
 
-def _split_rows(a: np.ndarray, counts) -> list[np.ndarray]:
-    """Consecutive row blocks of `a` with the given row counts, as views."""
-    ends = list(itertools.accumulate(counts))
-    return [a[e - c : e] for c, e in zip(counts, ends)]
-
-
 def _metadata(state: EngineState, history: list) -> dict:
     """The state file's metadata: the counts that fix every array's shape."""
     cb, fisher, projector = state.codebook, state.fisher, state.projector
     ids = list(state.codes)
     if not all(type(i) is int or type(i) is str for i in ids):
         ids = [_stored_id(i) for i in ids]
-    for what, rows in (("embeddings", state.doc_embs), ("member flag rows", state.member)):
-        if len(rows) != len(ids):
-            raise ValueError(f"{len(ids)} coded docs but {len(rows)} {what}")
+    for m, g in enumerate(cb.groups):
+        if len(g.vecs) != len(ids):
+            raise ValueError(f"{len(ids)} coded docs but {len(g.vecs)} rows of group {m}'s vectors")
     if state.decoder.sizes() != cb.sizes():
         raise ValueError(f"decoder group sizes {state.decoder.sizes()} differ from the codebook's {cb.sizes()}")
     return {
@@ -322,14 +314,16 @@ def _payload(state: EngineState, history: list) -> list:
     """The payload as buffers in file order: metadata length and JSON, then arrays."""
     meta = _metadata(state, history)
     cb, projector = state.codebook, state.projector
-    rows = [state.doc_embs[i] for i in state.codes] or [np.zeros(0)]
+    member = np.zeros((len(state.codes), cb.n_groups), "u1")  # 1 if the doc is in its code's cluster
+    for m, g in enumerate(cb.groups):
+        member[np.fromiter(itertools.chain.from_iterable(g.members), np.intp), m] = 1
     arrays = {
-        "embeddings": np.concatenate(rows).reshape(len(state.codes), cb.dim),
+        "embeddings": cb.vectors(),
         "centroids": np.concatenate([g.centroids for g in cb.groups]),
         "decoder_weights": state.decoder.w,
         "decoder_biases": state.decoder.b,
         "codes": np.array(list(state.codes.values()), "<i4").reshape(len(state.codes), cb.n_groups),
-        "member": state.member,
+        "member": member,
     }
     if state.fisher is not None:
         arrays["fisher_weights"], arrays["fisher_biases"] = state.fisher.w, state.fisher.b
@@ -345,10 +339,6 @@ def _payload(state: EngineState, history: list) -> list:
         out.append(b"\0" * (_aligned(end) - end))
         out.append(a)
         end = _aligned(end) + a.nbytes
-    for m, g in enumerate(cb.groups):
-        counts = [len(v) for v in g.member_vecs]
-        if np.bincount(arrays["codes"][state.member[:, m] == 1, m], minlength=len(counts)).tolist() != counts:
-            raise ValueError(f"group {m}'s member counts {counts} differ from its flagged codes'")
     return out
 
 
@@ -469,14 +459,14 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
         raise ValueError("a code is out of range of its group's centroids")
     if (flags > 1).any():
         raise ValueError("array 'member' holds a flag other than 0 or 1")
-    # A cluster's members are its flagged docs in row order: one stable sort by code per group.
-    groups = []
-    for m, (k, centroids) in enumerate(zip(sizes, _split_rows(arrays["centroids"], sizes))):
-        rows = np.flatnonzero(flags[:, m])
-        rows = rows[np.argsort(codes[rows, m], kind="stable")]
-        vecs = arrays["embeddings"][rows, m * sub_dim : (m + 1) * sub_dim]
-        counts = np.bincount(codes[rows, m], minlength=k).tolist()
-        groups.append(SubCodebook(centroids, _split_rows(vecs, counts)))
+    # Built before the groups: with them held, its scratch raised the load's peak memory.
+    code_of = dict(zip(ids, zip(*codes.T.tolist())))
+    # A group's vectors are a view of its columns; a cluster's members are its flagged docs' rows.
+    groups = [
+        SubCodebook(centroids, arrays["embeddings"][:, m * sub_dim : (m + 1) * sub_dim],
+                    member_rows(codes[:, m], np.flatnonzero(flags[:, m]), k))
+        for m, (k, centroids) in enumerate(zip(sizes, split_rows(arrays["centroids"], sizes)))
+    ]
     decoder = DecoderParams(arrays["decoder_weights"], arrays["decoder_biases"], layout=Layout.of(sizes))
     fisher = None if meta["fisher"] is None else FisherDiag(
         arrays["fisher_weights"], arrays["fisher_biases"], layout=Layout.of(fisher_sizes))
@@ -486,9 +476,7 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     return EngineState(
         session=meta["session"],
         codebook=Codebook(meta["session"], dim, groups),
-        codes=dict(zip(ids, map(tuple, codes.tolist()))),
-        doc_embs=dict(zip(ids, arrays["embeddings"])),
-        member=flags,
+        codes=code_of,
         decoder=decoder,
         fisher=fisher,
         projector=projector,
@@ -587,16 +575,7 @@ class Engine:
             decoder, cb, doc_pairs, [], query_pairs, None, 0.0, TRAIN_STEP, cfg.decoder_steps
         )
         fisher = estimate_fisher(doc_pairs + query_pairs, decoder)
-        self.state = EngineState(
-            session=0,
-            codebook=cb,
-            codes=codes,
-            doc_embs={doc_id: np.asarray(e, dtype=float) for doc_id, e in zip(doc_ids, embs)},
-            member=np.ones(code_rows.shape, "u1"),  # k-means makes every doc a member
-            decoder=decoder,
-            fisher=fisher,
-            projector=projector,
-        )
+        self.state = EngineState(0, cb, codes, decoder, fisher, projector)
         return {
             "session": 0,
             "n_new_docs": len(doc_ids),
@@ -625,23 +604,22 @@ class Engine:
             if i in seen:
                 raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
             seen.add(i)
-        if token_docs is not None and st.projector is not None:
-            embs = np.stack([doc_embedding(d, st.projector) for d in token_docs])
-        else:
-            embs = np.asarray(doc_embs, dtype=float)
+        if (token_docs is None) == (st.projector is not None):
+            raise ValueError("this state embeds documents with its projector, so ingest needs token docs"
+                             if token_docs is None else "token docs given, but the state has no projector")
+        embs = (np.asarray(doc_embs, dtype=float) if token_docs is None
+                else np.stack([doc_embedding(d, st.projector) for d in token_docs]))
         _check_rows("documents", embs, st.codebook.dim, "the state's")
 
         old_ids = list(st.codes)
         log: list = []
         if cfg.threshold_mode == "recluster":
-            all_embs = np.vstack([np.stack([st.doc_embs[i] for i in old_ids]), embs])
+            all_embs = np.vstack([st.codebook.vectors(), embs])
             cb, code_rows = cluster_base(all_embs, cfg.m_groups, cfg.k_clusters, self._rng("ingest", t))
             cb.session = t
             codes = dict(zip(old_ids + list(doc_ids), map(tuple, code_rows.tolist())))
-            changed_old = sum(1 for i in old_ids if codes[i] != st.codes[i])
-            decision_counts = {"reclustered_old_codes_changed": changed_old}
-            st.codes, st.member = codes, np.ones(code_rows.shape, "u1")
-            new_code_map = {i: codes[i] for i in doc_ids}
+            decision_counts = {"reclustered_old_codes_changed": sum(codes[i] != st.codes[i] for i in old_ids)}
+            st.codes, new_code_map = codes, {i: codes[i] for i in doc_ids}
         else:
             cb, new_code_map, log = ingest_session(
                 st.codebook,
@@ -651,8 +629,6 @@ class Engine:
                 target_session=t,
             )
             st.codes.update(new_code_map)
-            joined = np.array([d.kind is not UpdateKind.UNCHANGED for d in log], "u1")  # document-major
-            st.member = np.vstack([st.member, joined.reshape(len(doc_ids), cb.n_groups)])
             decision_counts = dict(Counter(d.kind.value for d in log))
 
         bank = MemoryBank(t)
@@ -669,14 +645,14 @@ class Engine:
                     t, [MemoryBankEntry(old_ids[int(i)], None, 0) for i in sorted(pick)]
                 )
         bank_ids = bank.doc_ids()
-        bank_pairs = (
-            [(st.doc_embs[i], st.codes[i]) for i in bank_ids] if cfg.enable_mle_dneg else []
-        )
+        row_of = dict(zip(old_ids, range(len(old_ids))))
+        bank_embs = cb.vectors([row_of[i] for i in bank_ids])
+        bank_pairs = list(zip(bank_embs, map(st.codes.get, bank_ids))) if cfg.enable_mle_dneg else []
 
         pseudo_pairs = []
         if cfg.n_q:
             pseudo_rng = self._rng("pseudo", t)
-            targets = list(zip(doc_ids, embs)) + [(i, st.doc_embs[i]) for i in bank_ids]
+            targets = list(zip(doc_ids, embs)) + list(zip(bank_ids, bank_embs))
             for doc_id, emb in targets:
                 for pair in generate_pseudo_queries(
                     doc_id, emb, st.codes[doc_id], cfg.n_q, SIGMA, pseudo_rng.derive(doc_id)
@@ -693,8 +669,6 @@ class Engine:
         st.codebook = cb
         st.decoder = decoder
         st.session = t
-        for i, e in zip(doc_ids, embs):
-            st.doc_embs[i] = np.asarray(e, dtype=float)
         info = {
             "session": t,
             "n_new_docs": len(doc_ids),

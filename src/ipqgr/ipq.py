@@ -65,7 +65,8 @@ def _member_stats(members: np.ndarray, centroid: np.ndarray, k: int) -> tuple[fl
 
 def compute_thresholds(sub_codebook, k: int, rng: RandomSource) -> Thresholds:
     """Adaptive thresholds for cluster k: ad = mean, md = max + U(0, ad)."""
-    ad, top = _member_stats(sub_codebook.member_vecs[k], sub_codebook.centroids[k], k)
+    g = sub_codebook
+    ad, top = _member_stats(g.vecs.take(g.members[k], axis=0), g.centroids[k], k)
     return Thresholds(ad=ad, md=top + float(rng.uniform(0.0, ad)))
 
 
@@ -113,8 +114,8 @@ def ingest_session(
         raise InvalidStateError(
             f"codebook is at session {cb.session}, cannot produce session {target_session}"
         )
-    # The groups are rebuilt below: arrays no decision touches are shared, never written.
-    out = Codebook(t, cb.dim, [SubCodebook(g.centroids, list(g.member_vecs)) for g in cb.groups])
+    # The groups are rebuilt below: arrays and member tuples are shared, never written.
+    out = Codebook(t, cb.dim, [SubCodebook(g.centroids, g.vecs, g.members) for g in cb.groups])
     rows = [np.asarray(x, dtype=float) for _, x in new_docs]
     for x in rows:
         if x.shape != (cb.dim,):
@@ -138,11 +139,12 @@ def _ingest_group(group, m: int, ids: list, subs: np.ndarray, slack, mode: str) 
     Squared distances to the centroids are one array expression per block of
     DIST_BLOCK documents; a decision that moves or adds a centroid recomputes
     its column only. A cluster's (ad, max) is cached until a decision changes
-    it, and its new members go into a buffer that doubles when full.
+    it. The documents' sub-vectors are appended to the group's, and a member
+    joins its cluster as a row index.
     """
-    k_now, members = group.n_centroids, group.member_vecs
+    k_now, first, members = group.n_centroids, len(group.vecs), list(group.members)
+    vecs = np.concatenate([group.vecs, subs])
     cents = np.concatenate([group.centroids, np.empty_like(subs)])
-    used: dict[int, int] = {}  # rows in use of each member buffer grown here
     stats: dict[int, tuple[float, float]] = {}
     made = []
     for lo in range(0, len(subs), DIST_BLOCK):
@@ -156,29 +158,24 @@ def _ingest_group(group, m: int, ids: list, subs: np.ndarray, slack, mode: str) 
                 made.append(UpdateDecision(ids[lo + j], m, UpdateKind.UNCHANGED, k, dist, None, None))
                 continue
             if k not in stats:
-                stats[k] = _member_stats(members[k][: used.get(k, len(members[k]))], cents[k], k)
+                stats[k] = _member_stats(vecs.take(members[k], axis=0), cents[k], k)
             ad, top = stats[k]
             if not math.isfinite(ad):
                 raise ValueError(f"group {m}, cluster {k}: mean member distance {ad} is not finite")
             md = top + ad * slack[lo + j][m]
             kind = _decide(dist, ad, md, mode)
             if kind is UpdateKind.CHANGED:
-                used[k] = size = used.get(k, len(members[k])) + 1
-                if size > len(members[k]):
-                    members[k] = np.concatenate([members[k], np.empty_like(members[k])])
-                members[k][size - 1] = sub
-                cents[k] = cents[k] + (sub - cents[k]) / size
+                members[k] += (first + lo + j,)
+                cents[k] = cents[k] + (sub - cents[k]) / len(members[k])
                 del stats[k]
             elif kind is UpdateKind.ADDED:
                 k, k_now = k_now, k_now + 1
                 cents[k], stats[k] = sub, (0.0, 0.0)
-                members.append(sub[None, :].copy())
+                members.append((first + lo + j,))
             if kind is not UpdateKind.UNCHANGED:
                 d2[j + 1 :, k] = ((cents[k] - block[j + 1 :]) ** 2).sum(axis=1)
             made.append(UpdateDecision(ids[lo + j], m, kind, k, dist, ad, md))
-    for k, size in used.items():
-        members[k] = members[k][:size].copy()
-    group.centroids = cents[:k_now].copy()
+    group.vecs, group.members, group.centroids = vecs, tuple(members), cents[:k_now].copy()
     return made
 
 

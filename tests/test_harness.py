@@ -207,6 +207,18 @@ class TestStatePersistence:
         # Beyond the state it returns, loading allocates less than half the file.
         assert peak <= held + path.stat().st_size // 2
 
+    def test_loaded_state_holds_one_copy_of_each_document(self, tmp_path):
+        path = tmp_path / "h.state"
+        save_state(self.make_state(tmp_path), path)
+        tracemalloc.start()
+        try:
+            state = load_state(path)  # noqa: F841 (held, so the state counts as still allocated)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The vectors are held once, as the file holds them; codes and member rows add the rest.
+        assert held <= 1.5 * path.stat().st_size
+
     def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "s.state"
         save_state(self.make_state(tmp_path), path)
@@ -411,9 +423,11 @@ class TestRunExperiment:
         engine = Engine(cfg)
         engine.build_base(data.doc_ids, None, [], token_docs=data.token_docs)
         st, d = engine.state, engine.state.codebook.sub_dim
+        vectors = st.codebook.vectors()
         for g, group in enumerate(st.codebook.groups):
             for c, members in enumerate(group.member_vecs):
-                stored = [st.doc_embs[i][d * g : d * (g + 1)] for i in st.codes if st.codes[i][g] == c]
+                stored = [vectors[r, d * g : d * (g + 1)]
+                          for r, i in enumerate(st.codes) if st.codes[i][g] == c]
                 assert [v.tobytes() for v in members] == [v.tobytes() for v in stored]
 
 
@@ -426,6 +440,15 @@ class TestEngineGuards:
 
         with pytest.raises(InvalidStateError):
             engine.ingest(5, [999], np.zeros((1, 16)))
+
+    def test_ingest_refuses_token_docs_without_a_projector(self):
+        cfg = small_config()
+        _, state = run_experiment(cfg, small_inputs(), stop_after_session=1)
+        issued = dict(state.codes)
+        with pytest.raises(ValueError, match="^token docs given, but the state has no projector$"):
+            Engine(cfg, state).ingest(2, [900], np.zeros((1, 16)), token_docs=[np.zeros((6, 16))])
+        assert state.session == 1
+        assert state.codes == issued
 
     def test_evaluate_before_any_state_is_refused(self):
         from ipqgr.ipq import InvalidStateError
@@ -558,7 +581,7 @@ RETIRED_KEYS = {
 
 
 class TestCli:
-    def gen(self, tmp_path, n_docs=80, dim=16):
+    def gen(self, tmp_path, n_docs=80, dim=16, tokens=False):
         args = [
             "gen-synthetic", "--n-docs", str(n_docs), "--dim", str(dim), "--clusters", "8",
             "--seed", "3",
@@ -567,6 +590,7 @@ class TestCli:
             "--train-queries-out", str(tmp_path / "train_queries.emb"),
             "--qrels-out", str(tmp_path / "qrels.tsv"),
             "--train-qrels-out", str(tmp_path / "train_qrels.tsv"),
+            *(["--tokens-out", str(tmp_path / "tokens.tok")] if tokens else []),
         ]
         assert cli.main(args) == 0
 
@@ -661,6 +685,22 @@ class TestCli:
         history = load_state(state).history
         assert [rec["session"] for rec in history] == [0, 1, 2]
         assert history[2]["n_new_docs"] == 4
+
+    def test_ingest_of_vectors_into_a_token_state_is_refused(self, tmp_path, capsys):
+        # A token state codes documents in its projector's space, which raw vectors are not in.
+        self.gen(tmp_path, tokens=True)
+        cfg = {"decoder_steps": 5, "v_epochs": 1, "proj_inner_iters": 3}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        common = ["--config", str(tmp_path / "cfg.json"), "--seed", "3"]
+        state = tmp_path / "engine.state"
+        assert cli.main([*self.base_args(tmp_path), *common, "--tokens", str(tmp_path / "tokens.tok")]) == 0
+        before = state.read_bytes()
+        code = cli.main(["ingest", *common, "--state", str(state), "--docs", str(tmp_path / "docs.emb")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: this state embeds documents with its projector, so ingest needs token docs"
+        )
+        assert state.read_bytes() == before
 
     def test_unknown_config_key_is_a_clean_error(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"dimm": 16}))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipqgr import ipq
-from ipqgr.codebook import Codebook, SubCodebook, build_base_codebook, split_groups
+from ipqgr.codebook import Codebook, SubCodebook, build_base_codebook, split_groups, split_rows
 from ipqgr.ipq import (
     THRESHOLD_MODES,
     InvalidStateError,
@@ -30,12 +30,26 @@ def base_codebook(n=20, dim=8, m=2, k=4, seed=0):
     return build_base_codebook(embs, m, k, RandomSource(seed)), embs
 
 
+def sub_codebook(centroids, member_vecs):
+    """A SubCodebook whose cluster k's members are `member_vecs[k]`, stored cluster by cluster."""
+    counts = [len(v) for v in member_vecs]
+    rows = split_rows(tuple(range(sum(counts))), counts)
+    return SubCodebook(centroids, np.concatenate(member_vecs), tuple(rows))
+
+
+def set_members(g, k, vecs):
+    """Make `vecs` the only members of cluster k, appended as new rows of the group."""
+    first = len(g.vecs)
+    g.vecs = np.concatenate([g.vecs, vecs])
+    g.members = (*g.members[:k], tuple(range(first, len(g.vecs))), *g.members[k + 1 :])
+
+
 class TestComputeThresholds:
     def test_single_member_at_centroid(self):
         cb, _ = base_codebook()
         g = cb.groups[0]
         # Rebuild cluster 0 as a singleton sitting exactly on its centroid.
-        g.member_vecs[0] = g.centroids[0][None, :].copy()
+        set_members(g, 0, g.centroids[0][None, :].copy())
         th = compute_thresholds(g, 0, RandomSource(1))
         assert th.ad == 0.0
         assert th.md == 0.0
@@ -46,7 +60,7 @@ class TestComputeThresholds:
         c = g.centroids[0]
         unit = np.zeros_like(c)
         unit[0] = 1.0
-        g.member_vecs[0] = np.stack([c + unit, c + 3 * unit])
+        set_members(g, 0, np.stack([c + unit, c + 3 * unit]))
         th = compute_thresholds(g, 0, RandomSource(2))
         assert abs(th.ad - 2.0) < 1e-12
         assert 3.0 <= th.md <= 5.0  # max 3 plus U(0, ad=2) slack
@@ -64,9 +78,14 @@ class TestComputeThresholds:
     def test_empty_cluster_is_invalid_state(self):
         cb, _ = base_codebook()
         g = cb.groups[0]
-        g.member_vecs[0] = np.zeros((0, cb.sub_dim))
+        set_members(g, 0, np.zeros((0, cb.sub_dim)))
         with pytest.raises(InvalidStateError):
             compute_thresholds(g, 0, RandomSource(0))
+
+    def test_member_vecs_are_read_only(self):
+        g = base_codebook()[0].groups[0]
+        with pytest.raises(TypeError):
+            g.member_vecs[0] = g.centroids[0][None, :].copy()
 
 
 class TestClassify:
@@ -108,7 +127,7 @@ class TestIngestSession:
         cb, _ = base_codebook()
         g0 = cb.groups[0]
         z = g0.centroids[0].copy()
-        g0.member_vecs[0] = z[None, :].copy()
+        set_members(g0, 0, z[None, :].copy())
         x = np.concatenate([z, cb.groups[1].centroids[0]])
         out, codes, log = ingest_session(cb, [("new", x)], RandomSource(0))
         assert codes["new"][0] == 0
@@ -237,14 +256,16 @@ def reference_ingest_session(cb, new_docs, rng, threshold_mode="both"):
 
     Every (document, group) finds its nearest centroid over all centroids,
     recomputes the cluster's member distances, draws its own U(0, ad) slack
-    and grows the arrays by `np.vstack`.
+    and grows the arrays by `np.vstack`. It keeps each cluster's member
+    vectors in a list of its own.
     """
     out = copy.deepcopy(cb)
     out.session = cb.session + 1
+    member_vecs = [list(g.member_vecs) for g in out.groups]
     codes, log = {}, []
     for doc_id, x in new_docs:
         code = []
-        for m, (group, sub) in enumerate(zip(out.groups, split_groups(x, out.n_groups))):
+        for m, (group, members, sub) in enumerate(zip(out.groups, member_vecs, split_groups(x, out.n_groups))):
             d2 = ((group.centroids - sub) ** 2).sum(axis=1)
             k = int(d2.argmin())
             dist = float(np.sqrt(d2[k]))
@@ -252,7 +273,7 @@ def reference_ingest_session(cb, new_docs, rng, threshold_mode="both"):
                 code.append(k)
                 log.append(UpdateDecision(doc_id, m, UpdateKind.UNCHANGED, k, dist, None, None))
                 continue
-            dists = np.sqrt(((group.member_vecs[k] - group.centroids[k]) ** 2).sum(axis=1))
+            dists = np.sqrt(((members[k] - group.centroids[k]) ** 2).sum(axis=1))
             ad = float(dists.mean())
             md = float(dists.max()) + float(rng.uniform(0.0, ad))
             if threshold_mode == "both":
@@ -262,16 +283,17 @@ def reference_ingest_session(cb, new_docs, rng, threshold_mode="both"):
             else:
                 kind = UpdateKind.CHANGED if dist <= md else UpdateKind.ADDED
             if kind is UpdateKind.CHANGED:
-                group.member_vecs[k] = np.vstack([group.member_vecs[k], sub[None, :]])
-                size = len(group.member_vecs[k])
+                members[k] = np.vstack([members[k], sub[None, :]])
+                size = len(members[k])
                 group.centroids[k] = group.centroids[k] + (sub - group.centroids[k]) / size
             elif kind is UpdateKind.ADDED:
                 group.centroids = np.vstack([group.centroids, sub[None, :]])
-                group.member_vecs.append(sub[None, :].copy())
+                members.append(sub[None, :].copy())
                 k = group.n_centroids - 1
             code.append(k)
             log.append(UpdateDecision(doc_id, m, kind, k, dist, ad, md))
         codes[doc_id] = tuple(code)
+    out.groups = [sub_codebook(g.centroids, members) for g, members in zip(out.groups, member_vecs)]
     return out, codes, log
 
 
@@ -299,7 +321,7 @@ def ingest_cases(draw):
         for c in range(k):
             if r.random() < 0.3:
                 members[c] = centroids[c][None, :].copy()
-        groups.append(SubCodebook(centroids=centroids, member_vecs=members))
+        groups.append(sub_codebook(centroids, members))
     docs = values(n, m * width)
     for i in range(1, n):
         if r.random() < 0.3:
@@ -352,7 +374,7 @@ class TestIngestMatchesTheReferenceLoop:
         # ad = inf, for which numpy's U(0, ad) raises an OverflowError.
         cb, _ = base_codebook()
         g = cb.groups[1]
-        g.member_vecs[2] = g.centroids[2] + np.array([[1e200, 0.0, 0.0, 0.0]])
+        set_members(g, 2, g.centroids[2] + np.array([[1e200, 0.0, 0.0, 0.0]]))
         x = np.concatenate([cb.groups[0].centroids[0], g.centroids[2]])
         with np.errstate(over="ignore"), pytest.raises(
             ValueError, match="group 1, cluster 2: mean member distance inf"

@@ -34,7 +34,7 @@ def build_state(ids, sizes, sub_dim, fisher_sizes, projector_hidden, seed, histo
     """An EngineState filled with random values, whose members are flagged documents.
 
     Each (document, group) flag is drawn; cluster k of group m holds the
-    sub-vectors of the flagged documents coded k there, in row order.
+    rows of the flagged documents coded k there, in row order.
     """
     rng = np.random.default_rng(seed)
     m = len(sizes)
@@ -45,9 +45,9 @@ def build_state(ids, sizes, sub_dim, fisher_sizes, projector_hidden, seed, histo
     codes = np.array([[rng.integers(k) for k in sizes] for _ in ids], dtype=int).reshape(len(ids), m)
     member = rng.integers(0, 2, size=(len(ids), m)).astype("u1")
     groups = [
-        SubCodebook(rng.normal(size=(k, sub_dim)),
-                    [embs[(codes[:, g] == c) & (member[:, g] == 1), g * sub_dim : (g + 1) * sub_dim]
-                     for c in range(k)])
+        SubCodebook(rng.normal(size=(k, sub_dim)), embs[:, g * sub_dim : (g + 1) * sub_dim].copy(),
+                    tuple(tuple(np.flatnonzero((codes[:, g] == c) & (member[:, g] == 1)).tolist())
+                          for c in range(k)))
         for g, k in enumerate(sizes)
     ]
     fisher = None
@@ -63,8 +63,6 @@ def build_state(ids, sizes, sub_dim, fisher_sizes, projector_hidden, seed, histo
         session=session,
         codebook=Codebook(session, dim, groups),
         codes={i: tuple(code) for i, code in zip(ids, codes.tolist())},
-        doc_embs={i: e for i, e in zip(ids, embs)},
-        member=member,
         decoder=DecoderParams([rng.normal(size=(k, dim)) for k in sizes],
                               [rng.normal(size=k) for k in sizes]),
         fisher=fisher,
@@ -87,10 +85,9 @@ def assert_same_state(a: EngineState, b: EngineState) -> None:
     assert [(type(i), i) for i in a.codes] == [(type(i), i) for i in b.codes]
     assert list(a.codes.values()) == list(b.codes.values())
     assert all(type(c) is int for code in b.codes.values() for c in code)
-    assert list(a.doc_embs) == list(b.doc_embs)
-    assert all_bit_equal(list(a.doc_embs.values()), list(b.doc_embs.values()))
-    assert bit_equal(a.member, b.member)
+    assert bit_equal(a.codebook.vectors(), b.codebook.vectors())
     for ga, gb in zip(a.codebook.groups, b.codebook.groups, strict=True):
+        assert ga.members == gb.members
         assert bit_equal(ga.centroids, gb.centroids)
         assert all_bit_equal(ga.member_vecs, gb.member_vecs)
     assert all_bit_equal(a.decoder.weights, b.decoder.weights)
@@ -366,16 +363,13 @@ def test_save_refuses_a_decoder_unlike_the_codebook(tmp_path):
 
 
 def test_save_refuses_members_unlike_their_flags(tmp_path):
-    # The file stores only the flags, so each cluster's member count must be its flagged codes'.
+    # The file stores one row of vectors and flags per coded document.
     state = build_state([1, 2, 3], [3, 2], 2, None, None, seed=0)
-    state.member[0, 1] ^= 1
-    with pytest.raises(ValueError, match=r"group 1's member counts \[\d+, \d+\] differ from its flagged codes'"):
+    group = state.codebook.groups[1]
+    group.vecs = group.vecs[:-1]
+    with pytest.raises(ValueError, match="3 coded docs but 2 rows of group 1's vectors"):
         save_state(state, tmp_path / "s.state")
-    state.member[0, 1] ^= 1
-    state.member = state.member[:-1]
-    with pytest.raises(ValueError, match="3 coded docs but 2 member flag rows"):
-        save_state(state, tmp_path / "s.state")
-    with pytest.raises(ValueError, match="3 coded docs but 2 member flag rows"):
+    with pytest.raises(ValueError, match="3 coded docs but 2 rows of group 1's vectors"):
         state_core_bytes(state)
     assert list(tmp_path.iterdir()) == []
 
@@ -383,9 +377,8 @@ def test_save_refuses_members_unlike_their_flags(tmp_path):
 def test_clusters_without_members_are_saved(tmp_path):
     # k-means' final reassignment can leave a cluster empty, and "none" ingests flag no one.
     state = build_state([1, 2, 3], [3, 2], 2, None, None, seed=0)
-    state.member[:] = 0
     for g in state.codebook.groups:
-        g.member_vecs = [v[:0] for v in g.member_vecs]
+        g.members = ((),) * g.n_centroids
     save_state(state, tmp_path / "s.state")
     assert_same_state(state, load_state(tmp_path / "s.state"))
 
@@ -409,8 +402,8 @@ def test_engine_members_survive_save_and_load_after_every_session(tmp_path, run)
         _, state = run_experiment(cfg, inputs, resume_state=state, stop_after_session=t)
         save_state(state, tmp_path / "s.state")
         loaded = load_state(tmp_path / "s.state")
-        assert bit_equal(loaded.member, state.member)
         for ga, gb in zip(state.codebook.groups, loaded.codebook.groups, strict=True):
+            assert ga.members == gb.members
             assert all_bit_equal(ga.member_vecs, gb.member_vecs)
 
 
