@@ -171,16 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tokens-out", default=None)
     g.set_defaults(func=cmd_gen_synthetic)
 
-    def add_common(sp, train=True):
+    def add_common(sp):
         sp.add_argument("--config", default=None, help="JSON experiment config")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--variant", choices=sorted(VARIANTS), default=None)
         sp.add_argument("--docs", required=True)
         sp.add_argument("--queries", required=True)
         sp.add_argument("--qrels", required=True)
-        if train:
-            sp.add_argument("--train-queries", default=None)
-            sp.add_argument("--train-qrels", default=None)
+        sp.add_argument("--train-queries", default=None)
+        sp.add_argument("--train-qrels", default=None)
         sp.add_argument("--tokens", default=None)
 
     r = sub.add_parser("run", help="run the full continual protocol")

@@ -312,8 +312,9 @@ def train_session(
     """Full-batch descent on MLE(new) + MLE(bank) + MLE(pseudo) + lam * EWC.
 
     The three pair lists are stacked into one batch once per session, and
-    its target rows checked once. The anchor and the Fisher are padded once
-    to the session's layout, zero where the codebook grew. Each of the
+    its target rows checked once. The anchor is the descent's start: the
+    previous decoder padded to the session's layout, zero where the codebook
+    grew. The Fisher is padded once to the same layout. Each of the
     `steps` steps is a `backtracking_descent` step: it starts at `step`, or
     after the first at min(step, STEP_GROWTH x the last accepted step size),
     and halves until the loss does not rise.
@@ -325,12 +326,12 @@ def train_session(
     batch = PairBatch.stack(pairs)
     anchored = lam != 0.0 and fisher is not None
     if anchored:
-        prev, fisher = prev.padded(params.layout), fisher.padded(params.layout)
+        fisher = fisher.padded(params.layout)
 
     def objective(p: DecoderParams):
         loss, grad = mle_loss(batch, p)
         if anchored:
-            l, g = ewc_loss(p, prev, fisher)
+            l, g = ewc_loss(p, params, fisher)
             loss += lam * l
             grad.w += lam * g.w
             grad.b += lam * g.b

@@ -47,6 +47,7 @@ from .rehearsal import (
 )
 from .repr_learner import PROJ_STEP, SPANS_PER_LEVEL, TAU, ProjectorParams, doc_embedding, iterative_train
 from .rng import RandomSource
+from .synthetic import ExperimentInputs
 
 REPORT_SCHEMA = "ipqgr-report/1"
 
@@ -178,23 +179,6 @@ class ExperimentConfig:
         return lambda run, qrels: hits_at(run, qrels, CUTOFF)
 
 
-@dataclass
-class ExperimentInputs:
-    doc_ids: list
-    doc_embs: np.ndarray
-    test_query_ids: list
-    test_query_embs: np.ndarray
-    test_qrels: dict  # query id -> relevant doc id
-    train_query_ids: list = field(default_factory=list)
-    train_query_embs: np.ndarray | None = None
-    train_qrels: dict = field(default_factory=dict)
-    token_docs: list | None = None
-
-    @classmethod
-    def from_synthetic(cls, data: synthetic.SyntheticData) -> "ExperimentInputs":
-        return cls(**vars(data))  # the same fields under the same names
-
-
 def split_benchmark(ids: list, fractions, rng: RandomSource) -> list[list]:
     """Disjoint random split of ids into per-session groups of exact sizes.
 
@@ -235,7 +219,7 @@ _ALIGN = 16  # every array starts at a multiple of this many bytes into the file
 # Metadata fields and what each holds; every array's shape follows from them.
 # "fisher" and "projector" may be null.
 _META_FIELDS = {
-    "session": "int",
+    "session": "count",
     "ids": "list",
     "history": "list",
     "codebook": {"dim": "count", "sizes": "counts"},
@@ -598,10 +582,10 @@ class Engine:
         for what, given in (("embedding rows", doc_embs), ("token docs", token_docs)):
             if given is not None and len(given) != len(doc_ids):
                 raise ValueError(f"{len(doc_ids)} doc ids but {len(given)} {what}")
-        seen = set(st.codes)
+        seen = set()
         for i in doc_ids:
             _stored_id(i)
-            if i in seen:
+            if i in st.codes or i in seen:
                 raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
             seen.add(i)
         if (token_docs is None) == (st.projector is not None):
@@ -611,16 +595,19 @@ class Engine:
                 else np.stack([doc_embedding(d, st.projector) for d in token_docs]))
         _check_rows("documents", embs, st.codebook.dim, "the state's")
 
+        # Nothing is written to the state until the session has succeeded. `codes` maps
+        # the old documents to their current codes; under IPQ it is the state's own map.
         old_ids = list(st.codes)
         log: list = []
         if cfg.threshold_mode == "recluster":
             all_embs = np.vstack([st.codebook.vectors(), embs])
             cb, code_rows = cluster_base(all_embs, cfg.m_groups, cfg.k_clusters, self._rng("ingest", t))
             cb.session = t
-            codes = dict(zip(old_ids + list(doc_ids), map(tuple, code_rows.tolist())))
+            rows = list(map(tuple, code_rows.tolist()))
+            codes, new_code_map = dict(zip(old_ids, rows)), dict(zip(doc_ids, rows[len(old_ids):]))
             decision_counts = {"reclustered_old_codes_changed": sum(codes[i] != st.codes[i] for i in old_ids)}
-            st.codes, new_code_map = codes, {i: codes[i] for i in doc_ids}
         else:
+            codes = st.codes
             cb, new_code_map, log = ingest_session(
                 st.codebook,
                 list(zip(doc_ids, embs)),
@@ -628,13 +615,11 @@ class Engine:
                 cfg.threshold_mode,
                 target_session=t,
             )
-            st.codes.update(new_code_map)
             decision_counts = dict(Counter(d.kind.value for d in log))
 
         bank = MemoryBank(t)
         if cfg.c_repeats:
-            # Old documents under their current codes, which re-clustering rewrote.
-            index = CodeIndex.from_codes({i: st.codes[i] for i in old_ids})
+            index = CodeIndex.from_codes(codes)
             bank = build_memory_bank(new_code_map, index, cfg.c_repeats, cb, self._rng("bank", t), t)
             if cfg.random_bank:
                 size = len(bank.doc_ids())
@@ -647,28 +632,27 @@ class Engine:
         bank_ids = bank.doc_ids()
         row_of = dict(zip(old_ids, range(len(old_ids))))
         bank_embs = cb.vectors([row_of[i] for i in bank_ids])
-        bank_pairs = list(zip(bank_embs, map(st.codes.get, bank_ids))) if cfg.enable_mle_dneg else []
+        bank_codes = [codes[i] for i in bank_ids]
+        bank_pairs = list(zip(bank_embs, bank_codes)) if cfg.enable_mle_dneg else []
+        new_codes = [new_code_map[i] for i in doc_ids]
 
         pseudo_pairs = []
         if cfg.n_q:
             pseudo_rng = self._rng("pseudo", t)
-            targets = list(zip(doc_ids, embs)) + list(zip(bank_ids, bank_embs))
-            for doc_id, emb in targets:
-                for pair in generate_pseudo_queries(
-                    doc_id, emb, st.codes[doc_id], cfg.n_q, SIGMA, pseudo_rng.derive(doc_id)
-                ):
+            targets = list(zip(doc_ids, embs, new_codes)) + list(zip(bank_ids, bank_embs, bank_codes))
+            for doc_id, emb, code in targets:
+                for pair in generate_pseudo_queries(doc_id, emb, code, cfg.n_q, SIGMA, pseudo_rng.derive(doc_id)):
                     pseudo_pairs.append((pair.query, pair.code))
 
-        doc_pairs = [(e, new_code_map[i]) for i, e in zip(doc_ids, embs)]
+        doc_pairs = list(zip(embs, new_codes))
         decoder = train_session(
             st.decoder, cb, doc_pairs, bank_pairs, pseudo_pairs, st.fisher, cfg.lam,
             TRAIN_STEP, cfg.decoder_steps,
         )
         fisher_pairs = doc_pairs + pseudo_pairs
-        st.fisher = estimate_fisher(fisher_pairs, decoder) if fisher_pairs else st.fisher
-        st.codebook = cb
-        st.decoder = decoder
-        st.session = t
+        fisher = estimate_fisher(fisher_pairs, decoder) if fisher_pairs else st.fisher
+        codes.update(new_code_map)
+        st.codes, st.codebook, st.decoder, st.fisher, st.session = codes, cb, decoder, fisher, t
         info = {
             "session": t,
             "n_new_docs": len(doc_ids),
@@ -816,5 +800,5 @@ def run_synthetic_benchmark(
     )
     cfg = dataclasses.replace(cfg, **config_overrides).with_variant(variant)
     data = synthetic.generate(n_docs, dim, n_clusters, RandomSource(seed).derive("synthetic"))
-    report, _ = run_experiment(cfg, ExperimentInputs.from_synthetic(data))
+    report, _ = run_experiment(cfg, data)
     return report

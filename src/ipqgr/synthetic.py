@@ -1,31 +1,43 @@
 """Synthetic corpora: Gaussian-mixture documents with perturbation queries.
 
-Lets the full experiment protocol (and the acceptance suite) run with no
-external data. Each document gets one labeled training query and one test
-query, both sampled as noisy copies of the document embedding.
+`ExperimentInputs` is the corpus a run takes, synthetic or read from files.
+Synthetic corpora let the full experiment protocol (and the acceptance suite)
+run with no external data. Each document gets one labeled training query and
+one test query, both sampled as noisy copies of the document embedding.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import QrelEntry
 from .rng import RandomSource
+
+# Standard deviations of the Gaussian noise around a cluster center (documents),
+# a document (queries) and a document (its tokens); the scale of the centers.
+DOC_NOISE = 0.3
+QUERY_NOISE = 0.1
+TOKEN_NOISE = 0.5
+CLUSTER_SCALE = 1.0
 
 
 @dataclass
-class SyntheticData:
-    doc_ids: list[int]
+class ExperimentInputs:
+    doc_ids: list
     doc_embs: np.ndarray
-    test_query_ids: list[int]
+    test_query_ids: list
     test_query_embs: np.ndarray
-    test_qrels: dict  # query id -> relevant doc id (session filled in later)
-    train_query_ids: list[int]
-    train_query_embs: np.ndarray
-    train_qrels: dict
-    token_docs: list[np.ndarray] | None = None
+    test_qrels: dict  # query id -> relevant doc id
+    train_query_ids: list = field(default_factory=list)
+    train_query_embs: np.ndarray | None = None
+    train_qrels: dict = field(default_factory=dict)
+    token_docs: list | None = None
+
+    @classmethod
+    def from_synthetic(cls, data: "ExperimentInputs") -> "ExperimentInputs":
+        return dataclasses.replace(data)  # a shallow copy
 
 
 def generate(
@@ -33,21 +45,17 @@ def generate(
     dim: int,
     n_clusters: int,
     rng: RandomSource,
-    doc_noise: float = 0.3,
-    query_noise: float = 0.1,
-    cluster_scale: float = 1.0,
     with_tokens: bool = False,
     token_range: tuple[int, int] = (20, 60),
-    token_noise: float = 0.5,
-) -> SyntheticData:
+) -> ExperimentInputs:
     """Build a clustered corpus with one train and one test query per doc."""
     if n_docs < 1 or n_clusters < 1:
         raise ValueError("n_docs and n_clusters must be positive")
-    centers = cluster_scale * rng.derive("centers").normal((n_clusters, dim))
+    centers = CLUSTER_SCALE * rng.derive("centers").normal((n_clusters, dim))
     assign = rng.derive("assign").integers(n_clusters, size=n_docs)
-    doc_embs = centers[assign] + doc_noise * rng.derive("docs").normal((n_docs, dim))
-    test_embs = doc_embs + query_noise * rng.derive("test-queries").normal((n_docs, dim))
-    train_embs = doc_embs + query_noise * rng.derive("train-queries").normal((n_docs, dim))
+    doc_embs = centers[assign] + DOC_NOISE * rng.derive("docs").normal((n_docs, dim))
+    test_embs = doc_embs + QUERY_NOISE * rng.derive("test-queries").normal((n_docs, dim))
+    train_embs = doc_embs + QUERY_NOISE * rng.derive("train-queries").normal((n_docs, dim))
 
     doc_ids = list(range(n_docs))
     test_ids = list(range(n_docs))
@@ -59,9 +67,9 @@ def generate(
         token_docs = []
         for i in range(n_docs):
             n_tok = lo + int(tok_rng.derive(i, "len").integers(hi - lo + 1))
-            noise = token_noise * tok_rng.derive(i, "vals").normal((n_tok, dim))
+            noise = TOKEN_NOISE * tok_rng.derive(i, "vals").normal((n_tok, dim))
             token_docs.append(doc_embs[i] + noise)
-    return SyntheticData(
+    return ExperimentInputs(
         doc_ids=doc_ids,
         doc_embs=doc_embs,
         test_query_ids=test_ids,

@@ -314,6 +314,13 @@ class OpensOnUnpickle:
 
 
 class TestRunExperiment:
+    def test_generate_returns_the_inputs_a_run_takes(self):
+        # One class declares the corpus fields; from_synthetic is a shallow copy.
+        data = synthetic.generate(20, 16, 3, RandomSource(0).derive("synthetic"))
+        assert type(data) is ExperimentInputs is synthetic.ExperimentInputs
+        copy = ExperimentInputs.from_synthetic(data)
+        assert copy is not data and copy == data and copy.doc_embs is data.doc_embs
+
     def test_report_shape_and_schema(self):
         report, state = run_experiment(small_config(), small_inputs())
         assert report["schema"].startswith("ipqgr-report/")
@@ -490,6 +497,31 @@ class TestEngineGuards:
         _, state = run_experiment(small_config(**{field: 0}), small_inputs(), stop_after_session=1)
         info = state.history[1]
         assert info["bank_size" if field == "c_repeats" else "n_pseudo_pairs"] == 0
+
+    @pytest.mark.parametrize("mode", ["both", "recluster"])
+    def test_a_failed_ingest_leaves_the_state_as_it_was(self, mode, monkeypatch):
+        # Training fails after the session's codes are known; none of them may
+        # reach the state, and re-clustering may not rewrite the old ones.
+        cfg = small_config(threshold_mode=mode)
+        data = small_inputs()
+        engine = Engine(cfg)
+        engine.build_base(data.doc_ids[:100], data.doc_embs[:100], [])
+        st = engine.state
+        issued, sizes = dict(st.codes), st.codebook.sizes()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("training failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "train_session", fail)
+            with pytest.raises(RuntimeError, match="training failed"):
+                engine.ingest(1, data.doc_ids[100:], data.doc_embs[100:])
+        assert st.session == 0 and st.codes == issued
+        assert st.codebook.sizes() == sizes
+        assert [len(g.vecs) for g in st.codebook.groups] == [100] * cfg.m_groups
+        engine.ingest(1, data.doc_ids[100:], data.doc_embs[100:])
+        assert st.session == 1 and len(st.codes) == 120
+        assert [len(g.vecs) for g in st.codebook.groups] == [120] * cfg.m_groups
 
     def test_evaluate_sees_codes_issued_through_another_engine(self):
         # Two engines on one state: rankings follow the state's codes, whichever

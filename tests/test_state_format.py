@@ -123,7 +123,7 @@ def engine_states(draw):
         projector_hidden=draw(st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3))),
         seed=draw(st.integers(0, 2**32 - 1)),
         history=draw(st.lists(st.dictionaries(st.text(), json_values, max_size=4), max_size=3)),
-        session=draw(st.integers(-1, 20)),
+        session=draw(st.integers(0, 20)),
     )
 
 
@@ -273,6 +273,10 @@ def change_dim(by_groups):
     return edit
 
 
+def negative_session(meta, arrays):
+    meta["session"] = -3
+
+
 def flag_two(meta, arrays):
     arrays["member"][0, 0] = 2
 
@@ -305,6 +309,7 @@ MALFORMED = {
     "member-flag-two": (dict(edit=flag_two), "array 'member' holds a flag other than 0 or 1"),
     "code-out-of-range": (dict(edit=code_out_of_range), "a code is out of range"),
     "truncated-json": (dict(cut_text=7), "unreadable metadata"),
+    "negative-session": (dict(edit=negative_session), r"metadata\.session must be an integer >= 0"),
 }
 
 
