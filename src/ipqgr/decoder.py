@@ -137,21 +137,16 @@ def _log_softmax_block(params: DecoderParams, queries: np.ndarray) -> list[np.nd
     return out
 
 
-def group_log_probs(params: DecoderParams, e: np.ndarray) -> list[np.ndarray]:
-    """Per-group log-softmax score vectors for a conditioning vector."""
-    return [lp[0] for lp in _log_softmax_block(params, np.asarray(e, dtype=float)[None])]
-
-
 def docid_log_prob(e: np.ndarray, code: PqCode, params: DecoderParams) -> float:
     """log p(code | e) summed over the M factorized positions."""
     if len(code) != params.n_groups:
         raise ValueError(f"code length {len(code)} != {params.n_groups} groups")
-    logps = group_log_probs(params, e)
+    logps = _log_softmax_block(params, np.asarray(e, dtype=float)[None])
     total = 0.0
     for m, k in enumerate(code):
         if not 0 <= k < params.layout.sizes[m]:
             raise ValueError(f"centroid index {k} out of range in group {m}")
-        total += float(logps[m][k])
+        total += float(logps[m][0, k])
     return total
 
 

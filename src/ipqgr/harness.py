@@ -326,16 +326,13 @@ def _payload(state: EngineState, history: list) -> list:
     return out
 
 
-def state_core_bytes(state: EngineState) -> int:
-    """Size of the state file for `state` without its history (run bookkeeping).
+def _nbytes(payload: list) -> int:
+    return sum(memoryview(b).nbytes for b in payload)
 
-    Computed from the metadata and the array shapes alone; nothing is encoded.
-    """
-    meta = _metadata(state, history=[])
-    end = _HEADER.size + 8 + len(json.dumps(meta, separators=(",", ":")).encode())
-    for dtype, shape in _array_layout(meta).values():
-        end = _aligned(end) + math.prod(shape) * int(dtype[2:])
-    return end
+
+def state_core_bytes(state: EngineState) -> int:
+    """Size of the state file for `state` without its history (run bookkeeping)."""
+    return _HEADER.size + _nbytes(_payload(state, history=[]))
 
 
 def save_state(state: EngineState, path) -> None:
@@ -344,8 +341,7 @@ def save_state(state: EngineState, path) -> None:
     digest = hashlib.sha256()
     for b in payload:
         digest.update(b)
-    length = sum(memoryview(b).nbytes for b in payload)
-    header = _HEADER.pack(STATE_MAGIC, STATE_VERSION, digest.digest(), length)
+    header = _HEADER.pack(STATE_MAGIC, STATE_VERSION, digest.digest(), _nbytes(payload))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -451,6 +447,10 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
                     member_rows(codes[:, m], np.flatnonzero(flags[:, m]), k))
         for m, (k, centroids) in enumerate(zip(sizes, split_rows(arrays["centroids"], sizes)))
     ]
+    # IPQ reads a centroid's thresholds from its members, so a memberless one cannot take a document.
+    for m, g in enumerate(groups):
+        if () in g.members:
+            raise ValueError(f"group {m}, centroid {g.members.index(())} has no member")
     decoder = DecoderParams(arrays["decoder_weights"], arrays["decoder_biases"], layout=Layout.of(sizes))
     fisher = None if meta["fisher"] is None else FisherDiag(
         arrays["fisher_weights"], arrays["fisher_biases"], layout=Layout.of(fisher_sizes))
@@ -641,8 +641,8 @@ class Engine:
             pseudo_rng = self._rng("pseudo", t)
             targets = list(zip(doc_ids, embs, new_codes)) + list(zip(bank_ids, bank_embs, bank_codes))
             for doc_id, emb, code in targets:
-                for pair in generate_pseudo_queries(doc_id, emb, code, cfg.n_q, SIGMA, pseudo_rng.derive(doc_id)):
-                    pseudo_pairs.append((pair.query, pair.code))
+                queries = generate_pseudo_queries(emb, cfg.n_q, SIGMA, pseudo_rng.derive(doc_id))
+                pseudo_pairs += zip(queries, itertools.repeat(code))
 
         doc_pairs = list(zip(embs, new_codes))
         decoder = train_session(

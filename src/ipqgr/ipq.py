@@ -54,41 +54,19 @@ class UpdateDecision:
     md: float | None
 
 
-def _member_stats(members: np.ndarray, centroid: np.ndarray, k: int) -> tuple[float, float]:
-    """Mean and max distance from cluster k's members to its centroid."""
-    if len(members) == 0:
-        raise InvalidStateError(f"cluster {k} has no members")
-    dists = np.sqrt(((members - centroid) ** 2).sum(axis=1))
-    # numpy's mean of float64 is the same sum divided by the count.
-    return float(dists.sum()) / len(dists), float(dists.max())
+def classify(dist: float, th: Thresholds, mode: str = "both") -> UpdateKind:
+    """Three-way decision; boundary distances fall into the Changed branch.
 
-
-def compute_thresholds(sub_codebook, k: int, rng: RandomSource) -> Thresholds:
-    """Adaptive thresholds for cluster k: ad = mean, md = max + U(0, ad)."""
-    g = sub_codebook
-    ad, top = _member_stats(g.vecs.take(g.members[k], axis=0), g.centroids[k], k)
-    return Thresholds(ad=ad, md=top + float(rng.uniform(0.0, ad)))
-
-
-def classify(dist: float, th: Thresholds) -> UpdateKind:
-    """Three-way decision; boundary distances fall into the Changed branch."""
+    Under "ad_only" nothing adds a centroid: everything at or beyond ad moves
+    it. Under "md_only" nothing is left unchanged: everything within md moves it.
+    """
     if dist < 0:
         raise ValueError("distance must be non-negative")
-    if dist < th.ad:
+    if dist < th.ad and mode != "md_only":
         return UpdateKind.UNCHANGED
-    if dist <= th.md:
+    if dist <= th.md or mode == "ad_only":
         return UpdateKind.CHANGED
     return UpdateKind.ADDED
-
-
-def _decide(dist: float, ad: float, md: float, mode: str) -> UpdateKind:
-    if mode == "ad_only":
-        # No new centroids: everything at or beyond ad moves the centroid.
-        return UpdateKind.UNCHANGED if dist < ad else UpdateKind.CHANGED
-    if mode == "md_only":
-        # No unchanged branch: everything within md moves the centroid.
-        return UpdateKind.CHANGED if dist <= md else UpdateKind.ADDED
-    return classify(dist, Thresholds(ad, md))
 
 
 def ingest_session(
@@ -158,12 +136,16 @@ def _ingest_group(group, m: int, ids: list, subs: np.ndarray, slack, mode: str) 
                 made.append(UpdateDecision(ids[lo + j], m, UpdateKind.UNCHANGED, k, dist, None, None))
                 continue
             if k not in stats:
-                stats[k] = _member_stats(vecs.take(members[k], axis=0), cents[k], k)
+                if not members[k]:
+                    raise InvalidStateError(f"group {m}, cluster {k} has no members")
+                dists = np.sqrt(((vecs.take(members[k], axis=0) - cents[k]) ** 2).sum(axis=1))
+                # numpy's mean of float64 is the same sum divided by the count.
+                stats[k] = float(dists.sum()) / len(dists), float(dists.max())
             ad, top = stats[k]
             if not math.isfinite(ad):
                 raise ValueError(f"group {m}, cluster {k}: mean member distance {ad} is not finite")
             md = top + ad * slack[lo + j][m]
-            kind = _decide(dist, ad, md, mode)
+            kind = classify(dist, Thresholds(ad, md), mode)
             if kind is UpdateKind.CHANGED:
                 members[k] += (first + lo + j,)
                 cents[k] = cents[k] + (sub - cents[k]) / len(members[k])

@@ -3,7 +3,8 @@
 Old documents similar to an incoming document are found by flipping a few
 positions of the new document's PQ code and looking the perturbed codes up in
 an index of previously issued codes. Pseudo queries are sampled as Gaussian
-perturbations of a document's embedding and carry the document's own docid.
+perturbations of a document's embedding; the engine trains each toward the
+document's own docid.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class CodeIndex:
     def lookup(self, code: PqCode) -> list:
         return self._by_code.get(tuple(code), [])
 
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._by_code.values())
-
 
 @dataclass(frozen=True)
 class MemoryBankEntry:
@@ -66,27 +64,20 @@ def max_perturb_dims(m: int) -> int:
     return max(1, m // 6)
 
 
-def perturb_codes(code: PqCode, o: int, c: int, cb: Codebook, rng: RandomSource) -> list[PqCode]:
-    """Draw up to c codes differing from `code` in exactly o positions.
-
-    Positions whose group has a single centroid cannot change and are excluded;
-    if fewer than o positions remain, no perturbation exists and the result is
-    empty. Duplicates across the c draws are removed, preserving draw order.
-    """
-    m = cb.n_groups
-    if not 1 <= o <= m:
-        raise ValueError(f"o={o} must be in [1, {m}]")
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    return _perturb(tuple(code), o, c, _selectable(cb), rng)
-
-
 def _selectable(cb: Codebook) -> list[tuple[int, int]]:
     """(position, centroid count) of every group with at least two centroids."""
     return [(d, g.n_centroids) for d, g in enumerate(cb.groups) if g.n_centroids >= 2]
 
 
-def _perturb(code: PqCode, o: int, c: int, selectable: list, rng: RandomSource) -> list[PqCode]:
+def perturb_codes(code: PqCode, o: int, c: int, selectable: list, rng: RandomSource) -> list[PqCode]:
+    """Draw up to c codes differing from `code` in exactly o positions.
+
+    Only the `selectable` positions, as `_selectable` lists them, can change;
+    if fewer than o exist, no perturbation exists and the result is empty.
+    Duplicates across the c draws are removed, preserving draw order.
+    """
+    if o < 1 or c < 1:
+        raise ValueError(f"need o >= 1 and c >= 1, got o={o}, c={c}")
     if len(selectable) < o:
         return []
     out: dict[PqCode, None] = {}
@@ -117,14 +108,12 @@ def build_memory_bank(
     uses a stream derived from the id and o, so the bank is independent of
     iteration order.
     """
-    if c < 1:
-        raise ValueError("c must be >= 1")
     selectable = _selectable(cb)
     bank = MemoryBank(session=session)
     for doc_id, code in new_codes.items():
         found: set = set()
         for o in range(1, max_perturb_dims(cb.n_groups) + 1):
-            for cand in _perturb(tuple(code), o, c, selectable, rng.derive(doc_id, o)):
+            for cand in perturb_codes(tuple(code), o, c, selectable, rng.derive(doc_id, o)):
                 for old_id in index.lookup(cand):
                     if old_id not in found:
                         found.add(old_id)
@@ -132,28 +121,11 @@ def build_memory_bank(
     return bank
 
 
-@dataclass(frozen=True)
-class PseudoQueryPair:
-    query: np.ndarray
-    doc_id: object
-    code: PqCode
-
-
-def generate_pseudo_queries(
-    doc_id,
-    embedding: np.ndarray,
-    code: PqCode,
-    n_q: int,
-    sigma: float,
-    rng: RandomSource,
-) -> list[PseudoQueryPair]:
-    """Sample n_q noisy copies of a document embedding as pseudo queries."""
+def generate_pseudo_queries(embedding: np.ndarray, n_q: int, sigma: float, rng: RandomSource) -> np.ndarray:
+    """Sample n_q noisy copies of a document embedding as pseudo queries, one per row."""
     if n_q < 1:
         raise ValueError("n_q must be >= 1")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     embedding = np.asarray(embedding, dtype=float)
-    return [
-        PseudoQueryPair(embedding + sigma * rng.normal(embedding.shape), doc_id, tuple(code))
-        for _ in range(n_q)
-    ]
+    return embedding + sigma * rng.normal((n_q, *embedding.shape))

@@ -130,15 +130,6 @@ def sample_span(doc: np.ndarray, spec: GranularitySpec, rng: RandomSource) -> tu
     return int(start.item()), int(end.item())
 
 
-def pool_span(doc: np.ndarray, span: tuple[int, int]) -> np.ndarray:
-    """Mean of the token vectors in a 1-based [start, end) span."""
-    doc = np.asarray(doc, dtype=float)
-    start, end = span
-    if not (1 <= start < end <= doc.shape[0] + 1):
-        raise ValueError(f"empty or out-of-bounds span {span} for {doc.shape[0]} tokens")
-    return doc[start - 1 : end - 1].mean(axis=0)
-
-
 def _pool_spans(docs, start, end):
     """Span means from one cumulative sum over the concatenated tokens.
 

@@ -23,7 +23,6 @@ from ipqgr.decoder import (
     docid_log_prob,
     estimate_fisher,
     ewc_loss,
-    group_log_probs,
     mle_loss,
     search,
     train_session,
@@ -81,8 +80,8 @@ class TestDocidLogProb:
     def test_group_probabilities_normalize(self):
         params = random_params([5, 2, 7], dim=6, seed=3)
         e = np.random.default_rng(4).normal(size=6)
-        for logp in group_log_probs(params, e):
-            assert abs(np.exp(logp).sum() - 1.0) < 1e-9
+        for logp in decoder._log_softmax_block(params, e[None]):
+            assert abs(np.exp(logp[0]).sum() - 1.0) < 1e-9
 
     def test_invalid_code(self):
         params = DecoderParams.zeros([2, 2], dim=2)
@@ -345,9 +344,8 @@ class TestStepRule:
     def test_an_s_base_session_takes_at_most_one_and_a_half_losses_per_step(self, monkeypatch):
         cfg = harness.ExperimentConfig(dim=16, m_groups=4, k_clusters=8, seed=0, decoder_steps=100)
         data = synthetic.generate(500, 16, 25, RandomSource(0).derive("synthetic"))
-        inputs = harness.ExperimentInputs.from_synthetic(data)
         _, losses = record_trials(
-            monkeypatch, lambda: harness.run_experiment(cfg, inputs, stop_after_session=0)
+            monkeypatch, lambda: harness.run_experiment(cfg, data, stop_after_session=0)
         )
         accepted = sum(accepted_trials(losses))
         assert accepted == 100

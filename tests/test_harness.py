@@ -38,8 +38,7 @@ def small_config(**overrides):
 
 
 def small_inputs(n_docs=120, seed=0, n_clusters=10):
-    data = synthetic.generate(n_docs, 16, n_clusters, RandomSource(seed).derive("synthetic"))
-    return ExperimentInputs.from_synthetic(data)
+    return synthetic.generate(n_docs, 16, n_clusters, RandomSource(seed).derive("synthetic"))
 
 
 class TestSplitBenchmark:
@@ -418,7 +417,7 @@ class TestRunExperiment:
             dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=10,
             fractions=(0.7, 0.3), proj_inner_iters=3,
         )
-        report, state = run_experiment(cfg, ExperimentInputs.from_synthetic(data))
+        report, state = run_experiment(cfg, data)
         assert state.projector is not None
         assert len(report["sessions"]) == 2
 

@@ -18,7 +18,6 @@ from ipqgr.ipq import (
     UpdateDecision,
     UpdateKind,
     classify,
-    compute_thresholds,
     decision_log_lines,
     ingest_session,
 )
@@ -44,15 +43,24 @@ def set_members(g, k, vecs):
     g.members = (*g.members[:k], tuple(range(first, len(g.vecs))), *g.members[k + 1 :])
 
 
+def decision_at_centroid_0(cb):
+    """The group-0 decision for a document sitting on centroid 0 of every group."""
+    x = np.concatenate([g.centroids[0] for g in cb.groups])
+    return ingest_session(cb, [("new", x)], RandomSource(0))[2][0]
+
+
 class TestComputeThresholds:
+    """The thresholds `ingest_session` logs with each decision: ad = mean, md = max + U(0, ad)."""
+
     def test_single_member_at_centroid(self):
         cb, _ = base_codebook()
         g = cb.groups[0]
         # Rebuild cluster 0 as a singleton sitting exactly on its centroid.
         set_members(g, 0, g.centroids[0][None, :].copy())
-        th = compute_thresholds(g, 0, RandomSource(1))
-        assert th.ad == 0.0
-        assert th.md == 0.0
+        d = decision_at_centroid_0(cb)
+        assert (d.group, d.cluster) == (0, 0)
+        assert d.ad == 0.0
+        assert d.md == 0.0
 
     def test_hand_computed_mean_and_max(self):
         cb, _ = base_codebook()
@@ -61,26 +69,24 @@ class TestComputeThresholds:
         unit = np.zeros_like(c)
         unit[0] = 1.0
         set_members(g, 0, np.stack([c + unit, c + 3 * unit]))
-        th = compute_thresholds(g, 0, RandomSource(2))
-        assert abs(th.ad - 2.0) < 1e-12
-        assert 3.0 <= th.md <= 5.0  # max 3 plus U(0, ad=2) slack
+        d = decision_at_centroid_0(cb)
+        assert (d.group, d.cluster) == (0, 0)
+        assert abs(d.ad - 2.0) < 1e-12
+        assert 3.0 <= d.md <= 5.0  # max 3 plus U(0, ad=2) slack
 
     def test_ad_never_exceeds_md(self):
         cb, _ = base_codebook(n=60, seed=3)
-        rng = RandomSource(4)
-        for g in cb.groups:
-            for k in range(g.n_centroids):
-                if len(g.member_vecs[k]) == 0:
-                    continue
-                th = compute_thresholds(g, k, rng)
-                assert th.ad <= th.md
+        docs = [(i, v) for i, v in enumerate(np.random.default_rng(4).normal(size=(40, 8)) * 2)]
+        _, _, log = ingest_session(cb, docs, RandomSource(4))
+        assert len(log) == 80
+        assert all(d.ad <= d.md for d in log)
 
     def test_empty_cluster_is_invalid_state(self):
         cb, _ = base_codebook()
         g = cb.groups[0]
         set_members(g, 0, np.zeros((0, cb.sub_dim)))
-        with pytest.raises(InvalidStateError):
-            compute_thresholds(g, 0, RandomSource(0))
+        with pytest.raises(InvalidStateError, match="group 0, cluster 0 has no members"):
+            decision_at_centroid_0(cb)
 
     def test_member_vecs_are_read_only(self):
         g = base_codebook()[0].groups[0]
@@ -104,6 +110,13 @@ class TestClassify:
     def test_degenerate_zero_thresholds(self):
         # A shared representation goes down the Changed branch.
         assert classify(0.0, Thresholds(0.0, 0.0)) is UpdateKind.CHANGED
+
+    def test_modes_drop_a_branch(self):
+        th = Thresholds(2.0, 4.0)
+        assert [classify(d, th, "ad_only") for d in (1.0, 3.0, 5.0)] == [
+            UpdateKind.UNCHANGED, UpdateKind.CHANGED, UpdateKind.CHANGED]
+        assert [classify(d, th, "md_only") for d in (1.0, 3.0, 5.0)] == [
+            UpdateKind.CHANGED, UpdateKind.CHANGED, UpdateKind.ADDED]
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -277,7 +290,7 @@ def reference_ingest_session(cb, new_docs, rng, threshold_mode="both"):
             ad = float(dists.mean())
             md = float(dists.max()) + float(rng.uniform(0.0, ad))
             if threshold_mode == "both":
-                kind = classify(dist, Thresholds(ad, md))
+                kind = UpdateKind.UNCHANGED if dist < ad else UpdateKind.CHANGED if dist <= md else UpdateKind.ADDED
             elif threshold_mode == "ad_only":
                 kind = UpdateKind.UNCHANGED if dist < ad else UpdateKind.CHANGED
             else:

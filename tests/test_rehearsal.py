@@ -13,6 +13,7 @@ from ipqgr.rehearsal import (
     build_memory_bank,
     generate_pseudo_queries,
     max_perturb_dims,
+    _selectable,
     perturb_codes,
 )
 from ipqgr.rng import RandomSource
@@ -77,7 +78,7 @@ class TestPerturbCodes:
     def test_single_flip_neighbors_are_exhausted(self):
         cb = toy_codebook([2, 2, 2, 2])
         code = (0, 1, 0, 1)
-        got = set(perturb_codes(code, o=1, c=500, cb=cb, rng=RandomSource(0)))
+        got = set(perturb_codes(code, 1, 500, _selectable(cb), RandomSource(0)))
         expected = set()
         for d in range(4):
             flipped = list(code)
@@ -87,13 +88,13 @@ class TestPerturbCodes:
 
     def test_full_flip_with_binary_groups(self):
         cb = toy_codebook([2, 2])
-        assert perturb_codes((0, 0), o=2, c=20, cb=cb, rng=RandomSource(1)) == [(1, 1)]
+        assert perturb_codes((0, 0), 2, 20, _selectable(cb), RandomSource(1)) == [(1, 1)]
 
     def test_hamming_distance_is_exactly_o(self):
         cb = toy_codebook([5, 3, 4, 6])
         code = (4, 0, 2, 5)
         for o in (1, 2, 3, 4):
-            for cand in perturb_codes(code, o=o, c=50, cb=cb, rng=RandomSource(o)):
+            for cand in perturb_codes(code, o, 50, _selectable(cb), RandomSource(o)):
                 assert hamming(cand, code) == o
                 for d, k in enumerate(cand):
                     assert 0 <= k < cb.groups[d].n_centroids
@@ -101,26 +102,26 @@ class TestPerturbCodes:
     def test_original_code_never_emitted(self):
         cb = toy_codebook([3, 3, 3])
         code = (1, 1, 1)
-        out = perturb_codes(code, o=2, c=200, cb=cb, rng=RandomSource(2))
+        out = perturb_codes(code, 2, 200, _selectable(cb), RandomSource(2))
         assert code not in out
         assert len(out) == len(set(out))  # deduplicated
 
     def test_single_centroid_groups_are_not_selectable(self):
         cb = toy_codebook([1, 4, 1])
         # Only the middle position can change.
-        out = perturb_codes((0, 2, 0), o=1, c=100, cb=cb, rng=RandomSource(3))
+        out = perturb_codes((0, 2, 0), 1, 100, _selectable(cb), RandomSource(3))
         assert set(out) == {(0, 0, 0), (0, 1, 0), (0, 3, 0)}
         # Two selectable positions would be needed for o=2: none exist.
-        assert perturb_codes((0, 2, 0), o=2, c=10, cb=cb, rng=RandomSource(4)) == []
+        assert perturb_codes((0, 2, 0), 2, 10, _selectable(cb), RandomSource(4)) == []
 
     def test_invalid_arguments(self):
-        cb = toy_codebook([2, 2])
-        with pytest.raises(ValueError):
-            perturb_codes((0, 0), o=0, c=5, cb=cb, rng=RandomSource(0))
-        with pytest.raises(ValueError):
-            perturb_codes((0, 0), o=3, c=5, cb=cb, rng=RandomSource(0))
-        with pytest.raises(ValueError):
-            perturb_codes((0, 0), o=1, c=0, cb=cb, rng=RandomSource(0))
+        selectable = _selectable(toy_codebook([2, 2]))
+        with pytest.raises(ValueError, match="o=0"):
+            perturb_codes((0, 0), 0, 5, selectable, RandomSource(0))
+        with pytest.raises(ValueError, match="c=0"):
+            perturb_codes((0, 0), 1, 0, selectable, RandomSource(0))
+        # More flips than positions: no code differs in all of them.
+        assert perturb_codes((0, 0), 3, 5, selectable, RandomSource(0)) == []
 
 
 class TestCodeIndex:
@@ -128,7 +129,7 @@ class TestCodeIndex:
         idx = CodeIndex.from_codes({10: (0, 1), 11: (0, 1), 12: (1, 1)})
         assert idx.lookup((0, 1)) == [10, 11]
         assert idx.lookup((9, 9)) == []
-        assert len(idx) == 3
+        assert idx.lookup((1, 1)) == [12]
 
 
 class TestBuildMemoryBank:
@@ -225,29 +226,30 @@ class TestBuildMemoryBank:
 class TestGeneratePseudoQueries:
     def test_noiseless_queries_equal_the_document(self):
         emb = np.arange(6.0)
-        pairs = generate_pseudo_queries(5, emb, (0, 1), n_q=4, sigma=0.0, rng=RandomSource(0))
-        assert len(pairs) == 4
-        for p in pairs:
-            assert np.array_equal(p.query, emb)
-            assert p.doc_id == 5
-            assert p.code == (0, 1)
+        queries = generate_pseudo_queries(emb, n_q=4, sigma=0.0, rng=RandomSource(0))
+        assert np.array_equal(queries, np.tile(emb, (4, 1)))
 
     def test_noise_scale(self):
-        emb = np.zeros(8)
-        rng = RandomSource(1)
-        draws = np.stack(
-            [p.query for p in generate_pseudo_queries(0, emb, (0,), 10_000, 0.1, rng)]
-        )
+        draws = generate_pseudo_queries(np.zeros(8), 10_000, 0.1, RandomSource(1))
         std = draws.std(axis=0)
         assert (std > 0.095).all() and (std < 0.105).all()
 
     def test_cardinality_and_shared_target(self):
-        pairs = generate_pseudo_queries(1, np.zeros(4), (2, 3), n_q=3, sigma=0.5, rng=RandomSource(2))
-        assert len(pairs) == 3
-        assert {p.code for p in pairs} == {(2, 3)}
+        # One row per query, each drawn around the same document embedding.
+        emb = np.full(4, 7.0)
+        queries = generate_pseudo_queries(emb, n_q=3, sigma=0.5, rng=RandomSource(2))
+        assert queries.shape == (3, 4)
+        assert len({q.tobytes() for q in queries}) == 3
+        assert np.abs(queries - emb).max() < 5.0
+
+    def test_rows_are_the_draws_of_one_query_at_a_time(self):
+        emb = np.arange(5.0)
+        rng = RandomSource(3)
+        one_at_a_time = [emb + 0.1 * rng.normal(emb.shape) for _ in range(4)]
+        assert generate_pseudo_queries(emb, 4, 0.1, RandomSource(3)).tobytes() == np.stack(one_at_a_time).tobytes()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            generate_pseudo_queries(0, np.zeros(2), (0,), n_q=0, sigma=0.1, rng=RandomSource(0))
+            generate_pseudo_queries(np.zeros(2), n_q=0, sigma=0.1, rng=RandomSource(0))
         with pytest.raises(ValueError):
-            generate_pseudo_queries(0, np.zeros(2), (0,), n_q=1, sigma=-0.1, rng=RandomSource(0))
+            generate_pseudo_queries(np.zeros(2), n_q=1, sigma=-0.1, rng=RandomSource(0))

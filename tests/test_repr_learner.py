@@ -20,7 +20,6 @@ from ipqgr.repr_learner import (
     doc_embedding,
     iterative_train,
     mse_to_targets,
-    pool_span,
     sample_span,
 )
 from ipqgr.rng import RandomSource
@@ -59,11 +58,20 @@ class TestSampleSpan:
         spec = GranularitySpec("fuzz", l_min, l_min + extra)
         start, end = sample_span(np.zeros((n, 1)), spec, RandomSource(seed))
         assert 1 <= start < end <= n
-        pool_span(np.zeros((n, 1)), (start, end))  # must be poolable
+        reference_pool_span(np.zeros((n, 1)), (start, end))  # must be poolable
 
     def test_single_token_document_rejected(self):
         with pytest.raises(ValueError):
             sample_span(np.zeros((1, 2)), DEFAULT_GRANULARITIES[0], RandomSource(0))
+
+
+def reference_pool_span(doc, span):
+    """Mean of the token vectors in a 1-based [start, end) span, one span at a time."""
+    doc = np.asarray(doc, dtype=float)
+    start, end = span
+    if not (1 <= start < end <= doc.shape[0] + 1):
+        raise ValueError(f"empty or out-of-bounds span {span} for {doc.shape[0]} tokens")
+    return doc[start - 1 : end - 1].mean(axis=0)
 
 
 def reference_sample_span(doc, spec, rng, alpha=4.0, beta=2.0):
@@ -119,7 +127,7 @@ class TestEpochSpans:
             start, end = _sample_epoch_spans(docs, 3, SPECS, RandomSource(seed))
             pooled = _pool_spans(docs, start, end).reshape(start.shape + (4,))
             for idx in np.ndindex(start.shape):
-                oracle = pool_span(docs[idx[0]], (int(start[idx]), int(end[idx])))
+                oracle = reference_pool_span(docs[idx[0]], (int(start[idx]), int(end[idx])))
                 assert np.abs(pooled[idx] - oracle).max() <= 1e-10
 
     def test_rows_are_ordered_by_document_then_level_then_draw(self):
@@ -128,7 +136,7 @@ class TestEpochSpans:
         pooled = _pool_spans(docs, start, end)
         assert pooled.shape == (2 * 2 * 2, 2)
         row = 1 * 4 + 1 * 2 + 0  # document 1, level 1, draw 0
-        oracle = pool_span(docs[1], (int(start[1, 1, 0]), int(end[1, 1, 0])))
+        oracle = reference_pool_span(docs[1], (int(start[1, 1, 0]), int(end[1, 1, 0])))
         assert np.abs(pooled[row] - oracle).max() <= 1e-12
 
     def test_every_legal_start_occurs_at_a_fixed_length(self):
@@ -149,13 +157,15 @@ class TestEpochSpans:
 
 
 class TestPoolSpan:
+    """`reference_pool_span`, the oracle of `_pool_spans`, against hand-computed means."""
+
     def test_single_token_span(self):
         doc = np.array([[1.0, 2.0], [5.0, 7.0], [0.0, 0.0]])
-        assert np.array_equal(pool_span(doc, (2, 3)), [5.0, 7.0])
+        assert np.array_equal(reference_pool_span(doc, (2, 3)), [5.0, 7.0])
 
     def test_midpoint(self):
         doc = np.array([[0.0, 2.0], [2.0, 0.0]])
-        assert np.array_equal(pool_span(doc, (1, 3)), [1.0, 1.0])
+        assert np.array_equal(reference_pool_span(doc, (1, 3)), [1.0, 1.0])
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(2)
@@ -163,7 +173,7 @@ class TestPoolSpan:
         for _ in range(50):
             start = int(rng.integers(1, 30))
             end = int(rng.integers(start + 1, 32))
-            got = pool_span(doc, (start, end))
+            got = reference_pool_span(doc, (start, end))
             window = doc[start - 1 : end - 1]
             oracle = window.sum(axis=0) / window.shape[0]
             assert np.allclose(got, oracle, atol=1e-12)
@@ -171,11 +181,11 @@ class TestPoolSpan:
     def test_empty_or_out_of_bounds_span(self):
         doc = np.zeros((5, 2))
         with pytest.raises(ValueError):
-            pool_span(doc, (3, 3))
+            reference_pool_span(doc, (3, 3))
         with pytest.raises(ValueError):
-            pool_span(doc, (0, 2))
+            reference_pool_span(doc, (0, 2))
         with pytest.raises(ValueError):
-            pool_span(doc, (4, 8))
+            reference_pool_span(doc, (4, 8))
 
 
 class TestProjector:
@@ -440,7 +450,7 @@ class TestIterativeTrain:
         def held_out_loss(proj):
             anchors = proj.forward(np.stack([d.mean(axis=0) for d in docs]))
             pools = np.stack(
-                [pool_span(d, s) for d, ss in zip(docs, spans) for s in ss]
+                [reference_pool_span(d, s) for d, ss in zip(docs, spans) for s in ss]
             )
             reps = np.vstack([anchors, proj.forward(pools)])
             return contrastive_loss(reps, len(docs), 2, 0.1)[0]

@@ -18,7 +18,6 @@ from ipqgr.harness import (
     STATE_VERSION,
     EngineState,
     ExperimentConfig,
-    ExperimentInputs,
     _array_layout,
     canonical_report_bytes,
     load_state,
@@ -34,7 +33,9 @@ def build_state(ids, sizes, sub_dim, fisher_sizes, projector_hidden, seed, histo
     """An EngineState filled with random values, whose members are flagged documents.
 
     Each (document, group) flag is drawn; cluster k of group m holds the
-    rows of the flagged documents coded k there, in row order.
+    rows of the flagged documents coded k there, in row order. Row c is
+    coded c and flagged in each group with more than c centroids, so every
+    cluster has a member when there are at least as many ids as centroids.
     """
     rng = np.random.default_rng(seed)
     m = len(sizes)
@@ -44,6 +45,9 @@ def build_state(ids, sizes, sub_dim, fisher_sizes, projector_hidden, seed, histo
         embs[0, 0], embs[-1, -1] = -0.0, np.nan  # bit patterns that == would not check
     codes = np.array([[rng.integers(k) for k in sizes] for _ in ids], dtype=int).reshape(len(ids), m)
     member = rng.integers(0, 2, size=(len(ids), m)).astype("u1")
+    for g, k in enumerate(sizes):
+        seeded = min(k, len(ids))
+        codes[:seeded, g], member[:seeded, g] = np.arange(seeded), 1
     groups = [
         SubCodebook(rng.normal(size=(k, sub_dim)), embs[:, g * sub_dim : (g + 1) * sub_dim].copy(),
                     tuple(tuple(np.flatnonzero((codes[:, g] == c) & (member[:, g] == 1)).tolist())
@@ -116,7 +120,9 @@ def engine_states(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     fisher = draw(st.none() | st.just([draw(st.integers(0, k)) for k in sizes]))
     return build_state(
-        ids=draw(st.lists(st.integers(-(2**70), 2**70) | st.text(), max_size=6, unique=True)),
+        # At least one id per centroid, so that every cluster can have a member.
+        ids=draw(st.lists(st.integers(-(2**70), 2**70) | st.text(), min_size=max(sizes), max_size=6,
+                          unique=True)),
         sizes=sizes,
         sub_dim=draw(st.integers(1, 3)),
         fisher_sizes=fisher,
@@ -193,7 +199,7 @@ class TestRoundTrip:
 def synthetic_run():
     cfg = ExperimentConfig(decoder_steps=20, v_epochs=0, seed=7)
     data = synthetic.generate(120, 16, 10, RandomSource(7).derive("synthetic"))
-    return cfg, ExperimentInputs.from_synthetic(data)
+    return cfg, data
 
 
 def token_run():
@@ -201,7 +207,7 @@ def token_run():
                            proj_inner_iters=3, seed=3)
     data = synthetic.generate(60, 8, 5, RandomSource(3).derive("synthetic"), with_tokens=True,
                               token_range=(5, 12))
-    return cfg, ExperimentInputs.from_synthetic(data)
+    return cfg, data
 
 
 RUNS = {"synthetic": synthetic_run, "tokens": token_run}
@@ -285,6 +291,11 @@ def code_out_of_range(meta, arrays):
     arrays["codes"][0, 1] = meta["codebook"]["sizes"][1]
 
 
+def empty_cluster(meta, arrays):
+    """Unflag every member of centroid 0 in group 0, leaving it none."""
+    arrays["member"][arrays["codes"][:, 0] == 0, 0] = 0
+
+
 def resize_fisher(new_sizes):
     """An edit giving the Fisher these group sizes, its arrays cut or zero-padded to fit."""
 
@@ -308,6 +319,7 @@ MALFORMED = {
     "narrower-shape": (dict(edit=change_dim(-1)), r"\d+ bytes after the last array"),
     "member-flag-two": (dict(edit=flag_two), "array 'member' holds a flag other than 0 or 1"),
     "code-out-of-range": (dict(edit=code_out_of_range), "a code is out of range"),
+    "empty-cluster": (dict(edit=empty_cluster), "group 0, centroid 0 has no member"),
     "truncated-json": (dict(cut_text=7), "unreadable metadata"),
     "negative-session": (dict(edit=negative_session), r"metadata\.session must be an integer >= 0"),
 }
@@ -379,20 +391,11 @@ def test_save_refuses_members_unlike_their_flags(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_clusters_without_members_are_saved(tmp_path):
-    # k-means' final reassignment can leave a cluster empty, and "none" ingests flag no one.
-    state = build_state([1, 2, 3], [3, 2], 2, None, None, seed=0)
-    for g in state.codebook.groups:
-        g.members = ((),) * g.n_centroids
-    save_state(state, tmp_path / "s.state")
-    assert_same_state(state, load_state(tmp_path / "s.state"))
-
-
 def s_run(variant):
     """The S corpus (N=500, D=16, M=4, K=8) under `variant`, with a short decoder budget."""
     cfg = ExperimentConfig(decoder_steps=10).with_variant(variant)
     data = synthetic.generate(500, 16, 25, RandomSource(0).derive("synthetic"))
-    return cfg, ExperimentInputs.from_synthetic(data)
+    return cfg, data
 
 
 ENGINE_RUNS = {**{v: lambda v=v: s_run(v) for v in ("full", "base", "pq-re", "pq-dis-md")}, "tokens": token_run}
