@@ -76,9 +76,6 @@ class GroupRows:
     def biases(self) -> list[np.ndarray]:
         return np.split(self.b, self.layout.starts[1:])
 
-    def copy(self):
-        return self._with(self.w.copy(), self.b.copy(), self.layout)
-
     def n_params(self) -> int:
         return self.w.size + self.b.size
 
@@ -115,9 +112,6 @@ class Gradient(GroupRows):
 
     It unpacks and indexes as the pair (weights, biases) of per-group views.
     """
-
-    def __iter__(self):
-        return iter((self.weights, self.biases))
 
     def __getitem__(self, i: int) -> list[np.ndarray]:
         return (self.weights, self.biases)[i]
@@ -296,29 +290,25 @@ def align_to_codebook(params: DecoderParams, cb: Codebook) -> DecoderParams:
 def train_session(
     prev: DecoderParams,
     cb: Codebook,
-    doc_pairs: list[Pair],
-    bank_pairs: list[Pair],
-    pseudo_pairs: list[Pair],
+    batch: PairBatch,
     fisher: FisherDiag | None,
     lam: float,
     step: float,
     steps: int,
 ) -> DecoderParams:
-    """Full-batch descent on MLE(new) + MLE(bank) + MLE(pseudo) + lam * EWC.
+    """Full-batch descent on MLE(batch) + lam * EWC.
 
-    The three pair lists are stacked into one batch once per session, and
-    its target rows checked once. The anchor is the descent's start: the
-    previous decoder padded to the session's layout, zero where the codebook
-    grew. The Fisher is padded once to the same layout. Each of the
-    `steps` steps is a `backtracking_descent` step: it starts at `step`, or
-    after the first at min(step, STEP_GROWTH x the last accepted step size),
-    and halves until the loss does not rise.
+    `batch` holds every training pair of the session, stacked once by the
+    caller; its target rows are checked once per layout. The anchor is the
+    descent's start: the previous decoder padded to the session's layout,
+    zero where the codebook grew. The Fisher is padded once to the same
+    layout. Each of the `steps` steps is a `backtracking_descent` step: it
+    starts at `step`, or after the first at min(step, STEP_GROWTH x the last
+    accepted step size), and halves until the loss does not rise.
     """
     params = align_to_codebook(prev, cb)
-    pairs = doc_pairs + bank_pairs + pseudo_pairs
-    if steps <= 0 or not pairs:
+    if steps <= 0 or not len(batch):
         return params
-    batch = PairBatch.stack(pairs)
     anchored = lam != 0.0 and fisher is not None
     if anchored:
         fisher = fisher.padded(params.layout)

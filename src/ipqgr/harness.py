@@ -31,20 +31,14 @@ from .decoder import (
     DocidTrie,
     FisherDiag,
     Layout,
+    PairBatch,
     estimate_fisher,
     search,
     train_session,
 )
 from .ipq import THRESHOLD_MODES, InvalidStateError, ingest_session
 from .metrics import CUTOFF, QrelEntry, continual_metrics, hits_at, mrr_at, vert
-from .rehearsal import (
-    SIGMA,
-    CodeIndex,
-    MemoryBank,
-    MemoryBankEntry,
-    build_memory_bank,
-    generate_pseudo_queries,
-)
+from .rehearsal import SIGMA, CodeIndex, build_memory_bank, generate_pseudo_queries
 from .repr_learner import PROJ_STEP, SPANS_PER_LEVEL, TAU, ProjectorParams, doc_embedding, iterative_train
 from .rng import RandomSource
 from .synthetic import ExperimentInputs
@@ -124,9 +118,10 @@ class ExperimentConfig:
         for name in ("c_repeats", "n_q", "v_epochs", "decoder_steps", "proj_inner_iters"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        # A NaN lam stalls every anchored session at its first step.
-        if not self.lam >= 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        # A NaN or infinite lam stalls every anchored session at its first step
+        # (inf x 0 is NaN), leaving the decoder at its anchor.
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {sorted(VARIANTS)}")
         for name, value in VARIANTS[self.variant].items():
@@ -136,6 +131,9 @@ class ExperimentConfig:
                 )
         if self.dim % self.m_groups != 0:
             raise ValueError(f"dim {self.dim} not divisible by {self.m_groups} groups")
+        # Checked here, or a NaN or a negative fraction fails the run in `split_benchmark`.
+        if not all(0 <= f < math.inf for f in self.fractions):
+            raise ValueError(f"session fractions must be finite and non-negative, got {list(self.fractions)}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError("session fractions must sum to 1")
         if self.setting not in ("single", "sequential"):
@@ -552,18 +550,22 @@ class Engine:
             cb, code_rows = cluster_base(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"))
         codes = dict(zip(doc_ids, map(tuple, code_rows.tolist())))
 
-        decoder = DecoderParams.zeros(cb.sizes(), cfg.dim)
-        doc_pairs = [(e, codes[doc_id]) for doc_id, e in zip(doc_ids, embs)]
-        query_pairs = [(qe, codes[d]) for qe, d in train_query_pairs if d in codes]
+        # One batch: the documents, then the training queries of base documents,
+        # each row carrying its document's code. The Fisher is taken on it too.
+        row_of = dict(zip(doc_ids, range(len(doc_ids))))
+        kept = [(qe, row_of[d]) for qe, d in train_query_pairs if d in row_of]
+        queries = np.array([qe for qe, _ in kept], dtype=float).reshape(len(kept), cfg.dim)
+        batch = PairBatch(np.concatenate([embs, queries]),
+                          np.concatenate([code_rows, code_rows[[r for _, r in kept]]]))
         decoder = train_session(
-            decoder, cb, doc_pairs, [], query_pairs, None, 0.0, TRAIN_STEP, cfg.decoder_steps
+            DecoderParams.zeros(cb.sizes(), cfg.dim), cb, batch, None, 0.0, TRAIN_STEP, cfg.decoder_steps
         )
-        fisher = estimate_fisher(doc_pairs + query_pairs, decoder)
+        fisher = estimate_fisher(batch, decoder)
         self.state = EngineState(0, cb, codes, decoder, fisher, projector)
         return {
             "session": 0,
             "n_new_docs": len(doc_ids),
-            "n_train_query_pairs": len(query_pairs),
+            "n_train_query_pairs": len(kept),
             "decisions": {},
             "bank_size": 0,
             "n_pseudo_pairs": 0,
@@ -594,6 +596,7 @@ class Engine:
         embs = (np.asarray(doc_embs, dtype=float) if token_docs is None
                 else np.stack([doc_embedding(d, st.projector) for d in token_docs]))
         _check_rows("documents", embs, st.codebook.dim, "the state's")
+        embs = embs.reshape(len(doc_ids), st.codebook.dim)  # an empty session may come as []
 
         # Nothing is written to the state until the session has succeeded. `codes` maps
         # the old documents to their current codes; under IPQ it is the state's own map.
@@ -617,48 +620,46 @@ class Engine:
             )
             decision_counts = dict(Counter(d.kind.value for d in log))
 
-        bank = MemoryBank(t)
+        # The bank is old-document rows: in the order the search found them, or as many drawn at random.
+        bank_rows = []
         if cfg.c_repeats:
-            index = CodeIndex.from_codes(codes)
-            bank = build_memory_bank(new_code_map, index, cfg.c_repeats, cb, self._rng("bank", t), t)
+            bank = build_memory_bank(new_code_map, CodeIndex.from_codes(codes), cfg.c_repeats, cb,
+                                     self._rng("bank", t), t)
+            row_of = dict(zip(old_ids, range(len(old_ids))))
+            bank_rows = [row_of[i] for i in bank.doc_ids()]
             if cfg.random_bank:
-                size = len(bank.doc_ids())
-                pick = self._rng("random-bank", t).choice_without_replacement(
-                    len(old_ids), min(size, len(old_ids))
-                )
-                bank = MemoryBank(
-                    t, [MemoryBankEntry(old_ids[int(i)], None, 0) for i in sorted(pick)]
-                )
-        bank_ids = bank.doc_ids()
-        row_of = dict(zip(old_ids, range(len(old_ids))))
-        bank_embs = cb.vectors([row_of[i] for i in bank_ids])
-        bank_codes = [codes[i] for i in bank_ids]
-        bank_pairs = list(zip(bank_embs, bank_codes)) if cfg.enable_mle_dneg else []
-        new_codes = [new_code_map[i] for i in doc_ids]
+                pick = self._rng("random-bank", t).choice_without_replacement(len(old_ids), len(bank_rows))
+                bank_rows = sorted(pick.tolist())
+        bank_ids = [old_ids[r] for r in bank_rows]
 
-        pseudo_pairs = []
+        # One batch: the new documents, the bank documents when they are trained
+        # on, then n_q pseudo queries per new and per bank document, each row
+        # carrying its document's code.
+        docs = np.concatenate([embs, cb.vectors(bank_rows)])
+        doc_codes = np.array([new_code_map[i] for i in doc_ids] + [codes[i] for i in bank_ids],
+                             dtype=int).reshape(len(docs), cb.n_groups)
+        n = len(doc_ids)
+        n_head = len(docs) if cfg.enable_mle_dneg else n
+        vecs, targets = [docs[:n_head]], [doc_codes[:n_head]]
         if cfg.n_q:
             pseudo_rng = self._rng("pseudo", t)
-            targets = list(zip(doc_ids, embs, new_codes)) + list(zip(bank_ids, bank_embs, bank_codes))
-            for doc_id, emb, code in targets:
-                queries = generate_pseudo_queries(emb, cfg.n_q, SIGMA, pseudo_rng.derive(doc_id))
-                pseudo_pairs += zip(queries, itertools.repeat(code))
-
-        doc_pairs = list(zip(embs, new_codes))
-        decoder = train_session(
-            st.decoder, cb, doc_pairs, bank_pairs, pseudo_pairs, st.fisher, cfg.lam,
-            TRAIN_STEP, cfg.decoder_steps,
-        )
-        fisher_pairs = doc_pairs + pseudo_pairs
-        fisher = estimate_fisher(fisher_pairs, decoder) if fisher_pairs else st.fisher
+            for doc_id, emb in zip([*doc_ids, *bank_ids], docs):
+                vecs.append(generate_pseudo_queries(emb, cfg.n_q, SIGMA, pseudo_rng.derive(doc_id)))
+            targets.append(np.repeat(doc_codes, cfg.n_q, axis=0))
+        batch = PairBatch(np.concatenate(vecs), np.concatenate(targets))
+        decoder = train_session(st.decoder, cb, batch, st.fisher, cfg.lam, TRAIN_STEP, cfg.decoder_steps)
+        # The Fisher leaves out the bank documents' own rows: new documents and pseudo queries.
+        if n_head > n:
+            batch = PairBatch(*(np.delete(a, np.s_[n:n_head], axis=0) for a in (batch.vecs, batch.codes)))
+        fisher = estimate_fisher(batch, decoder) if len(batch) else st.fisher
         codes.update(new_code_map)
         st.codes, st.codebook, st.decoder, st.fisher, st.session = codes, cb, decoder, fisher, t
         info = {
             "session": t,
             "n_new_docs": len(doc_ids),
             "decisions": decision_counts,
-            "bank_size": len(bank_ids),
-            "n_pseudo_pairs": len(pseudo_pairs),
+            "bank_size": len(bank_rows),
+            "n_pseudo_pairs": cfg.n_q * len(docs),
             "codebook_sizes": cb.sizes(),
         }
         return info, log

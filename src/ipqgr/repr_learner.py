@@ -99,9 +99,6 @@ class ProjectorParams:
             self.b2 - lr * grads.b2,
         )
 
-    def copy(self) -> "ProjectorParams":
-        return ProjectorParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
 
 def _sample_epoch_spans(docs, g_per_level, granularities, rng: RandomSource):
     """Draw `g_per_level` 1-based [start, end) spans per granularity of every document.

@@ -1,5 +1,6 @@
 """Tests for the factorized docid decoder, its training, and constrained search."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -177,13 +178,13 @@ class TestEwcLoss:
         fisher = FisherDiag(
             [np.ones_like(w) for w in params.weights], [np.ones_like(b) for b in params.biases]
         )
-        loss, (gw, gb) = ewc_loss(params, params.copy(), fisher)
+        loss, (gw, gb) = ewc_loss(params, copy.deepcopy(params), fisher)
         assert loss == 0.0
         assert all(np.array_equal(g, np.zeros_like(g)) for g in gw + gb)
 
     def test_hand_square(self):
         prev = DecoderParams.zeros([1], dim=1)
-        cur = prev.copy()
+        cur = copy.deepcopy(prev)
         cur.biases[0][0] = 0.5
         fisher = FisherDiag([np.ones((1, 1))], [np.ones(1)])
         loss, _ = ewc_loss(cur, prev, fisher)
@@ -240,7 +241,7 @@ class TestTrainSession:
     def test_zero_steps_only_pads(self):
         cb = toy_codebook([3, 3])
         prev = random_params([2, 3], dim=2, seed=20)
-        out = train_session(prev, cb, self.make_pairs([2, 3], 2, 4, 21), [], [], None, 0.0, 0.05, 0)
+        out = train_session(prev, cb, PairBatch.stack(self.make_pairs([2, 3], 2, 4, 21)), None, 0.0, 0.05, 0)
         assert out.sizes() == [3, 3]
         assert np.array_equal(out.weights[0][:2], prev.weights[0])
         assert np.array_equal(out.weights[0][2], np.zeros(2))
@@ -250,7 +251,7 @@ class TestTrainSession:
         prev = DecoderParams.zeros([3, 3], dim=4)
         pairs = self.make_pairs([3, 3], 4, 12, 22)
         before, _ = mle_loss(pairs, prev)
-        out = train_session(prev, cb, pairs, [], [], None, 0.0, 0.05, 100)
+        out = train_session(prev, cb, PairBatch.stack(pairs), None, 0.0, 0.05, 100)
         after, _ = mle_loss(pairs, out)
         assert after < before
 
@@ -259,8 +260,8 @@ class TestTrainSession:
         prev = random_params([3, 3], dim=4, seed=23)
         pairs = self.make_pairs([3, 3], 4, 12, 24)
         fisher = estimate_fisher(pairs, prev)
-        free = train_session(prev, cb, pairs, [], [], fisher, 0.0, 0.05, 100)
-        pinned = train_session(prev, cb, pairs, [], [], fisher, 1e6, 0.05, 100)
+        free = train_session(prev, cb, PairBatch.stack(pairs), fisher, 0.0, 0.05, 100)
+        pinned = train_session(prev, cb, PairBatch.stack(pairs), fisher, 1e6, 0.05, 100)
         drift_free = sum(
             float(np.abs(a - b).sum()) for a, b in zip(free.weights, prev.weights)
         )
@@ -275,8 +276,8 @@ class TestTrainSession:
         prev = random_params([3, 3], dim=4, seed=26)
         pairs = self.make_pairs([3, 4], 4, 12, 27)
         fisher = estimate_fisher(self.make_pairs([3, 3], 4, 6, 28), prev)
-        got = train_session(prev, cb, pairs, [], [], fisher, 0.0, 0.05, 30)
-        want = train_session(prev, cb, pairs, [], [], None, 0.0, 0.05, 30)
+        got = train_session(prev, cb, PairBatch.stack(pairs), fisher, 0.0, 0.05, 30)
+        want = train_session(prev, cb, PairBatch.stack(pairs), None, 0.0, 0.05, 30)
         assert got.w.tobytes() == want.w.tobytes()
         assert got.b.tobytes() == want.b.tobytes()
 
@@ -287,7 +288,7 @@ class TestTrainSession:
         losses = []
         cur = prev
         for _ in range(10):
-            cur = train_session(cur, cb, pairs, [], [], None, 0.0, 0.05, 5)
+            cur = train_session(cur, cb, PairBatch.stack(pairs), None, 0.0, 0.05, 5)
             losses.append(mle_loss(pairs, cur)[0])
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -331,7 +332,7 @@ class TestStepRule:
         pairs = TestTrainSession().make_pairs([4, 4], 3, 10, 29)
         lrs, losses = record_trials(
             monkeypatch,
-            lambda: train_session(DecoderParams.zeros([4, 4], 3), cb, pairs, [], [], None, 0.0, 5.0, 30),
+            lambda: train_session(DecoderParams.zeros([4, 4], 3), cb, PairBatch.stack(pairs), None, 0.0, 5.0, 30),
         )
         accepted = accepted_trials(losses)
         assert len(accepted) == len(lrs) and lrs[0] == 5.0
@@ -432,7 +433,7 @@ class TestTrainSessionMatchesReference:
             fisher, lam = estimate_fisher(pairs(6, prev.sizes()), prev), 0.5
         else:
             fisher, lam = None, 0.0
-        got = train_session(prev, cb, *groups, fisher, lam, 0.05, 30)
+        got = train_session(prev, cb, PairBatch.stack([p for g in groups for p in g]), fisher, lam, 0.05, 30)
         want = reference_train_session(prev, cb, groups, fisher, lam, 0.05, 30)
         assert got.sizes() == want.sizes() == cb.sizes()
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
@@ -455,7 +456,7 @@ class TestTargetCodesAreValidated:
             "mle_loss": lambda: mle_loss(pairs, params),
             "estimate_fisher": lambda: estimate_fisher(pairs, params),
             "train_session": lambda: train_session(
-                params, toy_codebook(self.SIZES), pairs[:2], [], pairs[2:], None, 0.0, 0.05, 3
+                params, toy_codebook(self.SIZES), PairBatch.stack(pairs), None, 0.0, 0.05, 3
             ),
         }
         with pytest.raises(ValueError, match="pair 2"):
@@ -535,7 +536,7 @@ class TestLossBlocks:
             fisher, lam = estimate_fisher(prev_pairs, prev), 0.5
         else:
             fisher, lam = None, 0.0
-        got = train_session(prev, cb, *groups, fisher, lam, 0.05, 10)
+        got = train_session(prev, cb, PairBatch.stack(pairs), fisher, lam, 0.05, 10)
         want = reference_train_session(prev, cb, groups, fisher, lam, 0.05, 10)
         assert got.sizes() == want.sizes() == sizes
         assert close(got.weights + got.biases, want.weights + want.biases)
@@ -625,7 +626,7 @@ class TestFlatAnchor:
         sizes, prev, pairs, (a, b), fisher, _, lam = problem
         cb = toy_codebook(sizes)
         groups = (pairs[:a], pairs[a:b], pairs[b:])
-        got = train_session(prev, cb, *groups, fisher, lam, 0.05, 10)
+        got = train_session(prev, cb, PairBatch.stack(pairs), fisher, lam, 0.05, 10)
         want = reference_train_session(prev, cb, groups, fisher, lam, 0.05, 10)
         assert got.sizes() == want.sizes() == sizes
         assert close(got.weights + got.biases, want.weights + want.biases)
@@ -651,7 +652,7 @@ class TestFlatAnchor:
         fisher = estimate_fisher([(v, (c[0] % 2, 0, c[2])) for v, c in pairs], prev)
         saved = [a.copy() for a in (prev.w, prev.b, fisher.w, fisher.b)]
         layouts = prev.layout, fisher.layout
-        out = train_session(prev, toy_codebook([4, 2, 3]), pairs, [], [], fisher, 50.0, 0.05, 5)
+        out = train_session(prev, toy_codebook([4, 2, 3]), PairBatch.stack(pairs), fisher, 50.0, 0.05, 5)
         assert out.sizes() == [4, 2, 3]
         assert (prev.layout, fisher.layout) == layouts
         assert all(
@@ -685,7 +686,8 @@ class TestLossMemory:
         pairs, prev, fisher = self.setup_problem()
         cb = toy_codebook(self.SIZES)
         limit = self.N * sum(self.SIZES) * 8
-        assert self.peak(lambda: train_session(prev, cb, pairs, [], [], fisher, 0.5, 0.05, 2)) < limit
+        batch = PairBatch.stack(pairs)
+        assert self.peak(lambda: train_session(prev, cb, batch, fisher, 0.5, 0.05, 2)) < limit
         params = align_to_codebook(prev, cb)
         assert self.peak(lambda: estimate_fisher(pairs, params)) < limit
 

@@ -14,7 +14,7 @@ import pytest
 from ipqgr import cli, harness, synthetic
 from ipqgr.decoder import docid_log_prob
 from ipqgr.metrics import CUTOFF, QrelEntry, hits_at
-from ipqgr.rehearsal import build_memory_bank, max_perturb_dims
+from ipqgr.rehearsal import SIGMA, build_memory_bank, generate_pseudo_queries, max_perturb_dims
 from ipqgr.harness import (
     VARIANTS,
     Engine,
@@ -100,14 +100,16 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "field, values",
         [
-            ("lam", [-0.5, float("nan")]),
+            ("lam", [-0.5, float("nan"), float("inf")]),
             ("decoder_steps", [-1]),
             ("proj_inner_iters", [-1]),
+            ("fractions", [(float("nan"), 0.5, 0.5), (1.5, -0.5)]),
         ],
     )
     def test_training_values_that_break_a_run_are_refused(self, field, values):
-        # NaN lam stalls every anchored session; it used to be accepted and run
-        # to a silent result.
+        # A NaN or infinite lam stalls every anchored session; both used to be
+        # accepted and run to a silent result. A NaN or negative fraction used
+        # to pass and fail the run later, in `split_benchmark`.
         for value in values:
             with pytest.raises(ValueError, match=field):
                 ExperimentConfig(**{field: value}).validate()
@@ -590,6 +592,74 @@ class TestEngineGuards:
                 key=lambda t: (-t[1], isinstance(t[0], str), t[0]),
             )
             assert ranking == oracle
+
+
+class TestSessionBatch:
+    """The one batch an ingest trains on, and the pairs its Fisher is taken on."""
+
+    @pytest.mark.parametrize("variant", ["full", "no-mle-dneg"])
+    def test_rows_and_the_fishers_pair_set(self, variant, monkeypatch):
+        batches, banks = {}, []
+
+        def capture(name, fn, at):
+            def wrapped(*args):
+                batches[name] = args[at]
+                return fn(*args)
+            return wrapped
+
+        def keep(*args):
+            banks.append(build_memory_bank(*args))
+            return banks[-1]
+
+        monkeypatch.setattr(harness, "train_session", capture("train", harness.train_session, 2))
+        monkeypatch.setattr(harness, "estimate_fisher", capture("fisher", harness.estimate_fisher, 0))
+        monkeypatch.setattr(harness, "build_memory_bank", keep)
+        cfg = ExperimentConfig(c_repeats=50, decoder_steps=5).with_variant(variant)
+        data = synthetic.generate(500, 16, 25, RandomSource(0).derive("synthetic"))
+        engine = Engine(cfg)
+        engine.build_base(data.doc_ids[:300], data.doc_embs[:300], [])
+        old_vectors = dict(zip(engine.state.codes, engine.state.codebook.vectors()))
+        new_ids, new_embs = data.doc_ids[300:350], data.doc_embs[300:350]
+        info, _ = engine.ingest(1, new_ids, new_embs)
+
+        (bank,) = banks
+        bank_ids = bank.doc_ids()
+        assert bank_ids and info["bank_size"] == len(bank_ids)
+        codes = engine.state.codes
+        n, n_q = len(new_ids), cfg.n_q
+        docs = list(zip(new_ids, new_embs)) + [(i, old_vectors[i]) for i in bank_ids]
+        head = docs if cfg.enable_mle_dneg else docs[:n]
+        pseudo_rng = RandomSource(cfg.seed).derive("pseudo", 1)
+        want_vecs = [e for _, e in head] + [
+            q for i, e in docs for q in generate_pseudo_queries(e, n_q, SIGMA, pseudo_rng.derive(i))
+        ]
+        want_codes = [codes[i] for i, _ in head] + [codes[i] for i, _ in docs for _ in range(n_q)]
+        train = batches["train"]
+        assert train.vecs.tobytes() == np.array(want_vecs).tobytes()
+        assert train.codes.tolist() == [list(c) for c in want_codes]
+        assert info["n_pseudo_pairs"] == n_q * len(docs)
+
+        # The Fisher sees the new documents and every pseudo query, not the bank documents' rows.
+        fisher = batches["fisher"]
+        bank_block = np.s_[n : len(head)]
+        assert fisher.vecs.tobytes() == np.delete(train.vecs, bank_block, axis=0).tobytes()
+        assert fisher.codes.tolist() == np.delete(train.codes, bank_block, axis=0).tolist()
+        if not cfg.enable_mle_dneg:
+            assert len(train) == n + n_q * len(docs)
+            assert fisher.vecs.tobytes() == train.vecs.tobytes()
+            assert fisher.codes.tolist() == train.codes.tolist()
+
+    @pytest.mark.parametrize("mode", ["both", "recluster"])
+    def test_an_empty_session_trains_nothing(self, mode):
+        # An empty list of vectors has no width; the session still advances.
+        data = small_inputs()
+        engine = Engine(small_config(threshold_mode=mode))
+        engine.build_base(data.doc_ids[:100], data.doc_embs[:100], [])
+        decoder = engine.state.decoder
+        info, _ = engine.ingest(1, [], [])
+        assert (info["n_new_docs"], info["bank_size"], info["n_pseudo_pairs"]) == (0, 0, 0)
+        assert engine.state.session == 1 and len(engine.state.codes) == 100
+        assert engine.state.decoder.w.tobytes() == decoder.w.tobytes()
 
 
 # Config keys that were settings once, each with a value it used to take. Search

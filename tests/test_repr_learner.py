@@ -1,5 +1,6 @@
 """Tests for span sampling, pooling, the projector, and the two losses."""
 
+import copy
 import math
 import tracemalloc
 
@@ -217,7 +218,7 @@ class TestProjector:
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
-                p_hi, p_lo = proj.copy(), proj.copy()
+                p_hi, p_lo = copy.deepcopy(proj), copy.deepcopy(proj)
                 getattr(p_hi, name)[idx] += h
                 getattr(p_lo, name)[idx] -= h
                 numeric = (objective(p_hi) - objective(p_lo)) / (2 * h)
