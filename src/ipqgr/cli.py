@@ -3,7 +3,7 @@
 Subcommands:
     gen-synthetic   write a synthetic corpus (EMB1 docs/queries, qrels TSV)
     run             execute the full multi-session protocol, emit a report
-    build-base      run only session 0 and save the engine state
+    build-base      index every document as session 0 and save the engine state
     ingest          index one more session of documents into a saved state
     evaluate        score queries against a saved state, emit a run TSV
 
@@ -115,7 +115,9 @@ def cmd_run(args) -> int:
 def cmd_build_base(args) -> int:
     cfg = _load_config(args)
     inputs = _load_inputs(args, cfg)
-    _, state = run_experiment(cfg, inputs, stop_after_session=0)
+    # One session over every document; `fractions` splits only a `run`.
+    cfg.fractions = (1.0,)
+    _, state = run_experiment(cfg, inputs)
     save_state(state, args.state_out)
     print(f"base state (session 0) written to {args.state_out}")
     return 0
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     r.set_defaults(func=cmd_run)
 
-    b = sub.add_parser("build-base", help="run session 0 only and save state")
+    b = sub.add_parser("build-base", help="index every document as session 0 and save state")
     add_common(b)
     b.add_argument("--state-out", required=True)
     b.set_defaults(func=cmd_build_base)

@@ -37,7 +37,7 @@ from .decoder import (
     train_session,
 )
 from .ipq import THRESHOLD_MODES, InvalidStateError, ingest_session
-from .metrics import CUTOFF, QrelEntry, continual_metrics, hits_at, mrr_at, vert
+from .metrics import CUTOFF, QrelEntry, continual_metrics, mrr_at, vert
 from .rehearsal import SIGMA, CodeIndex, build_memory_bank, generate_pseudo_queries
 from .repr_learner import PROJ_STEP, SPANS_PER_LEVEL, TAU, ProjectorParams, doc_embedding, iterative_train
 from .rng import RandomSource
@@ -100,19 +100,20 @@ class ExperimentConfig:
     decoder_steps: int = 200
     seed: int = 0
     fractions: tuple = (0.6, 0.1, 0.1, 0.1, 0.1)
-    setting: str = "sequential"  # "single" | "sequential"
-    metric: str = "mrr"  # "mrr" | "hits", at metrics.CUTOFF
     enable_mle_dneg: bool = True
     threshold_mode: str = "both"  # one of ipq.THRESHOLD_MODES, or "recluster" (k-means anew)
     random_bank: bool = False
     variant: str = "full"
 
     def validate(self) -> None:
-        # Below 1, each count fails late or silently: m_groups divides by zero,
-        # and top_n writes an all-zero report.
-        for name in ("m_groups", "top_n"):
+        # Below 1, each count fails late: m_groups divides by zero, and dim and
+        # k_clusters fail inside k-means without naming the field.
+        for name in ("dim", "m_groups", "k_clusters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # Reports score MRR at the cutoff; a shorter ranking would report less under that name.
+        if self.top_n < CUTOFF:
+            raise ValueError(f"top_n must be at least the metric cutoff {CUTOFF}, got {self.top_n}")
         # Zero turns a part off (c_repeats, n_q) or skips its training. A negative
         # c_repeats or n_q would fail in `ingest` after it has issued the codes.
         for name in ("c_repeats", "n_q", "v_epochs", "decoder_steps", "proj_inner_iters"):
@@ -136,10 +137,6 @@ class ExperimentConfig:
             raise ValueError(f"session fractions must be finite and non-negative, got {list(self.fractions)}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError("session fractions must sum to 1")
-        if self.setting not in ("single", "sequential"):
-            raise ValueError(f"unknown evaluation setting {self.setting!r}")
-        if self.metric not in ("mrr", "hits"):
-            raise ValueError(f"unknown metric {self.metric!r}")
         if self.threshold_mode not in THRESHOLD_MODES + ("recluster",):
             raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
         if self.random_bank and self.c_repeats < 1:
@@ -171,11 +168,6 @@ class ExperimentConfig:
                 raise ValueError(f"config {name} must be {kinds[name][0]}, got {value!r}")
         return cls(**{**d, "fractions": tuple(d.get("fractions", cls.fractions))})
 
-    def metric_fn(self):
-        if self.metric == "mrr":
-            return lambda run, qrels: mrr_at(run, qrels, CUTOFF)
-        return lambda run, qrels: hits_at(run, qrels, CUTOFF)
-
 
 def split_benchmark(ids: list, fractions, rng: RandomSource) -> list[list]:
     """Disjoint random split of ids into per-session groups of exact sizes.
@@ -204,24 +196,23 @@ class EngineState:
     codebook: Codebook
     codes: dict  # doc id -> code, in the row order of the codebook's vectors
     decoder: DecoderParams
-    fisher: FisherDiag | None
+    fisher: FisherDiag
     projector: object | None
     history: list = field(default_factory=list)
 
 
 STATE_MAGIC = b"IPQS"
-STATE_VERSION = 5
+STATE_VERSION = 6
 _HEADER = struct.Struct("<4sI32sQ")  # magic, version, SHA-256 of the payload, payload length
 _ALIGN = 16  # every array starts at a multiple of this many bytes into the file
 
 # Metadata fields and what each holds; every array's shape follows from them.
-# "fisher" and "projector" may be null.
+# "projector" may be null.
 _META_FIELDS = {
     "session": "count",
     "ids": "list",
     "history": "list",
     "codebook": {"dim": "count", "sizes": "counts"},
-    "fisher": {"sizes": "counts"},
     "projector": {"hidden": "count", "in_dim": "count"},
 }
 
@@ -240,7 +231,8 @@ def _stored_id(doc_id):
 def _array_layout(meta: dict) -> dict:
     """Name -> (dtype, shape) of each array the metadata calls for, in file order.
 
-    The decoder has the codebook's group sizes, so the codebook's counts fix its shape.
+    The decoder and the Fisher have the codebook's group sizes, so the
+    codebook's counts fix their shapes.
     """
     n, cb = len(meta["ids"]), meta["codebook"]
     dim, m, k = cb["dim"], len(cb["sizes"]), sum(cb["sizes"])
@@ -249,11 +241,9 @@ def _array_layout(meta: dict) -> dict:
         "centroids": ("<f8", (k, dim // m)),
         "decoder_weights": ("<f8", (k, dim)),
         "decoder_biases": ("<f8", (k,)),
+        "fisher_weights": ("<f8", (k, dim)),
+        "fisher_biases": ("<f8", (k,)),
     }
-    if meta["fisher"] is not None:
-        k_fisher = sum(meta["fisher"]["sizes"])
-        layout["fisher_weights"] = ("<f8", (k_fisher, dim))
-        layout["fisher_biases"] = ("<f8", (k_fisher,))
     if meta["projector"] is not None:
         hidden, in_dim = meta["projector"]["hidden"], meta["projector"]["in_dim"]
         layout["projector_w1"] = ("<f8", (hidden, in_dim))
@@ -271,21 +261,21 @@ def _aligned(offset: int) -> int:
 
 def _metadata(state: EngineState, history: list) -> dict:
     """The state file's metadata: the counts that fix every array's shape."""
-    cb, fisher, projector = state.codebook, state.fisher, state.projector
+    cb, projector = state.codebook, state.projector
     ids = list(state.codes)
     if not all(type(i) is int or type(i) is str for i in ids):
         ids = [_stored_id(i) for i in ids]
     for m, g in enumerate(cb.groups):
         if len(g.vecs) != len(ids):
             raise ValueError(f"{len(ids)} coded docs but {len(g.vecs)} rows of group {m}'s vectors")
-    if state.decoder.sizes() != cb.sizes():
-        raise ValueError(f"decoder group sizes {state.decoder.sizes()} differ from the codebook's {cb.sizes()}")
+    for what, rows in (("decoder", state.decoder), ("fisher", state.fisher)):
+        if rows.sizes() != cb.sizes():
+            raise ValueError(f"{what} group sizes {rows.sizes()} differ from the codebook's {cb.sizes()}")
     return {
         "session": state.session,
         "ids": ids,
         "history": history,
         "codebook": {"dim": cb.dim, "sizes": cb.sizes()},
-        "fisher": None if fisher is None else {"sizes": fisher.sizes()},
         "projector": None if projector is None else {
             "hidden": projector.w1.shape[0], "in_dim": projector.w1.shape[1]
         },
@@ -304,11 +294,11 @@ def _payload(state: EngineState, history: list) -> list:
         "centroids": np.concatenate([g.centroids for g in cb.groups]),
         "decoder_weights": state.decoder.w,
         "decoder_biases": state.decoder.b,
+        "fisher_weights": state.fisher.w,
+        "fisher_biases": state.fisher.b,
         "codes": np.array(list(state.codes.values()), "<i4").reshape(len(state.codes), cb.n_groups),
         "member": member,
     }
-    if state.fisher is not None:
-        arrays["fisher_weights"], arrays["fisher_biases"] = state.fisher.w, state.fisher.b
     if projector is not None:
         for name in ("w1", "b1", "w2", "b2"):
             arrays[f"projector_{name}"] = getattr(projector, name)
@@ -361,7 +351,7 @@ def _check_fields(obj, fields: dict, where: str) -> None:
             raise ValueError(f"{where} lacks {key!r}")
         value, name = obj[key], f"{where}.{key}"
         if isinstance(kind, dict):
-            if value is not None or key not in ("fisher", "projector"):
+            if value is not None or key != "projector":
                 _check_fields(value, kind, name)
         elif not _KINDS[kind][1](value):
             raise ValueError(f"{name} must be {_KINDS[kind][0]}")
@@ -413,9 +403,6 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     sizes, dim, ids = cb["sizes"], cb["dim"], meta["ids"]
     if not sizes or dim % len(sizes):
         raise ValueError(f"codebook dim {dim} does not split into {len(sizes)} groups")
-    fisher_sizes = sizes if meta["fisher"] is None else meta["fisher"]["sizes"]
-    if len(fisher_sizes) != len(sizes) or any(f > k for f, k in zip(fisher_sizes, sizes)):
-        raise ValueError(f"fisher group sizes {fisher_sizes} do not fit the decoder's {sizes}")
     if not all(type(i) is int or type(i) is str for i in ids):
         raise ValueError("doc ids must be integers or strings")
     if len(set(ids)) != len(ids):
@@ -450,8 +437,7 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
         if () in g.members:
             raise ValueError(f"group {m}, centroid {g.members.index(())} has no member")
     decoder = DecoderParams(arrays["decoder_weights"], arrays["decoder_biases"], layout=Layout.of(sizes))
-    fisher = None if meta["fisher"] is None else FisherDiag(
-        arrays["fisher_weights"], arrays["fisher_biases"], layout=Layout.of(fisher_sizes))
+    fisher = FisherDiag(arrays["fisher_weights"], arrays["fisher_biases"], layout=Layout.of(sizes))
     projector = None
     if meta["projector"] is not None:
         projector = ProjectorParams(*(arrays[f"projector_{n}"] for n in ("w1", "b1", "w2", "b2")))
@@ -470,8 +456,9 @@ def load_state(path) -> EngineState:
     """Read a state file written by `save_state`.
 
     Only the current version loads. Versions 1 and 2 held a pickle, 3 a table of
-    array shapes and 4 each member's sub-vector, which version 5 flags by document.
-    They are refused unread, so loading never runs code from the file.
+    array shapes, 4 each member's sub-vector (version 5 flags it by document)
+    and 5 a Fisher that was optional and sized apart from the codebook. They
+    are refused unread, so loading never runs code from the file.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -481,7 +468,8 @@ def load_state(path) -> EngineState:
         if version > STATE_VERSION:
             raise ValueError(f"{path}: state version {version} is newer than supported {STATE_VERSION}")
         if version < STATE_VERSION:
-            held = {3: "a per-array table", 4: "member vectors"}.get(version, "a pickle")
+            held = {3: "a per-array table", 4: "member vectors",
+                    5: "a separately sized Fisher"}.get(version, "a pickle")
             raise ValueError(f"{path}: state version {version} holds {held} and is not read; "
                              f"rebuild it (version {STATE_VERSION})")
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
@@ -706,8 +694,7 @@ def run_experiment(
         qid: QrelEntry(doc_id, doc_arrival[doc_id]) for qid, doc_id in inputs.test_qrels.items()
     }
     # Session-specific query sets follow their relevant document's arrival, so
-    # Q_i is answerable exactly from session i onward; unjudged queries are
-    # only ever scored in the single-query-set setting.
+    # Q_i is answerable exactly from session i onward; unjudged queries are not scored.
     query_splits = [
         [q for q in inputs.test_query_ids if q in qrels and qrels[q].session == s]
         for s in range(n_sessions)
@@ -715,7 +702,9 @@ def run_experiment(
     emb_of = {d: e for d, e in zip(inputs.doc_ids, np.asarray(inputs.doc_embs, dtype=float))}
     qemb_of = dict(zip(inputs.test_query_ids, np.asarray(inputs.test_query_embs, dtype=float)))
     tokens_of = None if inputs.token_docs is None else dict(zip(inputs.doc_ids, inputs.token_docs))
-    metric = config.metric_fn()
+
+    def metric(ranked, judged):
+        return mrr_at(ranked, judged, CUTOFF)
 
     engine = Engine(config, state=resume_state)
     start = 0 if resume_state is None else resume_state.session + 1
@@ -735,31 +724,21 @@ def run_experiment(
         else:
             info, _ = engine.ingest(t, ids, embs, token_docs=tokens)
 
-        if config.setting == "sequential":
-            eval_qids = [q for i in range(t + 1) for q in query_splits[i]]
-        else:
-            eval_qids = list(inputs.test_query_ids)
+        eval_qids = [q for i in range(t + 1) for q in query_splits[i]]
         scored = engine.evaluate(eval_qids, [qemb_of[q] for q in eval_qids])
         run = {qid: [d for d, _ in ranking] for qid, ranking in scored.items()}
-        metrics_block = {"vert": vert(run, qrels, metric, max_session=t)}
-        if config.setting == "sequential":
-            row = []
-            for i in range(t + 1):
-                sub = {q: run[q] for q in query_splits[i]}
-                row.append(metric(sub, qrels))
-            metrics_block["matrix_row"] = row
-        info["metrics"] = metrics_block
+        info["metrics"] = {
+            "vert": vert(run, qrels, metric, max_session=t),
+            "matrix_row": [metric({q: run[q] for q in query_splits[i]}, qrels) for i in range(t + 1)],
+        }
         info["state_bytes"] = state_core_bytes(engine.state)
         engine.state.history.append(info)
         if stop_after_session is not None and t == stop_after_session and t < n_sessions - 1:
             return None, engine.state
 
     history = engine.state.history
-    matrix = continual = None
-    if config.setting == "sequential":
-        matrix = [rec["metrics"]["matrix_row"] for rec in history]
-        ap, bwt, fwt = continual_metrics(matrix)
-        continual = {"ap": ap, "bwt": bwt, "fwt": fwt}
+    matrix = [rec["metrics"]["matrix_row"] for rec in history]
+    ap, bwt, fwt = continual_metrics(matrix)
     decision_totals: Counter = Counter()
     for rec in history:
         decision_totals.update(rec["decisions"])
@@ -770,7 +749,7 @@ def run_experiment(
         "n_test_queries": len(inputs.test_query_ids),
         "sessions": history,
         "session_matrix": matrix,
-        "continual": continual,
+        "continual": {"ap": ap, "bwt": bwt, "fwt": fwt},
         "decision_totals": dict(decision_totals),
     }
     if include_timing:

@@ -13,7 +13,7 @@ import pytest
 
 from ipqgr import cli, harness, synthetic
 from ipqgr.decoder import docid_log_prob
-from ipqgr.metrics import CUTOFF, QrelEntry, hits_at
+from ipqgr.metrics import CUTOFF
 from ipqgr.rehearsal import SIGMA, build_memory_bank, generate_pseudo_queries, max_perturb_dims
 from ipqgr.harness import (
     VARIANTS,
@@ -74,8 +74,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(fractions=(0.5, 0.4)).validate()
         with pytest.raises(ValueError):
-            ExperimentConfig(setting="weekly").validate()
-        with pytest.raises(ValueError):
             ExperimentConfig(threshold_mode="all").validate()
         ExperimentConfig(threshold_mode="recluster").validate()
         with pytest.raises(ValueError, match="c_repeats"):
@@ -91,10 +89,20 @@ class TestExperimentConfig:
             ExperimentConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize(
-        "field, value", [("m_groups", 0), ("top_n", 0)]
+        "field, value, message",
+        [
+            ("m_groups", 0, "m_groups must be at least 1, got 0"),
+            ("dim", 0, "dim must be at least 1, got 0"),
+            ("k_clusters", 0, "k_clusters must be at least 1, got 0"),
+            ("top_n", 0, f"top_n must be at least the metric cutoff {CUTOFF}, got 0"),
+            ("top_n", CUTOFF - 1, f"top_n must be at least the metric cutoff {CUTOFF}, got {CUTOFF - 1}"),
+        ],
+        ids=["m_groups-0", "dim-0", "k_clusters-0", "top_n-0", "top_n-below-cutoff"],
     )
-    def test_counts_below_one_are_refused(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
+    def test_counts_below_one_are_refused(self, field, value, message):
+        # dim and k_clusters used to fail inside k-means without naming the field,
+        # and a top_n below the cutoff scored shorter rankings as MRR at the cutoff.
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize(
@@ -155,11 +163,11 @@ class TestExperimentConfig:
         "d, message",
         [
             ({"fractions": [0.5, "0.5"]}, "config fractions must be a list of numbers"),
-            ({"metric": 1}, "config metric must be a string, got 1"),
+            ({"threshold_mode": 1}, "config threshold_mode must be a string, got 1"),
             ({"random_bank": 1}, "config random_bank must be true or false, got 1"),
             ([], "a config must be a JSON object"),
         ],
-        ids=["str-in-fractions", "int-metric", "int-switch", "list-config"],
+        ids=["str-in-fractions", "int-mode", "int-switch", "list-config"],
     )
     def test_dict_values_of_the_wrong_type_are_refused(self, d, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -386,23 +394,6 @@ class TestRunExperiment:
             old, src = state.codes[e.old_id], state.codes[e.source_id]
             assert 1 <= e.o <= max_perturb_dims(cfg.m_groups)
             assert sum(a != b for a, b in zip(old, src)) == e.o
-
-    def test_single_setting_scores_only_vert(self):
-        report, _ = run_experiment(small_config(setting="single"), small_inputs())
-        assert report["session_matrix"] is None and report["continual"] is None
-        assert [set(rec["metrics"]) for rec in report["sessions"]] == [{"vert"}] * 5
-
-    def test_hits_metric_scores_hits_at_the_cutoff(self):
-        inputs = small_inputs()
-        report, state = run_experiment(small_config(metric="hits"), inputs)
-        mrr_report, _ = run_experiment(small_config(), inputs)
-        # Every synthetic test query is judged, so the final VERT covers them all.
-        rankings = Engine(small_config(), state).evaluate(inputs.test_query_ids, inputs.test_query_embs)
-        run = {q: [d for d, _ in r] for q, r in rankings.items()}
-        qrels = {q: QrelEntry(d, 0) for q, d in inputs.test_qrels.items()}
-        final = report["sessions"][-1]["metrics"]
-        assert final["vert"] == hits_at(run, qrels, CUTOFF)
-        assert final["vert"] > mrr_report["sessions"][-1]["metrics"]["vert"]
 
     def test_threshold_decisions_are_logged(self):
         report, _ = run_experiment(small_config(), small_inputs())
@@ -649,6 +640,21 @@ class TestSessionBatch:
             assert fisher.vecs.tobytes() == train.vecs.tobytes()
             assert fisher.codes.tolist() == train.codes.tolist()
 
+    @pytest.mark.parametrize("mode", ["both", "none", "recluster"])
+    def test_the_fisher_is_laid_out_like_the_codebook(self, mode):
+        # The state file stores the group sizes once, for codebook, decoder and Fisher alike.
+        data = small_inputs()
+        engine = Engine(small_config(threshold_mode=mode))
+        engine.build_base(data.doc_ids[:80], data.doc_embs[:80], [])
+        st = engine.state
+        base_rows = sum(st.codebook.sizes())
+        assert st.fisher.sizes() == st.codebook.sizes() == st.decoder.sizes()
+        for t, rows in enumerate([slice(80, 100), slice(100, 100), slice(100, 120)], 1):
+            engine.ingest(t, data.doc_ids[rows], data.doc_embs[rows])
+            assert st.fisher.sizes() == st.codebook.sizes() == st.decoder.sizes(), f"session {t}"
+        # Under both thresholds the codebook grows, so the Fisher had rows to gain.
+        assert (sum(st.codebook.sizes()) > base_rows) == (mode == "both")
+
     @pytest.mark.parametrize("mode", ["both", "recluster"])
     def test_an_empty_session_trains_nothing(self, mode):
         # An empty list of vectors has no width; the session still advances.
@@ -665,7 +671,8 @@ class TestSessionBatch:
 # Config keys that were settings once, each with a value it used to take. Search
 # is exact (no beam); an ablation is a zero (c_repeats, n_q, lam), not a switch;
 # the trainers' steps, temperature, span count, pseudo-query noise and the
-# metric cutoff are module constants; re-clustering is a threshold_mode.
+# metric cutoff are module constants; re-clustering is a threshold_mode; a run
+# always scores the sequential query sets by MRR at the cutoff.
 RETIRED_KEYS = {
     "beam": 15,
     "enable_memory_bank": False,
@@ -678,6 +685,8 @@ RETIRED_KEYS = {
     "sigma": 0.1,
     "metric_cutoff": 10,
     "recluster_each_session": True,
+    "setting": "single",
+    "metric": "hits",
 }
 
 
@@ -760,6 +769,19 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "mrr@10" in printed
         assert (tmp_path / "run.tsv").read_text().count("\n") > 0
+
+    def test_build_base_indexes_every_document(self, tmp_path):
+        # `fractions` splits a `run`; build-base used to index only its first 60%.
+        from ipqgr.io_formats import read_embeddings
+
+        self.gen(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
+        assert cli.main([*self.base_args(tmp_path), "--config", str(tmp_path / "cfg.json")]) == 0
+        state = load_state(tmp_path / "engine.state")
+        assert sorted(state.codes) == list(range(80))
+        assert [rec["session"] for rec in state.history] == [0]
+        n_train = len(read_embeddings(tmp_path / "train_queries.emb"))
+        assert state.history[0]["n_train_query_pairs"] == n_train
 
     def test_ingest_records_its_session_in_the_history(self, tmp_path):
         self.gen(tmp_path)

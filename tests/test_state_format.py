@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -29,7 +30,7 @@ from ipqgr.repr_learner import ProjectorParams
 from ipqgr.rng import RandomSource
 
 
-def build_state(ids, sizes, sub_dim, fisher_sizes, projector_hidden, seed, history=(), session=3):
+def build_state(ids, sizes, sub_dim, projector_hidden, seed, history=(), session=3):
     """An EngineState filled with random values, whose members are flagged documents.
 
     Each (document, group) flag is drawn; cluster k of group m holds the
@@ -54,10 +55,6 @@ def build_state(ids, sizes, sub_dim, fisher_sizes, projector_hidden, seed, histo
                           for c in range(k)))
         for g, k in enumerate(sizes)
     ]
-    fisher = None
-    if fisher_sizes is not None:
-        fisher = FisherDiag([rng.random((k, dim)) for k in fisher_sizes],
-                            [rng.random(k) for k in fisher_sizes])
     projector = None
     if projector_hidden is not None:
         h, e = projector_hidden
@@ -69,7 +66,7 @@ def build_state(ids, sizes, sub_dim, fisher_sizes, projector_hidden, seed, histo
         codes={i: tuple(code) for i, code in zip(ids, codes.tolist())},
         decoder=DecoderParams([rng.normal(size=(k, dim)) for k in sizes],
                               [rng.normal(size=k) for k in sizes]),
-        fisher=fisher,
+        fisher=FisherDiag([rng.random((k, dim)) for k in sizes], [rng.random(k) for k in sizes]),
         projector=projector,
         history=list(history),
     )
@@ -96,10 +93,8 @@ def assert_same_state(a: EngineState, b: EngineState) -> None:
         assert all_bit_equal(ga.member_vecs, gb.member_vecs)
     assert all_bit_equal(a.decoder.weights, b.decoder.weights)
     assert all_bit_equal(a.decoder.biases, b.decoder.biases)
-    assert (a.fisher is None) == (b.fisher is None)
-    if a.fisher is not None:
-        assert all_bit_equal(a.fisher.weights, b.fisher.weights)
-        assert all_bit_equal(a.fisher.biases, b.fisher.biases)
+    assert all_bit_equal(a.fisher.weights, b.fisher.weights)
+    assert all_bit_equal(a.fisher.biases, b.fisher.biases)
     assert (a.projector is None) == (b.projector is None)
     if a.projector is not None:
         assert all_bit_equal([a.projector.w1, a.projector.b1, a.projector.w2, a.projector.b2],
@@ -118,14 +113,12 @@ json_values = st.recursive(
 @st.composite
 def engine_states(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    fisher = draw(st.none() | st.just([draw(st.integers(0, k)) for k in sizes]))
     return build_state(
         # At least one id per centroid, so that every cluster can have a member.
         ids=draw(st.lists(st.integers(-(2**70), 2**70) | st.text(), min_size=max(sizes), max_size=6,
                           unique=True)),
         sizes=sizes,
         sub_dim=draw(st.integers(1, 3)),
-        fisher_sizes=fisher,
         projector_hidden=draw(st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3))),
         seed=draw(st.integers(0, 2**32 - 1)),
         history=draw(st.lists(st.dictionaries(st.text(), json_values, max_size=4), max_size=3)),
@@ -161,17 +154,21 @@ class TestRoundTrip:
         ],
         ids=["int", "str", "mixed"],
     )
-    @pytest.mark.parametrize("fisher", [None, [2, 1]], ids=["no-fisher", "fisher"])
+    # The Fisher is always stored. One that anchors nothing is all zeros, not absent.
+    @pytest.mark.parametrize("fisher", ["zeros", "drawn"], ids=["no-fisher", "fisher"])
     @pytest.mark.parametrize("projector", [None, (3, 5)], ids=["no-projector", "projector"])
     def test_id_kinds_and_optional_parts(self, tmp_path, ids, fisher, projector):
-        state = build_state(ids, [3, 2], 2, fisher, projector, seed=len(ids),
+        state = build_state(ids, [3, 2], 2, projector, seed=len(ids),
                             history=[{"z": 1, "a": [0.1, None], "m": {"vert": 0.5}}])
+        if fisher == "zeros":
+            state.fisher = FisherDiag(np.zeros_like(state.fisher.w), np.zeros_like(state.fisher.b),
+                                      layout=state.fisher.layout)
         path = tmp_path / "s.state"
         save_state(state, path)
         assert_same_state(state, load_state(path))
 
     def test_numpy_integer_ids_are_stored_as_int(self, tmp_path):
-        state = build_state([np.int64(4), np.int32(9)], [2], 2, None, None, seed=0)
+        state = build_state([np.int64(4), np.int32(9)], [2], 2, None, seed=0)
         save_state(state, tmp_path / "s.state")
         loaded = load_state(tmp_path / "s.state")
         assert [(type(i), i) for i in loaded.codes] == [(int, 4), (int, 9)]
@@ -296,24 +293,7 @@ def empty_cluster(meta, arrays):
     arrays["member"][arrays["codes"][:, 0] == 0, 0] = 0
 
 
-def resize_fisher(new_sizes):
-    """An edit giving the Fisher these group sizes, its arrays cut or zero-padded to fit."""
-
-    def edit(meta, arrays):
-        meta["fisher"]["sizes"] = new_sizes(meta["fisher"]["sizes"])
-        rows = sum(meta["fisher"]["sizes"])
-        for name in ("fisher_weights", "fisher_biases"):
-            a = arrays[name][:rows]
-            arrays[name] = np.concatenate([a, np.zeros((rows - len(a), *a.shape[1:]))])
-
-    return edit
-
-
 MALFORMED = {
-    "fisher-groups": (dict(edit=resize_fisher(lambda s: s[:-1])),
-                      "fisher group sizes .* do not fit the decoder's"),
-    "fisher-rows": (dict(edit=resize_fisher(lambda s: [s[0] + 1, *s[1:]])),
-                    "fisher group sizes .* do not fit the decoder's"),
     "missing-array": (dict(edit=drop_embeddings), r"array '\w+' runs past the payload"),
     "wrong-shape": (dict(edit=change_dim(1)), r"array '\w+' runs past the payload"),
     "narrower-shape": (dict(edit=change_dim(-1)), r"\d+ bytes after the last array"),
@@ -344,9 +324,8 @@ def test_rewrite_without_edits_loads(tmp_path, saved_state):
 def test_metadata_holds_only_the_counts(saved_state):
     (n_text,) = struct.unpack_from("<Q", saved_state, 48)
     meta = json.loads(saved_state[56 : 56 + n_text])
-    assert list(meta) == ["session", "ids", "history", "codebook", "fisher", "projector"]
-    assert list(meta["codebook"]) == ["dim", "sizes"]
-    assert list(meta["fisher"]) == ["sizes"] and meta["projector"] is None
+    assert list(meta) == ["session", "ids", "history", "codebook", "projector"]
+    assert list(meta["codebook"]) == ["dim", "sizes"] and meta["projector"] is None
 
 
 def test_version_3_is_refused_by_name(tmp_path, saved_state):
@@ -368,9 +347,20 @@ def test_version_4_is_refused_by_name(tmp_path, capsys, saved_state):
     assert "state version 4 holds member vectors" in capsys.readouterr().err
 
 
+def test_version_5_is_refused_by_name(tmp_path, capsys, saved_state):
+    # Version 5 stored the Fisher's group sizes apart from the codebook's, or a null Fisher.
+    path = tmp_path / "v5.state"
+    path.write_bytes(saved_state[:4] + struct.pack("<I", 5) + saved_state[8:])
+    with pytest.raises(ValueError, match="state version 5 holds a separately sized Fisher and is not read"):
+        load_state(path)
+    code = cli.main(["ingest", "--state", str(path), "--docs", str(tmp_path / "new.emb")])
+    assert code == 2
+    assert "state version 5 holds a separately sized Fisher" in capsys.readouterr().err
+
+
 def test_save_refuses_a_decoder_unlike_the_codebook(tmp_path):
     # The file stores the codebook's group sizes only, so the decoder must share them.
-    state = build_state([1, 2], [3, 2], 2, None, None, seed=0)
+    state = build_state([1, 2], [3, 2], 2, None, seed=0)
     state.decoder = DecoderParams.zeros([2, 3], dim=4)
     with pytest.raises(ValueError, match=r"decoder group sizes \[2, 3\] differ from the codebook's \[3, 2\]"):
         save_state(state, tmp_path / "s.state")
@@ -379,9 +369,22 @@ def test_save_refuses_a_decoder_unlike_the_codebook(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sizes", [[2, 2], [3, 2, 1], [3]], ids=["fewer-rows", "more-groups", "fewer-groups"])
+def test_save_refuses_a_fisher_unlike_the_codebook(tmp_path, sizes):
+    # So does the Fisher, which version 5 stored with sizes of its own.
+    state = build_state([1, 2, 3], [3, 2], 2, None, seed=0)
+    state.fisher = FisherDiag([np.ones((k, 4)) for k in sizes], [np.ones(k) for k in sizes])
+    message = rf"fisher group sizes {re.escape(str(sizes))} differ from the codebook's \[3, 2\]"
+    with pytest.raises(ValueError, match=message):
+        save_state(state, tmp_path / "s.state")
+    with pytest.raises(ValueError, match=message):
+        state_core_bytes(state)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_refuses_members_unlike_their_flags(tmp_path):
     # The file stores one row of vectors and flags per coded document.
-    state = build_state([1, 2, 3], [3, 2], 2, None, None, seed=0)
+    state = build_state([1, 2, 3], [3, 2], 2, None, seed=0)
     group = state.codebook.groups[1]
     group.vecs = group.vecs[:-1]
     with pytest.raises(ValueError, match="3 coded docs but 2 rows of group 1's vectors"):
