@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--config", default=None, help="JSON experiment config")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--variant", choices=sorted(VARIANTS), default=None)
+        sp.add_argument("--variant", choices=sorted(VARIANTS), help="set this preset's fields over the config's")
         sp.add_argument("--docs", required=True)
         sp.add_argument("--queries", required=True)
         sp.add_argument("--qrels", required=True)
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("ingest", help="index one session of new documents")
     i.add_argument("--config", default=None)
     i.add_argument("--seed", type=int, default=None)
-    i.add_argument("--variant", choices=sorted(VARIANTS), default=None)
+    i.add_argument("--variant", choices=sorted(VARIANTS), help="set this preset's fields over the config's")
     i.add_argument("--state", required=True)
     i.add_argument("--state-out", default=None)
     i.add_argument("--docs", required=True)

@@ -45,10 +45,10 @@ from .synthetic import ExperimentInputs
 
 REPORT_SCHEMA = "ipqgr-report/1"
 
-# Named presets for the model-variant ablations the harness supports. A part
-# governed by a count or a weight is ablated by its zero: c_repeats=0 draws no
-# perturbations (no memory bank), n_q=0 samples no pseudo queries, lam=0 drops
-# the EWC anchor.
+# Named presets for the model-variant ablations the harness supports: each sets
+# the config fields it names (`ExperimentConfig.with_variant`). A part governed by
+# a count or a weight is ablated by its zero: c_repeats=0 draws no perturbations
+# (no memory bank), n_q=0 samples no pseudo queries, lam=0 drops the EWC anchor.
 VARIANTS: dict[str, dict] = {
     "full": {},
     "base": {
@@ -96,14 +96,12 @@ class ExperimentConfig:
     n_q: int = 3
     lam: float = 0.5
     top_n: int = 10
-    proj_inner_iters: int = 20
     decoder_steps: int = 200
     seed: int = 0
     fractions: tuple = (0.6, 0.1, 0.1, 0.1, 0.1)
     enable_mle_dneg: bool = True
     threshold_mode: str = "both"  # one of ipq.THRESHOLD_MODES, or "recluster" (k-means anew)
     random_bank: bool = False
-    variant: str = "full"
 
     def validate(self) -> None:
         # Below 1, each count fails late: m_groups divides by zero, and dim and
@@ -116,23 +114,16 @@ class ExperimentConfig:
             raise ValueError(f"top_n must be at least the metric cutoff {CUTOFF}, got {self.top_n}")
         # Zero turns a part off (c_repeats, n_q) or skips its training. A negative
         # c_repeats or n_q would fail in `ingest` after it has issued the codes.
-        for name in ("c_repeats", "n_q", "v_epochs", "decoder_steps", "proj_inner_iters"):
+        for name in ("c_repeats", "n_q", "v_epochs", "decoder_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         # A NaN or infinite lam stalls every anchored session at its first step
         # (inf x 0 is NaN), leaving the decoder at its anchor.
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; choose from {sorted(VARIANTS)}")
-        for name, value in VARIANTS[self.variant].items():
-            if getattr(self, name) != value:
-                raise ValueError(
-                    f"variant {self.variant!r} sets {name} to {value!r}, not {getattr(self, name)!r}"
-                )
         if self.dim % self.m_groups != 0:
             raise ValueError(f"dim {self.dim} not divisible by {self.m_groups} groups")
-        # Checked here, or a NaN or a negative fraction fails the run in `split_benchmark`.
+        # `split_benchmark` relies on these.
         if not all(0 <= f < math.inf for f in self.fractions):
             raise ValueError(f"session fractions must be finite and non-negative, got {list(self.fractions)}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
@@ -143,12 +134,10 @@ class ExperimentConfig:
             raise ValueError("random_bank requires a memory bank, c_repeats >= 1")
 
     def with_variant(self, name: str) -> "ExperimentConfig":
-        """This config under variant `name`: the current preset's fields back at their defaults."""
+        """This config with the fields of preset `name` set."""
         if name not in VARIANTS:
             raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}")
-        reset = {key: getattr(ExperimentConfig, key) for key in VARIANTS.get(self.variant, {})}
-        return dataclasses.replace(self, **{**reset, **VARIANTS[name]}, variant=name,
-                                   fractions=tuple(self.fractions))
+        return dataclasses.replace(self, **VARIANTS[name])
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -173,13 +162,9 @@ def split_benchmark(ids: list, fractions, rng: RandomSource) -> list[list]:
     """Disjoint random split of ids into per-session groups of exact sizes.
 
     Sizes are floor(fraction * n) with leftovers assigned by largest
-    fractional remainder (ties to the earlier session).
+    fractional remainder (ties to the earlier session). The fractions are
+    ones `ExperimentConfig.validate` accepts.
     """
-    fractions = list(fractions)
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
-    if any(f < 0 for f in fractions):
-        raise ValueError("fractions must be non-negative")
     n = len(ids)
     raw = [f * n for f in fractions]
     sizes = [math.floor(r) for r in raw]
@@ -500,6 +485,28 @@ def _check_rows(what: str, rows, dim: int, whose: str) -> None:
         raise ValueError(f"{what} row {int(finite.argmin())} holds a value that is not finite")
 
 
+def _check_session(doc_ids, issued, doc_embs, token_docs) -> None:
+    """Refuse rows that do not pair with the ids, or an id a state file cannot hold, issued already or repeated."""
+    for what, given in (("embedding rows", doc_embs), ("token docs", token_docs)):
+        if given is not None and len(given) != len(doc_ids):
+            raise ValueError(f"{len(doc_ids)} doc ids but {len(given)} {what}")
+    seen = set()
+    for i in doc_ids:
+        _stored_id(i)
+        if i in issued or i in seen:
+            raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
+        seen.add(i)
+
+
+def _decoder_queries(what: str, rows, projector, dim: int, whose: str) -> np.ndarray:
+    """Query rows as the decoder reads them: through the projector as one-token documents, if there is one."""
+    if projector is not None:
+        dim, whose = projector.in_dim, "the projector's input"
+    _check_rows(what, rows, dim, whose)
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), dim)  # no queries may come as []
+    return rows if projector is None else projector.forward(rows)
+
+
 class Engine:
     """Stateful continual-indexing engine driven session by session."""
 
@@ -520,19 +527,19 @@ class Engine:
         limited to base documents.
         """
         cfg = self.config
-        for i in doc_ids:
-            _stored_id(i)  # refuses an id that a state file cannot hold
+        _check_session(doc_ids, {}, doc_embs, token_docs)
         if token_docs is None:
             _check_rows("documents", doc_embs, cfg.dim, "the config's")
-        if train_query_pairs:
-            _check_rows("training queries", [qe for qe, _ in train_query_pairs], cfg.dim, "the config's")
+        else:
+            for i, doc in zip(doc_ids, token_docs):
+                if not np.isfinite(doc).all():
+                    raise ValueError(f"document {i!r} holds a token value that is not finite")
         rng = self._rng("base")
         projector = None
         if token_docs is not None:
             projector, cb, code_rows, embs = iterative_train(
                 token_docs, cfg.m_groups, cfg.k_clusters, cfg.v_epochs, TAU, SPANS_PER_LEVEL,
-                PROJ_STEP, rng.derive("repr"), out_dim=cfg.dim, inner_iters=cfg.proj_inner_iters,
-            )
+                PROJ_STEP, rng.derive("repr"), out_dim=cfg.dim)
         else:
             embs = np.asarray(doc_embs, dtype=float)
             cb, code_rows = cluster_base(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"))
@@ -542,7 +549,7 @@ class Engine:
         # each row carrying its document's code. The Fisher is taken on it too.
         row_of = dict(zip(doc_ids, range(len(doc_ids))))
         kept = [(qe, row_of[d]) for qe, d in train_query_pairs if d in row_of]
-        queries = np.array([qe for qe, _ in kept], dtype=float).reshape(len(kept), cfg.dim)
+        queries = _decoder_queries("training queries", [qe for qe, _ in kept], projector, cfg.dim, "the config's")
         batch = PairBatch(np.concatenate([embs, queries]),
                           np.concatenate([code_rows, code_rows[[r for _, r in kept]]]))
         decoder = train_session(
@@ -569,20 +576,12 @@ class Engine:
         if st is None or st.session != t - 1:
             have = "no state" if st is None else f"session {st.session}"
             raise InvalidStateError(f"cannot ingest session {t} from {have}")
-        for what, given in (("embedding rows", doc_embs), ("token docs", token_docs)):
-            if given is not None and len(given) != len(doc_ids):
-                raise ValueError(f"{len(doc_ids)} doc ids but {len(given)} {what}")
-        seen = set()
-        for i in doc_ids:
-            _stored_id(i)
-            if i in st.codes or i in seen:
-                raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
-            seen.add(i)
+        _check_session(doc_ids, st.codes, doc_embs, token_docs)
         if (token_docs is None) == (st.projector is not None):
             raise ValueError("this state embeds documents with its projector, so ingest needs token docs"
                              if token_docs is None else "token docs given, but the state has no projector")
         embs = (np.asarray(doc_embs, dtype=float) if token_docs is None
-                else np.stack([doc_embedding(d, st.projector) for d in token_docs]))
+                else np.array([doc_embedding(d, st.projector) for d in token_docs]))
         _check_rows("documents", embs, st.codebook.dim, "the state's")
         embs = embs.reshape(len(doc_ids), st.codebook.dim)  # an empty session may come as []
 
@@ -656,12 +655,11 @@ class Engine:
 
     def evaluate(self, query_ids, query_embs) -> dict:
         """Scored rankings for each query: query id -> [(doc id, score), ...]."""
-        if self.state is None:
+        st = self.state
+        if st is None:
             raise InvalidStateError("cannot evaluate from no state")
-        queries = np.asarray(query_embs, dtype=float)
-        _check_rows("queries", queries, self.state.decoder.w.shape[1], "the state's")
-        trie = DocidTrie.from_codes(self.state.codes)
-        rankings = search(queries, self.state.decoder, trie, self.config.top_n)
+        queries = _decoder_queries("queries", query_embs, st.projector, st.codebook.dim, "the state's")
+        rankings = search(queries, st.decoder, DocidTrie.from_codes(st.codes), self.config.top_n)
         return dict(zip(query_ids, rankings))
 
 

@@ -60,12 +60,6 @@ class TestSplitBenchmark:
         b = split_benchmark(list(range(50)), (0.6, 0.4), RandomSource(3))
         assert a == b
 
-    def test_invalid_fractions(self):
-        with pytest.raises(ValueError):
-            split_benchmark([1, 2], (0.5, 0.6), RandomSource(0))
-        with pytest.raises(ValueError):
-            split_benchmark([1, 2], (1.5, -0.5), RandomSource(0))
-
 
 class TestExperimentConfig:
     def test_validation_errors(self):
@@ -110,34 +104,20 @@ class TestExperimentConfig:
         [
             ("lam", [-0.5, float("nan"), float("inf")]),
             ("decoder_steps", [-1]),
-            ("proj_inner_iters", [-1]),
             ("fractions", [(float("nan"), 0.5, 0.5), (1.5, -0.5)]),
         ],
     )
     def test_training_values_that_break_a_run_are_refused(self, field, values):
         # A NaN or infinite lam stalls every anchored session; both used to be
-        # accepted and run to a silent result. A NaN or negative fraction used
-        # to pass and fail the run later, in `split_benchmark`.
+        # accepted and run to a silent result. `split_benchmark` does not check
+        # the fractions again.
         for value in values:
             with pytest.raises(ValueError, match=field):
                 ExperimentConfig(**{field: value}).validate()
 
-    @pytest.mark.parametrize("field", ["c_repeats", "n_q", "lam", "decoder_steps", "proj_inner_iters"])
+    @pytest.mark.parametrize("field", ["c_repeats", "n_q", "lam", "decoder_steps"])
     def test_zero_is_a_legal_off(self, field):
         ExperimentConfig(**{field: 0}).validate()
-
-    def test_variant_label_must_match_its_preset(self):
-        # A label alone does not make an ablation: the report would say "base"
-        # about a full-model run.
-        with pytest.raises(ValueError, match="variant 'base' sets c_repeats to 0, not 10"):
-            ExperimentConfig.from_dict({"variant": "base"}).validate()
-        with pytest.raises(ValueError, match="variant 'no-ewc' sets lam to 0.0, not 0.5"):
-            ExperimentConfig(variant="no-ewc").validate()
-        with pytest.raises(ValueError, match="unknown variant 'nonsense'"):
-            ExperimentConfig(variant="nonsense").validate()
-        for name in VARIANTS:
-            ExperimentConfig().with_variant(name).validate()
-        ExperimentConfig.from_dict({"variant": "no-mle-q", "n_q": 0}).validate()
 
     def test_variants_cover_the_ablation_grid(self):
         assert set(VARIANTS) == {
@@ -149,14 +129,32 @@ class TestExperimentConfig:
         assert not base.enable_mle_dneg and base.threshold_mode == "none"
         assert ExperimentConfig().with_variant("no-ewc").lam == 0.0
         assert ExperimentConfig().with_variant("no-mle-q").n_q == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown variant 'bespoke'"):
             ExperimentConfig().with_variant("bespoke")
 
-    def test_with_variant_does_not_stack_presets(self):
-        cfg = ExperimentConfig(seed=4).with_variant("no-ewc").with_variant("no-mle-q")
-        assert (cfg.variant, cfg.lam, cfg.n_q, cfg.seed) == ("no-mle-q", 0.5, 0, 4)
-        cfg.validate()
-        assert ExperimentConfig().with_variant("base").with_variant("full") == ExperimentConfig()
+    def test_variant_label_must_match_its_preset(self):
+        # A stored label could contradict its fields: the report would say "base"
+        # about a full-model run. A config now holds no label, and naming a
+        # preset sets exactly that preset's fields.
+        with pytest.raises(ValueError, match="^unknown config keys: variant$"):
+            ExperimentConfig.from_dict({"variant": "base"})
+        for name, fields in VARIANTS.items():
+            cfg = ExperimentConfig().with_variant(name)
+            assert {k: getattr(cfg, k) for k in fields} == fields
+            cfg.validate()
+        with pytest.raises(ValueError, match="unknown variant 'nonsense'"):
+            ExperimentConfig().with_variant("nonsense")
+
+    def test_with_variant_sets_its_presets_fields(self):
+        # A variant is a preset of other fields, not a label the config keeps:
+        # it sets its own fields and leaves every other one as it was.
+        cfg = ExperimentConfig(seed=4, lam=0.3, fractions=(0.5, 0.5)).with_variant("no-mle-q")
+        assert cfg == ExperimentConfig(seed=4, lam=0.3, fractions=(0.5, 0.5), n_q=0)
+        assert ExperimentConfig(lam=0.3).with_variant("no-ewc").lam == 0.0
+        stacked = ExperimentConfig().with_variant("no-ewc").with_variant("no-mle-q")
+        assert stacked == ExperimentConfig(lam=0.0, n_q=0)
+        assert ExperimentConfig(n_q=1).with_variant("full") == ExperimentConfig(n_q=1)
+        assert "variant" not in ExperimentConfig().with_variant("base").to_dict()
 
     # TestCli covers str, float and bool for a number field, and a bare number for fractions.
     @pytest.mark.parametrize(
@@ -408,7 +406,7 @@ class TestRunExperiment:
         )
         cfg = ExperimentConfig(
             dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=10,
-            fractions=(0.7, 0.3), proj_inner_iters=3,
+            fractions=(0.7, 0.3),
         )
         report, state = run_experiment(cfg, data)
         assert state.projector is not None
@@ -418,7 +416,7 @@ class TestRunExperiment:
         data = synthetic.generate(
             60, 8, 5, RandomSource(2).derive("synthetic"), with_tokens=True, token_range=(5, 12)
         )
-        cfg = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=2, proj_inner_iters=3)
+        cfg = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=2)
         engine = Engine(cfg)
         engine.build_base(data.doc_ids, None, [], token_docs=data.token_docs)
         st, d = engine.state, engine.state.codebook.sub_dim
@@ -428,6 +426,38 @@ class TestRunExperiment:
                 stored = [vectors[r, d * g : d * (g + 1)]
                           for r, i in enumerate(st.codes) if st.codes[i][g] == c]
                 assert [v.tobytes() for v in members] == [v.tobytes() for v in stored]
+
+    def test_token_state_reads_queries_through_its_projector(self, monkeypatch):
+        # A query is a one-token document: the decoder, trained on projected
+        # documents, sees it projected too. Tokens (8 wide) and the codebook
+        # space (4 wide) differ, so a raw query could not even be scored.
+        batches, train_session = [], harness.train_session
+
+        def capture(*args):
+            batches.append(args[2])
+            return train_session(*args)
+
+        monkeypatch.setattr(harness, "train_session", capture)
+        data = synthetic.generate(
+            60, 8, 5, RandomSource(2).derive("synthetic"), with_tokens=True, token_range=(5, 12)
+        )
+        cfg = ExperimentConfig(dim=4, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=10, top_n=50)
+        engine = Engine(cfg)
+        pairs = list(zip(data.train_query_embs[:50], data.doc_ids[:50]))
+        engine.build_base(data.doc_ids[:50], None, pairs, token_docs=data.token_docs[:50])
+        st = engine.state
+        (batch,) = batches
+        projected = st.projector.forward(data.train_query_embs[:50])
+        assert batch.vecs[50:].tobytes() == projected.tobytes()
+
+        queries = data.test_query_embs[:5]
+        rankings = engine.evaluate(range(5), queries)
+        for q, ranking in zip(st.projector.forward(queries), rankings.values()):
+            oracle = sorted(((d, docid_log_prob(q, c, st.decoder)) for d, c in st.codes.items()),
+                            key=lambda t: (-t[1], t[0]))
+            assert ranking == oracle
+        with pytest.raises(ValueError, match="^queries are 4 wide, but the projector's input dim is 8$"):
+            engine.evaluate([0], projected[:1])
 
 
 class TestEngineGuards:
@@ -567,6 +597,40 @@ class TestEngineGuards:
         with pytest.raises(ValueError, match="^queries row 2 holds"):
             engine.evaluate(range(4), docs[83:87])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_base_token_that_is_not_finite_is_refused_by_document(self, bad):
+        # Unchecked, it reaches k-means and ends in a bare AssertionError.
+        data = synthetic.generate(
+            40, 8, 5, RandomSource(1).derive("synthetic"), with_tokens=True, token_range=(5, 12)
+        )
+        tokens = [d.copy() for d in data.token_docs]
+        tokens[7][2, 3] = bad
+        engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
+        with pytest.raises(ValueError, match="^document 7 holds a token value that is not finite$"):
+            engine.build_base(data.doc_ids, None, [], token_docs=tokens)
+        assert engine.state is None
+
+    def test_build_base_refuses_a_repeated_docid(self):
+        # Unchecked, id 6 twice leaves 39 codes for 40 codebook rows, and the
+        # next ingest reads bank rows through misaligned positions.
+        data = small_inputs()
+        engine = Engine(small_config())
+        with pytest.raises(ValueError, match="^doc id 6 is already indexed or repeated in this session$"):
+            engine.build_base([*data.doc_ids[:39], 6], data.doc_embs[:40], [])
+        assert engine.state is None
+
+    @pytest.mark.parametrize("tokens", [False, True], ids=["embeddings", "tokens"])
+    def test_build_base_refuses_rows_that_do_not_pair_with_the_ids(self, tokens):
+        # Unchecked, 41 rows for 40 ids leave 40 codes for 41 codebook rows, which only a save notices.
+        data = synthetic.generate(
+            41, 8, 5, RandomSource(1).derive("synthetic"), with_tokens=tokens, token_range=(5, 12)
+        )
+        engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
+        what = "token docs" if tokens else "embedding rows"
+        with pytest.raises(ValueError, match=f"^40 doc ids but 41 {what}$"):
+            engine.build_base(data.doc_ids[:40], None if tokens else data.doc_embs, [], token_docs=data.token_docs)
+        assert engine.state is None
+
     def test_int_and_str_ids_evaluate_together(self):
         # Equal scores rank int ids before str ids, which do not compare with each other.
         cfg = small_config(top_n=500)
@@ -655,14 +719,17 @@ class TestSessionBatch:
         # Under both thresholds the codebook grows, so the Fisher had rows to gain.
         assert (sum(st.codebook.sizes()) > base_rows) == (mode == "both")
 
-    @pytest.mark.parametrize("mode", ["both", "recluster"])
-    def test_an_empty_session_trains_nothing(self, mode):
-        # An empty list of vectors has no width; the session still advances.
-        data = small_inputs()
+    @pytest.mark.parametrize(
+        "mode, tokens", [("both", False), ("recluster", False), ("both", True)],
+        ids=["both", "recluster", "tokens"],
+    )
+    def test_an_empty_session_trains_nothing(self, mode, tokens):
+        # An empty list of vectors, or of token docs, has no width; the session still advances.
+        data = synthetic.generate(100, 16, 10, RandomSource(0).derive("synthetic"), with_tokens=tokens)
         engine = Engine(small_config(threshold_mode=mode))
-        engine.build_base(data.doc_ids[:100], data.doc_embs[:100], [])
+        engine.build_base(data.doc_ids, data.doc_embs, [], token_docs=data.token_docs)
         decoder = engine.state.decoder
-        info, _ = engine.ingest(1, [], [])
+        info, _ = engine.ingest(1, [], [], token_docs=[] if tokens else None)
         assert (info["n_new_docs"], info["bank_size"], info["n_pseudo_pairs"]) == (0, 0, 0)
         assert engine.state.session == 1 and len(engine.state.codes) == 100
         assert engine.state.decoder.w.tobytes() == decoder.w.tobytes()
@@ -672,7 +739,9 @@ class TestSessionBatch:
 # is exact (no beam); an ablation is a zero (c_repeats, n_q, lam), not a switch;
 # the trainers' steps, temperature, span count, pseudo-query noise and the
 # metric cutoff are module constants; re-clustering is a threshold_mode; a run
-# always scores the sequential query sets by MRR at the cutoff.
+# always scores the sequential query sets by MRR at the cutoff; a variant is a
+# preset of the other fields (`with_variant`), not a stored label; the projector
+# takes `iterative_train`'s own number of inner steps.
 RETIRED_KEYS = {
     "beam": 15,
     "enable_memory_bank": False,
@@ -687,6 +756,8 @@ RETIRED_KEYS = {
     "recluster_each_session": True,
     "setting": "single",
     "metric": "hits",
+    "variant": "base",
+    "proj_inner_iters": 3,
 }
 
 
@@ -812,7 +883,7 @@ class TestCli:
     def test_ingest_of_vectors_into_a_token_state_is_refused(self, tmp_path, capsys):
         # A token state codes documents in its projector's space, which raw vectors are not in.
         self.gen(tmp_path, tokens=True)
-        cfg = {"decoder_steps": 5, "v_epochs": 1, "proj_inner_iters": 3}
+        cfg = {"decoder_steps": 5, "v_epochs": 1}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         common = ["--config", str(tmp_path / "cfg.json"), "--seed", "3"]
         state = tmp_path / "engine.state"
@@ -824,6 +895,17 @@ class TestCli:
             "error: this state embeds documents with its projector, so ingest needs token docs"
         )
         assert state.read_bytes() == before
+
+    def test_build_base_of_a_nan_token_is_a_clean_error(self, tmp_path, capsys):
+        from ipqgr.io_formats import read_token_docs, write_token_docs
+
+        self.gen(tmp_path, tokens=True)
+        docs = read_token_docs(tmp_path / "tokens.tok")
+        docs[5][0, 1] = np.nan
+        write_token_docs(tmp_path / "tokens.tok", docs)
+        assert cli.main([*self.base_args(tmp_path), "--tokens", str(tmp_path / "tokens.tok")]) == 2
+        assert capsys.readouterr().err.strip() == "error: document 5 holds a token value that is not finite"
+        assert not (tmp_path / "engine.state").exists()
 
     def test_unknown_config_key_is_a_clean_error(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"dimm": 16}))
@@ -930,6 +1012,7 @@ class TestCli:
         assert load_state(tmp_path / "engine.state").session == 0
 
     def test_variant_label_without_its_preset_is_a_clean_error(self, tmp_path, capsys):
+        # A config holds a variant's fields, not its name; `--variant` sets them.
         (tmp_path / "cfg.json").write_text(json.dumps({"variant": "base"}))
         code = cli.main(
             [
@@ -940,7 +1023,7 @@ class TestCli:
             ]
         )
         assert code == 2
-        assert "error: variant 'base' sets c_repeats to 0, not 10" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == "error: unknown config keys: variant"
 
     @pytest.mark.parametrize(
         "key, value, kind",
@@ -964,9 +1047,9 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.strip() == f"error: config {key} must be {kind}"
 
-    def test_variant_option_replaces_the_config_files_variant(self, tmp_path):
+    def test_variant_option_sets_its_presets_fields_over_the_files(self, tmp_path):
         self.gen(tmp_path)
-        cfg = {"variant": "no-ewc", "lam": 0.0, "decoder_steps": 5, "v_epochs": 0}
+        cfg = {"lam": 0.0, "n_q": 5, "threshold_mode": "ad_only", "decoder_steps": 5, "v_epochs": 0}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         out = tmp_path / "report.json"
         assert cli.main(
@@ -979,7 +1062,8 @@ class TestCli:
             ]
         ) == 0
         written = json.loads(out.read_text())["config"]
-        assert (written["variant"], written["lam"], written["n_q"]) == ("no-mle-q", 0.5, 0)
+        assert (written["lam"], written["n_q"], written["threshold_mode"]) == (0.0, 0, "ad_only")
+        assert "variant" not in written
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         code = cli.main(

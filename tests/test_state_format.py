@@ -200,8 +200,7 @@ def synthetic_run():
 
 
 def token_run():
-    cfg = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=10,
-                           proj_inner_iters=3, seed=3)
+    cfg = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=10, seed=3)
     data = synthetic.generate(60, 8, 5, RandomSource(3).derive("synthetic"), with_tokens=True,
                               token_range=(5, 12))
     return cfg, data
