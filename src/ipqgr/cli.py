@@ -47,7 +47,7 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _load_inputs(args, cfg) -> ExperimentInputs:
+def _load_inputs(args) -> ExperimentInputs:
     docs = io_formats.read_embeddings(args.docs)
     queries = io_formats.read_embeddings(args.queries)
     qrels = io_formats.read_qrels(args.qrels)
@@ -97,7 +97,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    inputs = _load_inputs(args, cfg)
+    inputs = _load_inputs(args)
     report, state = run_experiment(cfg, inputs, include_timing=args.timing)
     if args.state_out:
         save_state(state, args.state_out)
@@ -114,7 +114,7 @@ def cmd_run(args) -> int:
 
 def cmd_build_base(args) -> int:
     cfg = _load_config(args)
-    inputs = _load_inputs(args, cfg)
+    inputs = _load_inputs(args)
     # One session over every document; `fractions` splits only a `run`.
     cfg.fractions = (1.0,)
     _, state = run_experiment(cfg, inputs)
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("evaluate", help="score queries against a saved state")
     e.add_argument("--config", default=None)
-    e.add_argument("--seed", type=int, default=None)
     e.add_argument("--state", required=True)
     e.add_argument("--queries", required=True)
     e.add_argument("--qrels", default=None)

@@ -23,7 +23,7 @@ Pair = tuple[np.ndarray, PqCode]  # (conditioning vector, target code)
 SEARCH_SCORES = 2**17
 # Pairs per block of the training loss; bounds its (block x ΣK) logit buffers.
 LOSS_BLOCK = 64
-# The engine's initial step size for each descent step of `train_session`.
+# The initial step size for each descent step of `train_session`.
 TRAIN_STEP = 5e-2
 
 
@@ -266,17 +266,13 @@ def estimate_fisher(pairs: PairBatch | list[Pair], params: DecoderParams) -> Fis
 def ewc_loss(params: DecoderParams, prev: DecoderParams, fisher: FisherDiag) -> tuple[float, Gradient]:
     """Fisher-weighted squared distance to the previous parameters.
 
-    Rows appended after `prev` was trained have no counterpart: `prev` and
-    `fisher` are padded with zero rows to the layout of `params`, so those
-    rows add nothing to the loss or its gradient. `train_session` pads them
-    once per session.
+    `prev` and `fisher` have the shape of `params`: `train_session` pads
+    both once per session, with zero rows where the codebook grew, so those
+    rows add nothing to the loss or its gradient.
     """
-    if prev.w.shape[1:] != params.w.shape[1:]:
-        raise ValueError(f"previous params have width {prev.w.shape[1:]}, not {params.w.shape[1:]}")
-    if prev.layout is not params.layout:
-        prev = prev.padded(params.layout)
-    if fisher.layout is not params.layout:
-        fisher = fisher.padded(params.layout)
+    for what, rows in (("previous params", prev), ("fisher", fisher)):
+        if rows.w.shape != params.w.shape:
+            raise ValueError(f"{what} have shape {rows.w.shape}, the params {params.w.shape}")
     d_w, d_b = params.w - prev.w, params.b - prev.b
     loss = float((fisher.w * d_w**2).sum() + (fisher.b * d_b**2).sum())
     return loss, Gradient(2.0 * fisher.w * d_w, 2.0 * fisher.b * d_b, layout=params.layout)
@@ -293,7 +289,6 @@ def train_session(
     batch: PairBatch,
     fisher: FisherDiag | None,
     lam: float,
-    step: float,
     steps: int,
 ) -> DecoderParams:
     """Full-batch descent on MLE(batch) + lam * EWC.
@@ -303,8 +298,8 @@ def train_session(
     descent's start: the previous decoder padded to the session's layout,
     zero where the codebook grew. The Fisher is padded once to the same
     layout. Each of the `steps` steps is a `backtracking_descent` step: it
-    starts at `step`, or after the first at min(step, STEP_GROWTH x the last
-    accepted step size), and halves until the loss does not rise.
+    starts at TRAIN_STEP, or after the first at min(TRAIN_STEP, STEP_GROWTH x
+    the last accepted step size), and halves until the loss does not rise.
     """
     params = align_to_codebook(prev, cb)
     if steps <= 0 or not len(batch):
@@ -322,7 +317,7 @@ def train_session(
             grad.b += lam * g.b
         return loss, grad
 
-    return backtracking_descent(objective, params, step, steps)
+    return backtracking_descent(objective, params, TRAIN_STEP, steps)
 
 
 class DocidTrie:

@@ -26,7 +26,6 @@ import numpy as np
 from . import synthetic
 from .codebook import Codebook, SubCodebook, cluster_base, member_rows, split_rows
 from .decoder import (
-    TRAIN_STEP,
     DecoderParams,
     DocidTrie,
     FisherDiag,
@@ -38,8 +37,8 @@ from .decoder import (
 )
 from .ipq import THRESHOLD_MODES, InvalidStateError, ingest_session
 from .metrics import CUTOFF, QrelEntry, continual_metrics, mrr_at, vert
-from .rehearsal import SIGMA, CodeIndex, build_memory_bank, generate_pseudo_queries
-from .repr_learner import PROJ_STEP, SPANS_PER_LEVEL, TAU, ProjectorParams, doc_embedding, iterative_train
+from .rehearsal import CodeIndex, build_memory_bank, generate_pseudo_queries
+from .repr_learner import ProjectorParams, doc_embedding, iterative_train
 from .rng import RandomSource
 from .synthetic import ExperimentInputs
 
@@ -523,8 +522,8 @@ class Engine:
     def build_base(self, doc_ids, doc_embs, train_query_pairs, token_docs=None) -> dict:
         """Construct codebook and decoder from the base corpus.
 
-        train_query_pairs is a list of (query embedding, relevant doc id)
-        limited to base documents.
+        train_query_pairs is a list of (query embedding, relevant doc id);
+        a pair whose id is not one of `doc_ids`, or None (unjudged), is dropped.
         """
         cfg = self.config
         _check_session(doc_ids, {}, doc_embs, token_docs)
@@ -538,8 +537,7 @@ class Engine:
         projector = None
         if token_docs is not None:
             projector, cb, code_rows, embs = iterative_train(
-                token_docs, cfg.m_groups, cfg.k_clusters, cfg.v_epochs, TAU, SPANS_PER_LEVEL,
-                PROJ_STEP, rng.derive("repr"), out_dim=cfg.dim)
+                token_docs, cfg.m_groups, cfg.k_clusters, cfg.v_epochs, rng.derive("repr"), out_dim=cfg.dim)
         else:
             embs = np.asarray(doc_embs, dtype=float)
             cb, code_rows = cluster_base(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"))
@@ -552,9 +550,8 @@ class Engine:
         queries = _decoder_queries("training queries", [qe for qe, _ in kept], projector, cfg.dim, "the config's")
         batch = PairBatch(np.concatenate([embs, queries]),
                           np.concatenate([code_rows, code_rows[[r for _, r in kept]]]))
-        decoder = train_session(
-            DecoderParams.zeros(cb.sizes(), cfg.dim), cb, batch, None, 0.0, TRAIN_STEP, cfg.decoder_steps
-        )
+        decoder = train_session(DecoderParams.zeros(cb.sizes(), cfg.dim), cb, batch, None, 0.0,
+                                cfg.decoder_steps)
         fisher = estimate_fisher(batch, decoder)
         self.state = EngineState(0, cb, codes, decoder, fisher, projector)
         return {
@@ -576,6 +573,9 @@ class Engine:
         if st is None or st.session != t - 1:
             have = "no state" if st is None else f"session {st.session}"
             raise InvalidStateError(f"cannot ingest session {t} from {have}")
+        for name, have in (("dim", st.codebook.dim), ("m_groups", st.codebook.n_groups)):
+            if getattr(cfg, name) != have:
+                raise ValueError(f"the config's {name} is {getattr(cfg, name)}, but the state's is {have}")
         _check_session(doc_ids, st.codes, doc_embs, token_docs)
         if (token_docs is None) == (st.projector is not None):
             raise ValueError("this state embeds documents with its projector, so ingest needs token docs"
@@ -631,10 +631,10 @@ class Engine:
         if cfg.n_q:
             pseudo_rng = self._rng("pseudo", t)
             for doc_id, emb in zip([*doc_ids, *bank_ids], docs):
-                vecs.append(generate_pseudo_queries(emb, cfg.n_q, SIGMA, pseudo_rng.derive(doc_id)))
+                vecs.append(generate_pseudo_queries(emb, cfg.n_q, pseudo_rng.derive(doc_id)))
             targets.append(np.repeat(doc_codes, cfg.n_q, axis=0))
         batch = PairBatch(np.concatenate(vecs), np.concatenate(targets))
-        decoder = train_session(st.decoder, cb, batch, st.fisher, cfg.lam, TRAIN_STEP, cfg.decoder_steps)
+        decoder = train_session(st.decoder, cb, batch, st.fisher, cfg.lam, cfg.decoder_steps)
         # The Fisher leaves out the bank documents' own rows: new documents and pseudo queries.
         if n_head > n:
             batch = PairBatch(*(np.delete(a, np.s_[n:n_head], axis=0) for a in (batch.vecs, batch.codes)))
@@ -658,6 +658,8 @@ class Engine:
         st = self.state
         if st is None:
             raise InvalidStateError("cannot evaluate from no state")
+        if len(query_ids) != len(query_embs):
+            raise ValueError(f"{len(query_ids)} query ids but {len(query_embs)} query rows")
         queries = _decoder_queries("queries", query_embs, st.projector, st.codebook.dim, "the state's")
         rankings = search(queries, st.decoder, DocidTrie.from_codes(st.codes), self.config.top_n)
         return dict(zip(query_ids, rankings))
@@ -688,9 +690,11 @@ def run_experiment(
     doc_splits = split_benchmark(list(inputs.doc_ids), config.fractions, root.derive("split-docs"))
     n_sessions = len(config.fractions)
     doc_arrival = {d: s for s, ids in enumerate(doc_splits) for d in ids}
-    qrels = {
-        qid: QrelEntry(doc_id, doc_arrival[doc_id]) for qid, doc_id in inputs.test_qrels.items()
-    }
+    for qid, doc_id in inputs.test_qrels.items():
+        if doc_id not in doc_arrival:
+            raise ValueError(f"test query {qid!r} is judged by document {doc_id!r}, "
+                             "which is not in the corpus")
+    qrels = {qid: QrelEntry(doc_id, doc_arrival[doc_id]) for qid, doc_id in inputs.test_qrels.items()}
     # Session-specific query sets follow their relevant document's arrival, so
     # Q_i is answerable exactly from session i onward; unjudged queries are not scored.
     query_splits = [
@@ -711,13 +715,8 @@ def run_experiment(
         embs = np.stack([emb_of[d] for d in ids]) if ids else np.zeros((0, config.dim))
         tokens = [tokens_of[d] for d in ids] if tokens_of else None
         if t == 0:
-            base_ids = set(ids)
-            train_pairs = []
-            if inputs.train_query_embs is not None:
-                for qid, qe in zip(inputs.train_query_ids, np.asarray(inputs.train_query_embs, dtype=float)):
-                    d = inputs.train_qrels.get(qid)
-                    if d in base_ids:
-                        train_pairs.append((qe, d))
+            train_embs = () if inputs.train_query_embs is None else np.asarray(inputs.train_query_embs, dtype=float)
+            train_pairs = [(qe, inputs.train_qrels.get(qid)) for qid, qe in zip(inputs.train_query_ids, train_embs)]
             info = engine.build_base(ids, embs, train_pairs, token_docs=tokens)
         else:
             info, _ = engine.ingest(t, ids, embs, token_docs=tokens)

@@ -16,7 +16,7 @@ import numpy as np
 from .codebook import Codebook, PqCode
 from .rng import RandomSource
 
-# The engine's noise scale for pseudo queries: sd of the Gaussian added to the embedding.
+# The noise scale of pseudo queries: sd of the Gaussian added to the embedding.
 SIGMA = 0.1
 
 
@@ -121,11 +121,9 @@ def build_memory_bank(
     return bank
 
 
-def generate_pseudo_queries(embedding: np.ndarray, n_q: int, sigma: float, rng: RandomSource) -> np.ndarray:
-    """Sample n_q noisy copies of a document embedding as pseudo queries, one per row."""
+def generate_pseudo_queries(embedding: np.ndarray, n_q: int, rng: RandomSource) -> np.ndarray:
+    """Sample n_q noisy copies of a document embedding (noise sd SIGMA) as pseudo queries, one per row."""
     if n_q < 1:
         raise ValueError("n_q must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
     embedding = np.asarray(embedding, dtype=float)
-    return embedding + sigma * rng.normal((n_q, *embedding.shape))
+    return embedding + SIGMA * rng.normal((n_q, *embedding.shape))

@@ -39,11 +39,13 @@ DEFAULT_GRANULARITIES = (
     GranularitySpec("paragraph", 64, 128),
 )
 
-# The engine's settings for `iterative_train`: the contrastive temperature,
-# the spans sampled per granularity and document, and the initial step size.
+# The settings of `iterative_train`: the contrastive temperature, the spans
+# sampled per granularity and document, the initial step size and the
+# descent steps per epoch.
 TAU = 0.1
 SPANS_PER_LEVEL = 5
 PROJ_STEP = 1e-2
+PROJ_INNER_STEPS = 20
 
 
 @dataclass
@@ -212,25 +214,15 @@ def mse_to_targets(reps: np.ndarray, targets: np.ndarray):
     return float((diff**2).sum()), 2.0 * diff
 
 
-def iterative_train(
-    docs: list[np.ndarray],
-    m: int,
-    k: int,
-    v: int,
-    tau: float,
-    g_per_level: int,
-    step: float,
-    rng: RandomSource,
-    out_dim: int,
-    inner_iters: int = 20,
-):
+def iterative_train(docs: list[np.ndarray], m: int, k: int, v: int, rng: RandomSource, out_dim: int):
     """Alternate per-group clustering with projector gradient descent.
 
     Each epoch rebuilds the codebook from the current document representations,
-    freezes the resulting reconstructions, and runs `inner_iters`
-    `backtracking_descent` steps from `step` on contrastive + MSE loss over
-    spans at the `DEFAULT_GRANULARITIES`; each trial evaluates the loss and
-    its gradient once. The projector's hidden layer is `out_dim` wide.
+    freezes the resulting reconstructions, and runs PROJ_INNER_STEPS
+    `backtracking_descent` steps from PROJ_STEP on contrastive (at TAU) + MSE
+    loss over SPANS_PER_LEVEL spans at each of the `DEFAULT_GRANULARITIES`;
+    each trial evaluates the loss and its gradient once. The projector's
+    hidden layer is `out_dim` wide.
     Returns (projector, session-0 codebook, (n x m) codes, (n x out_dim)
     representations the codebook was clustered from).
     """
@@ -240,22 +232,22 @@ def iterative_train(
     proj = ProjectorParams.init_random(in_dim, out_dim, out_dim, rng.derive("proj-init"))
     pooled_docs = np.stack([np.asarray(d, dtype=float).mean(axis=0) for d in docs])
     n = len(docs)
-    n_spans = len(DEFAULT_GRANULARITIES) * g_per_level
+    n_spans = len(DEFAULT_GRANULARITIES) * SPANS_PER_LEVEL
 
     for epoch in range(v):
         cb, codes = cluster_base(proj.forward(pooled_docs), m, k, rng.derive("kmeans", epoch))
         frozen = np.hstack([g.centroids[c] for g, c in zip(cb.groups, codes.T)])
-        spans = _sample_epoch_spans(docs, g_per_level, DEFAULT_GRANULARITIES, rng.derive("spans", epoch))
+        spans = _sample_epoch_spans(docs, SPANS_PER_LEVEL, DEFAULT_GRANULARITIES, rng.derive("spans", epoch))
         pooled_all = np.vstack([pooled_docs, _pool_spans(docs, *spans)])
 
         def total_loss(p):
             hidden, reps_all = p.layers(pooled_all)
-            l_cl, g_all = contrastive_loss(reps_all, n, n_spans, tau)
+            l_cl, g_all = contrastive_loss(reps_all, n, n_spans, TAU)
             l_mse, g_mse = mse_to_targets(reps_all[:n], frozen)
             g_all[:n] += g_mse
             return l_cl + l_mse, p.backward(pooled_all, g_all, hidden)
 
-        proj = backtracking_descent(total_loss, proj, step, inner_iters)
+        proj = backtracking_descent(total_loss, proj, PROJ_STEP, PROJ_INNER_STEPS)
 
     reps = proj.forward(pooled_docs)
     cb, codes = cluster_base(reps, m, k, rng.derive("kmeans", v))

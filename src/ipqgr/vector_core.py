@@ -25,11 +25,35 @@ def _nearest(points: np.ndarray, centroids: np.ndarray):
     return d2.argmin(axis=1), d2
 
 
+def _refill(pts: np.ndarray, centroids: np.ndarray, assign: np.ndarray, d2: np.ndarray) -> bool:
+    """Reseed each empty cluster in place; returns whether any was reseeded.
+
+    An empty cluster's centroid moves to the point farthest from it among
+    the points whose cluster keeps another member, and that point joins it.
+    """
+    k = len(centroids)
+    repaired = False
+    for c in range(k):
+        if (assign == c).any():
+            continue
+        counts = np.bincount(assign, minlength=k)
+        movable = counts[assign] > 1
+        if not movable.any():
+            continue
+        cand = np.where(movable, d2[:, c], -np.inf)
+        p = int(cand.argmax())
+        centroids[c] = pts[p]
+        assign[p] = c
+        d2[:, c] = ((pts - centroids[c]) ** 2).sum(axis=1)
+        repaired = True
+    return repaired
+
+
 def kmeans(points, k: int, rng: RandomSource):
     """Lloyd's k-means with seeded init from k distinct input points.
 
-    Empty clusters are reseeded with the point farthest from the empty
-    cluster's centroid (taken from clusters that keep at least one member).
+    Empty clusters are reseeded by `_refill`, in each iteration and after
+    the final assignment, so every cluster is returned with a member.
     Returns (centroids, assignments); the returned assignments are nearest
     with respect to the returned centroids.
     """
@@ -50,20 +74,7 @@ def kmeans(points, k: int, rng: RandomSource):
     prev_inertia = np.inf
     for _ in range(KMEANS_MAX_ITERS):
         assign, d2 = _nearest(pts, centroids)
-        repaired = False
-        for c in range(k):
-            if (assign == c).any():
-                continue
-            counts = np.bincount(assign, minlength=k)
-            movable = counts[assign] > 1
-            if not movable.any():
-                continue
-            cand = np.where(movable, d2[:, c], -np.inf)
-            p = int(cand.argmax())
-            centroids[c] = pts[p]
-            assign[p] = c
-            d2[:, c] = ((pts - centroids[c]) ** 2).sum(axis=1)
-            repaired = True
+        repaired = _refill(pts, centroids, assign, d2)
         inertia = float(d2[np.arange(n), assign].sum())
         if not repaired:
             # Lloyd iterations cannot increase inertia; a repair step resets
@@ -75,7 +86,11 @@ def kmeans(points, k: int, rng: RandomSource):
         prev_assign = assign
         for c in range(k):
             centroids[c] = pts[assign == c].mean(axis=0)
-    final_assign, _ = _nearest(pts, centroids)
+    # Each round lowers the inertia unless a reseeded point sat exactly on its
+    # old centroid. The assignment this ends with is nearest and fills every cluster.
+    final_assign, d2 = _nearest(pts, centroids)
+    while _refill(pts, centroids, final_assign, d2):
+        final_assign, d2 = _nearest(pts, centroids)
     return centroids, final_assign
 
 

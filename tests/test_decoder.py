@@ -212,15 +212,17 @@ class TestEwcLoss:
                     arr[idx] += h
                     assert rel_err(float(grad[idx]), (hi - lo) / (2 * h)) < 1e-6
 
-    def test_appended_rows_are_ignored(self):
+    def test_a_prev_or_fisher_without_the_appended_rows_is_refused(self):
+        # `train_session` pads both to the session's layout; `ewc_loss` does not.
         prev = random_params([2], dim=2, seed=17)
         cur = align_to_codebook(prev, toy_codebook([3]))
-        cur.weights[0][2] = 99.0
-        cur.biases[0][2] = 99.0
         fisher = FisherDiag([np.ones((2, 2))], [np.ones(2)])
-        loss, (gw, gb) = ewc_loss(cur, prev, fisher)
+        with pytest.raises(ValueError, match=r"previous params have shape \(2, 2\), the params \(3, 2\)"):
+            ewc_loss(cur, prev, fisher.padded(cur.layout))
+        with pytest.raises(ValueError, match=r"fisher have shape \(2, 2\), the params \(3, 2\)"):
+            ewc_loss(cur, prev.padded(cur.layout), fisher)
+        loss, _ = ewc_loss(cur, prev.padded(cur.layout), fisher.padded(cur.layout))
         assert loss == 0.0
-        assert np.array_equal(gw[0][2], np.zeros(2))
 
     def test_shape_mismatch_beyond_appended_rows(self):
         prev = random_params([3], dim=2, seed=18)
@@ -241,7 +243,7 @@ class TestTrainSession:
     def test_zero_steps_only_pads(self):
         cb = toy_codebook([3, 3])
         prev = random_params([2, 3], dim=2, seed=20)
-        out = train_session(prev, cb, PairBatch.stack(self.make_pairs([2, 3], 2, 4, 21)), None, 0.0, 0.05, 0)
+        out = train_session(prev, cb, PairBatch.stack(self.make_pairs([2, 3], 2, 4, 21)), None, 0.0, 0)
         assert out.sizes() == [3, 3]
         assert np.array_equal(out.weights[0][:2], prev.weights[0])
         assert np.array_equal(out.weights[0][2], np.zeros(2))
@@ -251,7 +253,7 @@ class TestTrainSession:
         prev = DecoderParams.zeros([3, 3], dim=4)
         pairs = self.make_pairs([3, 3], 4, 12, 22)
         before, _ = mle_loss(pairs, prev)
-        out = train_session(prev, cb, PairBatch.stack(pairs), None, 0.0, 0.05, 100)
+        out = train_session(prev, cb, PairBatch.stack(pairs), None, 0.0, 100)
         after, _ = mle_loss(pairs, out)
         assert after < before
 
@@ -260,8 +262,8 @@ class TestTrainSession:
         prev = random_params([3, 3], dim=4, seed=23)
         pairs = self.make_pairs([3, 3], 4, 12, 24)
         fisher = estimate_fisher(pairs, prev)
-        free = train_session(prev, cb, PairBatch.stack(pairs), fisher, 0.0, 0.05, 100)
-        pinned = train_session(prev, cb, PairBatch.stack(pairs), fisher, 1e6, 0.05, 100)
+        free = train_session(prev, cb, PairBatch.stack(pairs), fisher, 0.0, 100)
+        pinned = train_session(prev, cb, PairBatch.stack(pairs), fisher, 1e6, 100)
         drift_free = sum(
             float(np.abs(a - b).sum()) for a, b in zip(free.weights, prev.weights)
         )
@@ -276,8 +278,8 @@ class TestTrainSession:
         prev = random_params([3, 3], dim=4, seed=26)
         pairs = self.make_pairs([3, 4], 4, 12, 27)
         fisher = estimate_fisher(self.make_pairs([3, 3], 4, 6, 28), prev)
-        got = train_session(prev, cb, PairBatch.stack(pairs), fisher, 0.0, 0.05, 30)
-        want = train_session(prev, cb, PairBatch.stack(pairs), None, 0.0, 0.05, 30)
+        got = train_session(prev, cb, PairBatch.stack(pairs), fisher, 0.0, 30)
+        want = train_session(prev, cb, PairBatch.stack(pairs), None, 0.0, 30)
         assert got.w.tobytes() == want.w.tobytes()
         assert got.b.tobytes() == want.b.tobytes()
 
@@ -288,7 +290,7 @@ class TestTrainSession:
         losses = []
         cur = prev
         for _ in range(10):
-            cur = train_session(cur, cb, PairBatch.stack(pairs), None, 0.0, 0.05, 5)
+            cur = train_session(cur, cb, PairBatch.stack(pairs), None, 0.0, 5)
             losses.append(mle_loss(pairs, cur)[0])
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -330,9 +332,10 @@ class TestStepRule:
     def test_a_step_starts_at_most_a_quarter_above_the_last_accepted_one(self, monkeypatch):
         cb = toy_codebook([4, 4])
         pairs = TestTrainSession().make_pairs([4, 4], 3, 10, 29)
+        monkeypatch.setattr(decoder, "TRAIN_STEP", 5.0)
         lrs, losses = record_trials(
             monkeypatch,
-            lambda: train_session(DecoderParams.zeros([4, 4], 3), cb, PairBatch.stack(pairs), None, 0.0, 5.0, 30),
+            lambda: train_session(DecoderParams.zeros([4, 4], 3), cb, PairBatch.stack(pairs), None, 0.0, 30),
         )
         accepted = accepted_trials(losses)
         assert len(accepted) == len(lrs) and lrs[0] == 5.0
@@ -433,8 +436,8 @@ class TestTrainSessionMatchesReference:
             fisher, lam = estimate_fisher(pairs(6, prev.sizes()), prev), 0.5
         else:
             fisher, lam = None, 0.0
-        got = train_session(prev, cb, PairBatch.stack([p for g in groups for p in g]), fisher, lam, 0.05, 30)
-        want = reference_train_session(prev, cb, groups, fisher, lam, 0.05, 30)
+        got = train_session(prev, cb, PairBatch.stack([p for g in groups for p in g]), fisher, lam, 30)
+        want = reference_train_session(prev, cb, groups, fisher, lam, decoder.TRAIN_STEP, 30)
         assert got.sizes() == want.sizes() == cb.sizes()
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -456,7 +459,7 @@ class TestTargetCodesAreValidated:
             "mle_loss": lambda: mle_loss(pairs, params),
             "estimate_fisher": lambda: estimate_fisher(pairs, params),
             "train_session": lambda: train_session(
-                params, toy_codebook(self.SIZES), PairBatch.stack(pairs), None, 0.0, 0.05, 3
+                params, toy_codebook(self.SIZES), PairBatch.stack(pairs), None, 0.0, 3
             ),
         }
         with pytest.raises(ValueError, match="pair 2"):
@@ -536,8 +539,8 @@ class TestLossBlocks:
             fisher, lam = estimate_fisher(prev_pairs, prev), 0.5
         else:
             fisher, lam = None, 0.0
-        got = train_session(prev, cb, PairBatch.stack(pairs), fisher, lam, 0.05, 10)
-        want = reference_train_session(prev, cb, groups, fisher, lam, 0.05, 10)
+        got = train_session(prev, cb, PairBatch.stack(pairs), fisher, lam, 10)
+        want = reference_train_session(prev, cb, groups, fisher, lam, decoder.TRAIN_STEP, 10)
         assert got.sizes() == want.sizes() == sizes
         assert close(got.weights + got.biases, want.weights + want.biases)
 
@@ -613,7 +616,7 @@ class TestFlatAnchor:
     @settings(max_examples=40, deadline=None)
     def test_ewc_loss_matches_the_per_group_loop(self, problem):
         sizes, prev, _, _, fisher, cur, _ = problem
-        loss, (gw, gb) = ewc_loss(cur, prev, fisher)
+        loss, (gw, gb) = ewc_loss(cur, prev.padded(cur.layout), fisher.padded(cur.layout))
         want_loss, (want_gw, want_gb) = reference_ewc_loss(cur, prev, fisher)
         assert rel_err(loss, want_loss) <= 1e-12
         assert close(gw + gb, want_gw + want_gb)
@@ -626,8 +629,8 @@ class TestFlatAnchor:
         sizes, prev, pairs, (a, b), fisher, _, lam = problem
         cb = toy_codebook(sizes)
         groups = (pairs[:a], pairs[a:b], pairs[b:])
-        got = train_session(prev, cb, PairBatch.stack(pairs), fisher, lam, 0.05, 10)
-        want = reference_train_session(prev, cb, groups, fisher, lam, 0.05, 10)
+        got = train_session(prev, cb, PairBatch.stack(pairs), fisher, lam, 10)
+        want = reference_train_session(prev, cb, groups, fisher, lam, decoder.TRAIN_STEP, 10)
         assert got.sizes() == want.sizes() == sizes
         assert close(got.weights + got.biases, want.weights + want.biases)
 
@@ -652,7 +655,7 @@ class TestFlatAnchor:
         fisher = estimate_fisher([(v, (c[0] % 2, 0, c[2])) for v, c in pairs], prev)
         saved = [a.copy() for a in (prev.w, prev.b, fisher.w, fisher.b)]
         layouts = prev.layout, fisher.layout
-        out = train_session(prev, toy_codebook([4, 2, 3]), PairBatch.stack(pairs), fisher, 50.0, 0.05, 5)
+        out = train_session(prev, toy_codebook([4, 2, 3]), PairBatch.stack(pairs), fisher, 50.0, 5)
         assert out.sizes() == [4, 2, 3]
         assert (prev.layout, fisher.layout) == layouts
         assert all(
@@ -687,7 +690,7 @@ class TestLossMemory:
         cb = toy_codebook(self.SIZES)
         limit = self.N * sum(self.SIZES) * 8
         batch = PairBatch.stack(pairs)
-        assert self.peak(lambda: train_session(prev, cb, batch, fisher, 0.5, 0.05, 2)) < limit
+        assert self.peak(lambda: train_session(prev, cb, batch, fisher, 0.5, 2)) < limit
         params = align_to_codebook(prev, cb)
         assert self.peak(lambda: estimate_fisher(pairs, params)) < limit
 

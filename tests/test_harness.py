@@ -11,10 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ipqgr import cli, harness, synthetic
+from ipqgr import cli, harness, synthetic, vector_core
 from ipqgr.decoder import docid_log_prob
 from ipqgr.metrics import CUTOFF
-from ipqgr.rehearsal import SIGMA, build_memory_bank, generate_pseudo_queries, max_perturb_dims
+from ipqgr.rehearsal import build_memory_bank, generate_pseudo_queries, max_perturb_dims
 from ipqgr.harness import (
     VARIANTS,
     Engine,
@@ -261,6 +261,18 @@ class TestStatePersistence:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_a_capped_k_means_base_saves_and_loads(self, tmp_path, monkeypatch):
+        # After one Lloyd iteration the final reassignment left centroid 3 of
+        # this base without a member: its state saved, then failed to load.
+        monkeypatch.setattr(vector_core, "KMEANS_MAX_ITERS", 1)
+        pts = np.random.default_rng(1066).normal(size=(40, 2))
+        engine = Engine(ExperimentConfig(dim=2, m_groups=1, k_clusters=8, decoder_steps=0, seed=390))
+        engine.build_base(list(range(40)), pts, [])
+        st = engine.state
+        assert all(st.codebook.quantize(p) == st.codes[i] for i, p in enumerate(pts))
+        save_state(st, tmp_path / "capped.state")
+        assert load_state(tmp_path / "capped.state").codes == st.codes
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "x.state"
         path.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 48)
@@ -362,6 +374,15 @@ class TestRunExperiment:
         save_state(mid, path)
         resumed, _ = run_experiment(small_config(), small_inputs(), resume_state=load_state(path))
         assert canonical_report_bytes(resumed) == canonical_report_bytes(full)
+
+    def test_a_test_qrel_naming_a_document_not_in_the_corpus_is_refused(self):
+        # Unchecked, the run ends in a bare KeyError: 9999.
+        data = small_inputs()
+        q = data.test_query_ids[3]
+        data.test_qrels[q] = 9999
+        message = f"^test query {q} is judged by document 9999, which is not in the corpus$"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(small_config(), data)
 
     def test_timing_is_excluded_from_canonical_bytes(self):
         r, _ = run_experiment(small_config(), small_inputs(), include_timing=True)
@@ -484,6 +505,33 @@ class TestEngineGuards:
 
         with pytest.raises(InvalidStateError, match="cannot evaluate from no state"):
             Engine(small_config()).evaluate([0], np.zeros((1, 16)))
+
+    @pytest.mark.parametrize("n_ids", [2, 4])
+    def test_evaluate_refuses_ids_and_rows_that_do_not_pair(self, n_ids):
+        # Unchecked, 2 ids for 3 rows return 2 rankings, and 4 ids drop id 3 without a word.
+        data = small_inputs()
+        _, state = run_experiment(small_config(), data, stop_after_session=0)
+        with pytest.raises(ValueError, match=f"^{n_ids} query ids but 3 query rows$"):
+            Engine(small_config(), state).evaluate(list(range(n_ids)), data.test_query_embs[:3])
+
+    @pytest.mark.parametrize(
+        "field, value, mode",
+        [("m_groups", 8, "both"), ("m_groups", 8, "recluster"), ("dim", 32, "both")],
+        ids=["groups", "groups-recluster", "dim"],
+    )
+    def test_ingest_refuses_a_config_unlike_the_state(self, field, value, mode):
+        # Unchecked, IPQ ignores m_groups, re-clustering fails only once it has
+        # clustered, and a 32-wide config takes 16-wide documents.
+        _, state = run_experiment(small_config(), small_inputs(), stop_after_session=0)
+        issued = dict(state.codes)
+        cfg = small_config(**{field: value, "threshold_mode": mode})
+        have = {"m_groups": 4, "dim": 16}[field]
+        with pytest.raises(ValueError, match=f"^the config's {field} is {value}, but the state's is {have}$"):
+            Engine(cfg, state).ingest(1, [900], np.zeros((1, 16)))
+        with pytest.raises(ValueError, match=f"^the config's {field} is {value}"):
+            run_experiment(cfg, small_inputs(), resume_state=state)
+        assert state.session == 0
+        assert state.codes == issued
 
     @pytest.mark.parametrize("repeat", ["issued", "within-session"])
     def test_ingest_refuses_to_reissue_a_docid(self, repeat):
@@ -686,7 +734,7 @@ class TestSessionBatch:
         head = docs if cfg.enable_mle_dneg else docs[:n]
         pseudo_rng = RandomSource(cfg.seed).derive("pseudo", 1)
         want_vecs = [e for _, e in head] + [
-            q for i, e in docs for q in generate_pseudo_queries(e, n_q, SIGMA, pseudo_rng.derive(i))
+            q for i, e in docs for q in generate_pseudo_queries(e, n_q, pseudo_rng.derive(i))
         ]
         want_codes = [codes[i] for i, _ in head] + [codes[i] for i, _ in docs for _ in range(n_q)]
         train = batches["train"]
@@ -831,7 +879,7 @@ class TestCli:
         assert len(log.read_text().strip().split("\n")) == 6 * 4  # docs x groups
         assert cli.main(
             [
-                "evaluate", *common, "--state", str(state),
+                "evaluate", "--config", str(tmp_path / "cfg.json"), "--state", str(state),
                 "--queries", str(tmp_path / "queries.emb"),
                 "--qrels", str(tmp_path / "qrels.tsv"),
                 "--out", str(tmp_path / "run.tsv"),
@@ -905,6 +953,45 @@ class TestCli:
         write_token_docs(tmp_path / "tokens.tok", docs)
         assert cli.main([*self.base_args(tmp_path), "--tokens", str(tmp_path / "tokens.tok")]) == 2
         assert capsys.readouterr().err.strip() == "error: document 5 holds a token value that is not finite"
+        assert not (tmp_path / "engine.state").exists()
+
+    def test_evaluate_takes_no_seed(self, capsys):
+        # Evaluation draws no random numbers, so a seed would set nothing.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--seed", "4", "--state", "s", "--queries", "q", "--out", "o"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 4" in capsys.readouterr().err
+
+    def test_ingest_under_a_config_unlike_the_state_is_a_clean_error(self, tmp_path, capsys):
+        self.gen(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
+        assert cli.main([*self.base_args(tmp_path), "--config", str(tmp_path / "cfg.json")]) == 0
+        (tmp_path / "groups.json").write_text(json.dumps({"m_groups": 8, "decoder_steps": 30}))
+        capsys.readouterr()
+        code = cli.main(
+            [
+                "ingest", "--config", str(tmp_path / "groups.json"),
+                "--state", str(tmp_path / "engine.state"), "--state-out", str(tmp_path / "out.state"),
+                "--docs", str(tmp_path / "docs.emb"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: the config's m_groups is 8, but the state's is 4"
+        assert not (tmp_path / "out.state").exists()
+
+    @pytest.mark.parametrize("command", ["run", "build-base"])
+    def test_a_test_qrel_naming_an_unknown_document_is_a_clean_error(self, tmp_path, capsys, command):
+        self.gen(tmp_path)
+        with open(tmp_path / "qrels.tsv", "a") as fh:
+            fh.write("0\t9999\t0\n")  # a later line for query 0 replaces its earlier one
+        args = self.base_args(tmp_path)
+        if command == "run":  # build-base's inputs, without its --state-out
+            args = ["run", *args[1:-2], "--out", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: test query 0 is judged by document 9999, which is not in the corpus"
+        )
         assert not (tmp_path / "engine.state").exists()
 
     def test_unknown_config_key_is_a_clean_error(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipqgr import rehearsal
 from ipqgr.codebook import Codebook, SubCodebook
 from ipqgr.rehearsal import (
     CodeIndex,
@@ -224,20 +225,23 @@ class TestBuildMemoryBank:
 
 
 class TestGeneratePseudoQueries:
-    def test_noiseless_queries_equal_the_document(self):
+    def test_noiseless_queries_equal_the_document(self, monkeypatch):
+        monkeypatch.setattr(rehearsal, "SIGMA", 0.0)
         emb = np.arange(6.0)
-        queries = generate_pseudo_queries(emb, n_q=4, sigma=0.0, rng=RandomSource(0))
+        queries = generate_pseudo_queries(emb, n_q=4, rng=RandomSource(0))
         assert np.array_equal(queries, np.tile(emb, (4, 1)))
 
     def test_noise_scale(self):
-        draws = generate_pseudo_queries(np.zeros(8), 10_000, 0.1, RandomSource(1))
+        assert rehearsal.SIGMA == 0.1
+        draws = generate_pseudo_queries(np.zeros(8), 10_000, RandomSource(1))
         std = draws.std(axis=0)
         assert (std > 0.095).all() and (std < 0.105).all()
 
-    def test_cardinality_and_shared_target(self):
+    def test_cardinality_and_shared_target(self, monkeypatch):
         # One row per query, each drawn around the same document embedding.
+        monkeypatch.setattr(rehearsal, "SIGMA", 0.5)
         emb = np.full(4, 7.0)
-        queries = generate_pseudo_queries(emb, n_q=3, sigma=0.5, rng=RandomSource(2))
+        queries = generate_pseudo_queries(emb, n_q=3, rng=RandomSource(2))
         assert queries.shape == (3, 4)
         assert len({q.tobytes() for q in queries}) == 3
         assert np.abs(queries - emb).max() < 5.0
@@ -246,10 +250,8 @@ class TestGeneratePseudoQueries:
         emb = np.arange(5.0)
         rng = RandomSource(3)
         one_at_a_time = [emb + 0.1 * rng.normal(emb.shape) for _ in range(4)]
-        assert generate_pseudo_queries(emb, 4, 0.1, RandomSource(3)).tobytes() == np.stack(one_at_a_time).tobytes()
+        assert generate_pseudo_queries(emb, 4, RandomSource(3)).tobytes() == np.stack(one_at_a_time).tobytes()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            generate_pseudo_queries(np.zeros(2), n_q=0, sigma=0.1, rng=RandomSource(0))
-        with pytest.raises(ValueError):
-            generate_pseudo_queries(np.zeros(2), n_q=1, sigma=-0.1, rng=RandomSource(0))
+            generate_pseudo_queries(np.zeros(2), n_q=0, rng=RandomSource(0))

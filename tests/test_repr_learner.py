@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipqgr import repr_learner
 from ipqgr.codebook import build_base_codebook
 from ipqgr.repr_learner import (
     DEFAULT_GRANULARITIES,
@@ -414,6 +415,11 @@ class TestClusteringLoss:
 
 
 class TestIterativeTrain:
+    @pytest.fixture(autouse=True)
+    def one_span_per_level(self, monkeypatch):
+        # One span per granularity and document keeps these runs fast.
+        monkeypatch.setattr(repr_learner, "SPANS_PER_LEVEL", 1)
+
     def make_docs(self, n=32, dim=6, seed=0):
         rng = np.random.default_rng(seed)
         return [rng.normal(size=(int(rng.integers(4, 20)), dim)) for _ in range(n)]
@@ -421,9 +427,7 @@ class TestIterativeTrain:
     def test_zero_epochs_skips_training(self):
         docs = self.make_docs()
         rng = RandomSource(11)
-        proj, cb, codes, reps = iterative_train(
-            docs, m=2, k=4, v=0, tau=0.1, g_per_level=1, step=1e-2, rng=rng, out_dim=8
-        )
+        proj, cb, codes, reps = iterative_train(docs, m=2, k=4, v=0, rng=rng, out_dim=8)
         # The projector is exactly its random initialization and the codebook
         # is plain per-group clustering over the initial representations.
         init = ProjectorParams.init_random(6, 8, 8, RandomSource(11).derive("proj-init"))
@@ -458,17 +462,14 @@ class TestIterativeTrain:
 
         losses = []
         for v in (0, 2):
-            proj, *_ = iterative_train(
-                docs, m=2, k=4, v=v, tau=0.1, g_per_level=1, step=1e-2,
-                rng=RandomSource(13), out_dim=8,
-            )
+            proj, *_ = iterative_train(docs, m=2, k=4, v=v, rng=RandomSource(13), out_dim=8)
             losses.append(held_out_loss(proj))
         assert losses[1] < losses[0]
 
     def test_bit_identical_across_runs(self):
         docs = self.make_docs(seed=14)
-        out1 = iterative_train(docs, 2, 4, 2, 0.1, 1, 1e-2, RandomSource(15), out_dim=8)
-        out2 = iterative_train(docs, 2, 4, 2, 0.1, 1, 1e-2, RandomSource(15), out_dim=8)
+        out1 = iterative_train(docs, 2, 4, 2, RandomSource(15), out_dim=8)
+        out2 = iterative_train(docs, 2, 4, 2, RandomSource(15), out_dim=8)
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(out1[0], name), getattr(out2[0], name))
         assert np.array_equal(out1[2], out2[2])
@@ -476,14 +477,17 @@ class TestIterativeTrain:
 
     def test_too_few_documents(self):
         with pytest.raises(ValueError):
-            iterative_train(self.make_docs(n=3), 2, 4, 1, 0.1, 1, 1e-2, RandomSource(0), out_dim=8)
+            iterative_train(self.make_docs(n=3), 2, 4, 1, RandomSource(0), out_dim=8)
 
     @pytest.mark.parametrize("seed, step", [(16, 1e-2), (17, 0.5), (18, 5.0)])
-    def test_loss_only_trials_keep_every_byte(self, seed, step):
+    def test_loss_only_trials_keep_every_byte(self, monkeypatch, seed, step):
+        for name, value in (("SPANS_PER_LEVEL", 2), ("PROJ_STEP", step), ("PROJ_INNER_STEPS", 6)):
+            monkeypatch.setattr(repr_learner, name, value)
         docs = self.make_docs(n=20, seed=seed)
-        args = (docs, 2, 4, 2, 0.1, 2, step, RandomSource(seed), 8)
-        proj, cb, codes, _ = iterative_train(*args, inner_iters=6)
-        want_proj, want_cb, want_codes = reference_iterative_train(*args, inner_iters=6)
+        proj, cb, codes, _ = iterative_train(docs, 2, 4, 2, RandomSource(seed), 8)
+        want_proj, want_cb, want_codes = reference_iterative_train(
+            docs, 2, 4, 2, repr_learner.TAU, 2, step, RandomSource(seed), 8, inner_iters=6
+        )
         for name in ("w1", "b1", "w2", "b2"):
             assert getattr(proj, name).tobytes() == getattr(want_proj, name).tobytes()
         assert [g.centroids.tobytes() for g in cb.groups] == [g.centroids.tobytes() for g in want_cb.groups]

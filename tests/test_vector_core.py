@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ipqgr import vector_core
 from ipqgr.rng import RandomSource
 from ipqgr.vector_core import beta_sample, kmeans
 
@@ -31,6 +32,15 @@ class TestKmeans:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(40, 4))
         centroids, assign = kmeans(pts, 5, RandomSource(2))
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(d2.argmin(axis=1), assign)
+
+    def test_a_capped_run_fills_every_cluster(self, monkeypatch):
+        # After one Lloyd iteration the final reassignment left cluster 3 empty.
+        monkeypatch.setattr(vector_core, "KMEANS_MAX_ITERS", 1)
+        pts = np.random.default_rng(1066).normal(size=(40, 2))
+        centroids, assign = kmeans(pts, 8, RandomSource(1066))
+        assert (np.bincount(assign, minlength=8) > 0).all()
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(d2.argmin(axis=1), assign)
 
