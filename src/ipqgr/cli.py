@@ -7,8 +7,8 @@ Subcommands:
     ingest          index one more session of documents into a saved state
     evaluate        score queries against a saved state, emit a run TSV
 
-Documents and queries are identified by their row index in the EMB1 files
-(query ids are offset into a separate namespace by the qrels file contents).
+Documents and queries are identified by their row index in the EMB1 files; a
+qrels line names a query row and the document row that answers it.
 """
 
 from __future__ import annotations
@@ -47,19 +47,26 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _judged(path, n_rows: int, option: str) -> dict:
+    """Query row -> judged doc id, from a qrels file that judges only rows of the `option` file."""
+    qrels = io_formats.read_qrels(path)
+    for q in qrels:
+        if q not in range(n_rows):
+            raise ValueError(f"{path} judges query {q!r}, but {option} has {n_rows} rows")
+    return {q: qrels[q].doc_id for q in range(n_rows) if q in qrels}
+
+
 def _load_inputs(args) -> ExperimentInputs:
     docs = io_formats.read_embeddings(args.docs)
     queries = io_formats.read_embeddings(args.queries)
-    qrels = io_formats.read_qrels(args.qrels)
     doc_ids = list(range(docs.shape[0]))
     query_ids = list(range(queries.shape[0]))
-    test_qrels = {q: qrels[q].doc_id for q in query_ids if q in qrels}
+    test_qrels = _judged(args.qrels, len(query_ids), "--queries")
     train_query_ids, train_embs, train_qrels = [], None, {}
     if args.train_queries:
         train_embs = io_formats.read_embeddings(args.train_queries)
-        train_qrels_all = io_formats.read_qrels(args.train_qrels)
         train_query_ids = list(range(train_embs.shape[0]))
-        train_qrels = {q: train_qrels_all[q].doc_id for q in train_query_ids if q in train_qrels_all}
+        train_qrels = _judged(args.train_qrels, len(train_query_ids), "--train-queries")
     token_docs = io_formats.read_token_docs(args.tokens) if getattr(args, "tokens", None) else None
     return ExperimentInputs(
         doc_ids=doc_ids,
@@ -82,13 +89,8 @@ def cmd_gen_synthetic(args) -> int:
     io_formats.write_embeddings(args.docs_out, data.doc_embs)
     io_formats.write_embeddings(args.queries_out, data.test_query_embs)
     io_formats.write_embeddings(args.train_queries_out, data.train_query_embs)
-    io_formats.write_qrels(
-        args.qrels_out, {q: QrelEntry(d, 0) for q, d in data.test_qrels.items()}
-    )
-    io_formats.write_qrels(
-        args.train_qrels_out,
-        {q - 1_000_000: QrelEntry(d, 0) for q, d in data.train_qrels.items()},
-    )
+    for path, qrels in ((args.qrels_out, data.test_qrels), (args.train_qrels_out, data.train_qrels)):
+        io_formats.write_qrels(path, {q: QrelEntry(d, 0) for q, d in qrels.items()})
     if args.tokens_out:
         io_formats.write_token_docs(args.tokens_out, data.token_docs)
     print(f"wrote {args.n_docs} docs (dim {args.dim}) and matching query files")

@@ -176,13 +176,17 @@ def split_benchmark(ids: list, fractions, rng: RandomSource) -> list[list]:
 
 @dataclass
 class EngineState:
-    session: int
     codebook: Codebook
     codes: dict  # doc id -> code, in the row order of the codebook's vectors
     decoder: DecoderParams
     fisher: FisherDiag
     projector: object | None
     history: list = field(default_factory=list)
+
+    @property
+    def session(self) -> int:
+        """The last session indexed: the codebook's counter."""
+        return self.codebook.session
 
 
 STATE_MAGIC = b"IPQS"
@@ -256,7 +260,7 @@ def _metadata(state: EngineState, history: list) -> dict:
         if rows.sizes() != cb.sizes():
             raise ValueError(f"{what} group sizes {rows.sizes()} differ from the codebook's {cb.sizes()}")
     return {
-        "session": state.session,
+        "session": cb.session,
         "ids": ids,
         "history": history,
         "codebook": {"dim": cb.dim, "sizes": cb.sizes()},
@@ -425,15 +429,8 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     projector = None
     if meta["projector"] is not None:
         projector = ProjectorParams(*(arrays[f"projector_{n}"] for n in ("w1", "b1", "w2", "b2")))
-    return EngineState(
-        session=meta["session"],
-        codebook=Codebook(meta["session"], dim, groups),
-        codes=code_of,
-        decoder=decoder,
-        fisher=fisher,
-        projector=projector,
-        history=meta["history"],
-    )
+    return EngineState(Codebook(meta["session"], dim, groups), code_of, decoder, fisher, projector,
+                       meta["history"])
 
 
 def load_state(path) -> EngineState:
@@ -474,18 +471,38 @@ def load_state(path) -> EngineState:
     return state
 
 
+# The largest magnitude an input value may have. The EWC anchor, the engine's
+# largest quantity, grows as the fourth power of the input scale: a Fisher of
+# squared inputs times the square of weights that move with the inputs. At 1e30
+# that power is 1e120, far below float64's largest value (1.8e308) whatever the
+# sums over documents, decoder rows and steps add; and EMB1's float32 (largest
+# 3.4e38) holds values beyond it, so a file meets the same refusal as an array.
+MAX_ABS = 1e30
+
+
+def _problem(values) -> str | None:
+    """What unfits `values` for the engine's arithmetic: a value that is not finite or beyond ±MAX_ABS."""
+    if not np.isfinite(values).all():
+        return "value that is not finite"
+    if (np.abs(values) > MAX_ABS).any():
+        return f"value beyond ±{MAX_ABS:g}"
+    return None
+
+
 def _check_rows(what: str, rows, dim: int, whose: str) -> None:
-    """Refuse vectors of the wrong width, or the first row holding a NaN or an infinity."""
+    """Refuse vectors of the wrong width, or the first row holding a value `_problem` names."""
     rows = np.asarray(rows, dtype=float)
     if len(rows) and rows.shape[-1] != dim:
         raise ValueError(f"{what} are {rows.shape[-1]} wide, but {whose} dim is {dim}")
-    finite = np.isfinite(rows).all(axis=-1)
-    if not finite.all():
-        raise ValueError(f"{what} row {int(finite.argmin())} holds a value that is not finite")
+    fit = (np.abs(rows) <= MAX_ABS).all(axis=-1)  # False where a value is NaN, too
+    if not fit.all():
+        i = int(fit.argmin())
+        raise ValueError(f"{what} row {i} holds a {_problem(rows[i])}")
 
 
 def _check_session(doc_ids, issued, doc_embs, token_docs) -> None:
-    """Refuse rows that do not pair with the ids, or an id a state file cannot hold, issued already or repeated."""
+    """Refuse rows that do not pair with the ids, an id a state file cannot hold, issued already or
+    repeated, or a token document holding a value `_problem` names."""
     for what, given in (("embedding rows", doc_embs), ("token docs", token_docs)):
         if given is not None and len(given) != len(doc_ids):
             raise ValueError(f"{len(doc_ids)} doc ids but {len(given)} {what}")
@@ -495,6 +512,10 @@ def _check_session(doc_ids, issued, doc_embs, token_docs) -> None:
         if i in issued or i in seen:
             raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
         seen.add(i)
+    for i, doc in zip(doc_ids, token_docs or ()):
+        problem = _problem(doc)
+        if problem:
+            raise ValueError(f"document {i!r} holds a token {problem}")
 
 
 def _decoder_queries(what: str, rows, projector, dim: int, whose: str) -> np.ndarray:
@@ -529,10 +550,6 @@ class Engine:
         _check_session(doc_ids, {}, doc_embs, token_docs)
         if token_docs is None:
             _check_rows("documents", doc_embs, cfg.dim, "the config's")
-        else:
-            for i, doc in zip(doc_ids, token_docs):
-                if not np.isfinite(doc).all():
-                    raise ValueError(f"document {i!r} holds a token value that is not finite")
         rng = self._rng("base")
         projector = None
         if token_docs is not None:
@@ -553,7 +570,7 @@ class Engine:
         decoder = train_session(DecoderParams.zeros(cb.sizes(), cfg.dim), cb, batch, None, 0.0,
                                 cfg.decoder_steps)
         fisher = estimate_fisher(batch, decoder)
-        self.state = EngineState(0, cb, codes, decoder, fisher, projector)
+        self.state = EngineState(cb, codes, decoder, fisher, projector)
         return {
             "session": 0,
             "n_new_docs": len(doc_ids),
@@ -599,12 +616,7 @@ class Engine:
         else:
             codes = st.codes
             cb, new_code_map, log = ingest_session(
-                st.codebook,
-                list(zip(doc_ids, embs)),
-                self._rng("ingest", t),
-                cfg.threshold_mode,
-                target_session=t,
-            )
+                st.codebook, list(zip(doc_ids, embs)), self._rng("ingest", t), cfg.threshold_mode)
             decision_counts = dict(Counter(d.kind.value for d in log))
 
         # The bank is old-document rows: in the order the search found them, or as many drawn at random.
@@ -640,7 +652,7 @@ class Engine:
             batch = PairBatch(*(np.delete(a, np.s_[n:n_head], axis=0) for a in (batch.vecs, batch.codes)))
         fisher = estimate_fisher(batch, decoder) if len(batch) else st.fisher
         codes.update(new_code_map)
-        st.codes, st.codebook, st.decoder, st.fisher, st.session = codes, cb, decoder, fisher, t
+        st.codes, st.codebook, st.decoder, st.fisher = codes, cb, decoder, fisher
         info = {
             "session": t,
             "n_new_docs": len(doc_ids),
@@ -684,16 +696,17 @@ def run_experiment(
     returns (None, state); the state can later be passed back as
     `resume_state` to continue the identical run.
     """
-    config.validate()
     t_start = time.perf_counter()
+    engine = Engine(config, state=resume_state)  # which validates the config
     root = RandomSource(config.seed)
     doc_splits = split_benchmark(list(inputs.doc_ids), config.fractions, root.derive("split-docs"))
     n_sessions = len(config.fractions)
     doc_arrival = {d: s for s, ids in enumerate(doc_splits) for d in ids}
-    for qid, doc_id in inputs.test_qrels.items():
-        if doc_id not in doc_arrival:
-            raise ValueError(f"test query {qid!r} is judged by document {doc_id!r}, "
-                             "which is not in the corpus")
+    for what, judged in (("test", inputs.test_qrels), ("training", inputs.train_qrels)):
+        for qid, doc_id in judged.items():
+            if doc_id not in doc_arrival:
+                raise ValueError(f"{what} query {qid!r} is judged by document {doc_id!r}, "
+                                 "which is not in the corpus")
     qrels = {qid: QrelEntry(doc_id, doc_arrival[doc_id]) for qid, doc_id in inputs.test_qrels.items()}
     # Session-specific query sets follow their relevant document's arrival, so
     # Q_i is answerable exactly from session i onward; unjudged queries are not scored.
@@ -708,7 +721,6 @@ def run_experiment(
     def metric(ranked, judged):
         return mrr_at(ranked, judged, CUTOFF)
 
-    engine = Engine(config, state=resume_state)
     start = 0 if resume_state is None else resume_state.session + 1
     for t in range(start, n_sessions):
         ids = doc_splits[t]

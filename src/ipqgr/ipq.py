@@ -74,7 +74,6 @@ def ingest_session(
     new_docs: list[tuple[object, np.ndarray]],
     rng: RandomSource,
     threshold_mode: str = "both",
-    target_session: int | None = None,
 ) -> tuple[Codebook, dict, list[UpdateDecision]]:
     """Apply one session of documents to a codebook.
 
@@ -87,13 +86,8 @@ def ingest_session(
     """
     if threshold_mode not in THRESHOLD_MODES:
         raise ValueError(f"unknown threshold mode {threshold_mode!r}")
-    t = cb.session + 1
-    if target_session is not None and target_session != t:
-        raise InvalidStateError(
-            f"codebook is at session {cb.session}, cannot produce session {target_session}"
-        )
     # The groups are rebuilt below: arrays and member tuples are shared, never written.
-    out = Codebook(t, cb.dim, [SubCodebook(g.centroids, g.vecs, g.members) for g in cb.groups])
+    out = Codebook(cb.session + 1, cb.dim, [SubCodebook(g.centroids, g.vecs, g.members) for g in cb.groups])
     rows = [np.asarray(x, dtype=float) for _, x in new_docs]
     for x in rows:
         if x.shape != (cb.dim,):

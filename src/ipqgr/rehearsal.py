@@ -30,33 +30,20 @@ class CodeIndex:
     def from_codes(cls, codes: dict) -> "CodeIndex":
         idx = cls()
         for doc_id, code in codes.items():
-            idx.add(tuple(code), doc_id)
+            idx._by_code.setdefault(tuple(code), []).append(doc_id)
         return idx
-
-    def add(self, code: PqCode, doc_id) -> None:
-        self._by_code.setdefault(code, []).append(doc_id)
 
     def lookup(self, code: PqCode) -> list:
         return self._by_code.get(tuple(code), [])
 
 
-@dataclass(frozen=True)
-class MemoryBankEntry:
-    old_id: object
-    source_id: object
-    o: int  # number of code positions that were changed to reach old_id
-
-
 @dataclass
 class MemoryBank:
     session: int
-    entries: list[MemoryBankEntry] = field(default_factory=list)
+    ids: dict = field(default_factory=dict)  # old doc id -> None, in the order the search first found it
 
     def doc_ids(self) -> list:
-        seen = {}
-        for e in self.entries:
-            seen.setdefault(e.old_id, None)
-        return list(seen)
+        return list(self.ids)
 
 
 def max_perturb_dims(m: int) -> int:
@@ -103,21 +90,18 @@ def build_memory_bank(
 ) -> MemoryBank:
     """Collect old documents reachable by perturbing each new document's code.
 
-    The flip count o sweeps 1..max_perturb_dims(M); a document found at
-    several o values is kept at the smallest one. Each (new document, o)
-    uses a stream derived from the id and o, so the bank is independent of
-    iteration order.
+    The flip count o sweeps 1..max_perturb_dims(M) for each new document in
+    turn, and each old document is recorded once, where the search first
+    finds it. Each (new document, o) uses a stream derived from the id and o,
+    so the set of old documents is independent of iteration order.
     """
     selectable = _selectable(cb)
     bank = MemoryBank(session=session)
     for doc_id, code in new_codes.items():
-        found: set = set()
         for o in range(1, max_perturb_dims(cb.n_groups) + 1):
             for cand in perturb_codes(tuple(code), o, c, selectable, rng.derive(doc_id, o)):
                 for old_id in index.lookup(cand):
-                    if old_id not in found:
-                        found.add(old_id)
-                        bank.entries.append(MemoryBankEntry(old_id, doc_id, o))
+                    bank.ids.setdefault(old_id)
     return bank
 
 

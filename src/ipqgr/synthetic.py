@@ -57,9 +57,7 @@ def generate(
     test_embs = doc_embs + QUERY_NOISE * rng.derive("test-queries").normal((n_docs, dim))
     train_embs = doc_embs + QUERY_NOISE * rng.derive("train-queries").normal((n_docs, dim))
 
-    doc_ids = list(range(n_docs))
-    test_ids = list(range(n_docs))
-    train_ids = list(range(1_000_000, 1_000_000 + n_docs))
+    ids = range(n_docs)  # document i's queries are query i of each set
     token_docs = None
     if with_tokens:
         tok_rng = rng.derive("tokens")
@@ -70,13 +68,13 @@ def generate(
             noise = TOKEN_NOISE * tok_rng.derive(i, "vals").normal((n_tok, dim))
             token_docs.append(doc_embs[i] + noise)
     return ExperimentInputs(
-        doc_ids=doc_ids,
+        doc_ids=list(ids),
         doc_embs=doc_embs,
-        test_query_ids=test_ids,
+        test_query_ids=list(ids),
         test_query_embs=test_embs,
-        test_qrels={q: d for q, d in zip(test_ids, doc_ids)},
-        train_query_ids=train_ids,
+        test_qrels=dict(zip(ids, ids)),
+        train_query_ids=list(ids),
         train_query_embs=train_embs,
-        train_qrels={q: d for q, d in zip(train_ids, doc_ids)},
+        train_qrels=dict(zip(ids, ids)),
         token_docs=token_docs,
     )

@@ -7,6 +7,7 @@ import pickle
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,15 @@ def small_config(**overrides):
 
 def small_inputs(n_docs=120, seed=0, n_clusters=10):
     return synthetic.generate(n_docs, 16, n_clusters, RandomSource(seed).derive("synthetic"))
+
+
+# The smallest value beyond the engine's magnitude bound, harness.MAX_ABS.
+BEYOND = float(np.nextafter(1e30, np.inf))
+
+
+def payload_bytes(state) -> bytes:
+    """The bytes a save of `state` would write after its header."""
+    return b"".join(bytes(memoryview(b)) for b in harness._payload(state, state.history))
 
 
 class TestSplitBenchmark:
@@ -396,23 +406,24 @@ class TestRunExperiment:
         assert report["decision_totals"].get("reclustered_old_codes_changed", 0) > 0
 
     def test_reclustering_bank_is_found_under_the_current_codes(self, monkeypatch):
-        # The bank's index must hold the old documents' rewritten codes: an entry
-        # found by changing o positions of its source's code is o positions away.
-        banks = []
+        # The bank's index must hold the old documents' rewritten codes: each bank
+        # document is at most max_perturb_dims(M) positions from a new document.
+        calls = []
 
-        def keep(*args):
-            banks.append(build_memory_bank(*args))
-            return banks[-1]
+        def keep(new_codes, *args):
+            calls.append((new_codes, build_memory_bank(new_codes, *args)))
+            return calls[-1][1]
 
         monkeypatch.setattr(harness, "build_memory_bank", keep)
         cfg = small_config(seed=3, fractions=(0.7, 0.3)).with_variant("pq-re")
         _, state = run_experiment(cfg, small_inputs(n_docs=200))
-        (bank,) = banks
-        assert bank.entries
-        for e in bank.entries:
-            old, src = state.codes[e.old_id], state.codes[e.source_id]
-            assert 1 <= e.o <= max_perturb_dims(cfg.m_groups)
-            assert sum(a != b for a, b in zip(old, src)) == e.o
+        ((new_codes, bank),) = calls
+        assert bank.doc_ids()
+        o_max = max_perturb_dims(cfg.m_groups)
+        for i in bank.doc_ids():
+            assert i not in new_codes
+            assert any(1 <= sum(a != b for a, b in zip(state.codes[i], state.codes[n])) <= o_max
+                       for n in new_codes)
 
     def test_threshold_decisions_are_logged(self):
         report, _ = run_experiment(small_config(), small_inputs())
@@ -621,31 +632,34 @@ class TestEngineGuards:
         assert state.session == 1
         assert state.codes == issued
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, pytest.param(BEYOND, id="beyond"),
+                                     pytest.param(-BEYOND, id="-beyond")])
     def test_vectors_that_are_not_finite_are_refused_by_row(self, bad):
         # Unchecked, an inf document fails an assertion in k-means, a NaN one
         # ends in an OverflowError deep in IPQ, and a NaN query ranks nothing.
+        # Rows of 1e77 overflow in the second session's EWC anchor, and rows of
+        # 1e200 leave a Fisher of NaN and infinity.
         cfg = small_config()
         data = small_inputs()
         engine = Engine(cfg)
         docs = data.doc_embs.copy()
         docs[[7, 9], 3] = bad
-        with pytest.raises(ValueError, match="^documents row 7 holds a value that is not finite$"):
+        holds = "holds a " + ("value that is not finite" if not np.isfinite(bad) else "value beyond ±1e+30")
+        with pytest.raises(ValueError, match=f"^documents row 7 {re.escape(holds)}$"):
             engine.build_base(data.doc_ids[:80], docs[:80], [])
-        with pytest.raises(ValueError, match="^training queries row 1 holds"):
+        with pytest.raises(ValueError, match=f"^training queries row 1 {re.escape(holds)}$"):
             engine.build_base(data.doc_ids[:80], data.doc_embs[:80], [(docs[0], 0), (docs[7], 7)])
         assert engine.state is None
         engine.build_base(data.doc_ids[:80], data.doc_embs[:80], [])
         docs[[85, 90], 0] = bad
-        issued = dict(engine.state.codes)
-        with pytest.raises(ValueError, match="^documents row 5 holds"):
+        before = payload_bytes(engine.state)
+        with pytest.raises(ValueError, match=f"^documents row 5 {re.escape(holds)}$"):
             engine.ingest(1, data.doc_ids[80:], docs[80:])
-        assert engine.state.session == 0
-        assert engine.state.codes == issued
-        with pytest.raises(ValueError, match="^queries row 2 holds"):
+        assert payload_bytes(engine.state) == before
+        with pytest.raises(ValueError, match=f"^queries row 2 {re.escape(holds)}$"):
             engine.evaluate(range(4), docs[83:87])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, pytest.param(BEYOND, id="beyond")])
     def test_a_base_token_that_is_not_finite_is_refused_by_document(self, bad):
         # Unchecked, it reaches k-means and ends in a bare AssertionError.
         data = synthetic.generate(
@@ -654,9 +668,45 @@ class TestEngineGuards:
         tokens = [d.copy() for d in data.token_docs]
         tokens[7][2, 3] = bad
         engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
-        with pytest.raises(ValueError, match="^document 7 holds a token value that is not finite$"):
+        holds = "that is not finite" if not np.isfinite(bad) else "beyond ±1e+30"
+        with pytest.raises(ValueError, match=f"^document 7 holds a token value {re.escape(holds)}$"):
             engine.build_base(data.doc_ids, None, [], token_docs=tokens)
         assert engine.state is None
+
+    def test_rows_at_the_magnitude_bound_train_anchored_sessions(self):
+        # A value of MAX_ABS (1e30) is accepted: the build and two anchored sessions
+        # store only finite arrays, and no arithmetic warns (tier-1 raises on it).
+        data = synthetic.generate(120, 16, 6, RandomSource(0).derive("synthetic"))
+        top = max(np.abs(data.doc_embs).max(), np.abs(data.train_query_embs).max())
+        docs, queries = (a / top * 1e30 for a in (data.doc_embs, data.train_query_embs))
+        assert max(np.abs(docs).max(), np.abs(queries).max()) == harness.MAX_ABS == 1e30
+        engine = Engine(small_config())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine.build_base(data.doc_ids[:60], docs[:60], list(zip(queries[:60], data.doc_ids[:60])))
+            for t, lo in ((1, 60), (2, 90)):
+                engine.ingest(t, data.doc_ids[lo : lo + 30], docs[lo : lo + 30])
+            engine.evaluate(range(10), docs[:10])
+        st = engine.state
+        assert st.session == 2
+        stored = [st.decoder.w, st.decoder.b, st.fisher.w, st.fisher.b, st.codebook.vectors(),
+                  *(g.centroids for g in st.codebook.groups)]
+        assert all(np.isfinite(a).all() for a in stored)
+        assert (st.fisher.w > 0).any()  # so the anchor had weight too
+
+    @pytest.mark.parametrize("bad", [np.nan, BEYOND])
+    def test_an_ingested_token_is_refused_by_document_before_the_projector(self, bad):
+        data = synthetic.generate(
+            40, 8, 5, RandomSource(1).derive("synthetic"), with_tokens=True, token_range=(5, 12)
+        )
+        engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
+        engine.build_base(data.doc_ids[:30], None, [], token_docs=data.token_docs[:30])
+        tokens = [d.copy() for d in data.token_docs[30:]]
+        tokens[7][0, 0] = bad
+        before = payload_bytes(engine.state)
+        with pytest.raises(ValueError, match="^document 37 holds a token value "):
+            engine.ingest(1, data.doc_ids[30:], None, token_docs=tokens)
+        assert payload_bytes(engine.state) == before
 
     def test_build_base_refuses_a_repeated_docid(self):
         # Unchecked, id 6 twice leaves 39 codes for 40 codebook rows, and the
@@ -994,6 +1044,65 @@ class TestCli:
         )
         assert not (tmp_path / "engine.state").exists()
 
+    @pytest.mark.parametrize("command", ["run", "build-base"])
+    def test_a_training_qrel_naming_an_unknown_document_is_a_clean_error(self, tmp_path, capsys, command):
+        # Unchecked, the pair was dropped and build-base counted 79 of 80 training queries.
+        self.gen(tmp_path)
+        with open(tmp_path / "train_qrels.tsv", "a") as fh:
+            fh.write("0\t9999\t0\n")
+        args = self.base_args(tmp_path)
+        if command == "run":
+            args = ["run", *args[1:-2], "--out", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: training query 0 is judged by document 9999, which is not in the corpus"
+        )
+        assert not (tmp_path / "engine.state").exists()
+
+    @pytest.mark.parametrize("qrels, option", [("qrels.tsv", "--queries"), ("train_qrels.tsv", "--train-queries")])
+    def test_a_qrel_for_a_query_the_file_lacks_is_a_clean_error(self, tmp_path, capsys, qrels, option):
+        # Unchecked, the line was ignored; `evaluate --qrels` scores the queries it is given, so it still runs.
+        self.gen(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
+        assert cli.main([*self.base_args(tmp_path), "--config", str(tmp_path / "cfg.json")]) == 0
+        (tmp_path / "engine.state").rename(tmp_path / "kept.state")
+        path = tmp_path / qrels
+        with open(path, "a") as fh:
+            fh.write("999\t3\t0\n")
+        capsys.readouterr()
+        assert cli.main(self.base_args(tmp_path)) == 2
+        assert capsys.readouterr().err.strip() == f"error: {path} judges query 999, but {option} has 80 rows"
+        assert not (tmp_path / "engine.state").exists()
+        assert cli.main(
+            [
+                "evaluate", "--state", str(tmp_path / "kept.state"), "--queries", str(tmp_path / "queries.emb"),
+                "--qrels", str(tmp_path / "qrels.tsv"), "--out", str(tmp_path / "run.tsv"),
+            ]
+        ) == 0
+
+    def test_ingest_of_a_row_beyond_the_magnitude_bound_is_a_clean_error(self, tmp_path, capsys):
+        from ipqgr.io_formats import read_embeddings, write_embeddings
+
+        self.gen(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
+        assert cli.main([*self.base_args(tmp_path), "--config", str(tmp_path / "cfg.json")]) == 0
+        new = read_embeddings(tmp_path / "docs.emb")[:6] + 0.01
+        new[4, 2] = 1e35
+        write_embeddings(tmp_path / "new.emb", new)
+        before = (tmp_path / "engine.state").read_bytes()
+        capsys.readouterr()
+        code = cli.main(
+            [
+                "ingest", "--config", str(tmp_path / "cfg.json"), "--state", str(tmp_path / "engine.state"),
+                "--state-out", str(tmp_path / "out.state"), "--docs", str(tmp_path / "new.emb"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: documents row 4 holds a value beyond ±1e+30"
+        assert (tmp_path / "engine.state").read_bytes() == before
+        assert not (tmp_path / "out.state").exists()
+
     def test_unknown_config_key_is_a_clean_error(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"dimm": 16}))
         code = cli.main(
@@ -1097,6 +1206,15 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: documents row 4 holds a value that is not finite"
         assert load_state(tmp_path / "engine.state").session == 0
+        # With --state-out, no file is written.
+        code = cli.main(
+            [
+                "ingest", "--config", str(tmp_path / "cfg.json"), "--state", str(tmp_path / "engine.state"),
+                "--state-out", str(tmp_path / "out.state"), "--docs", str(tmp_path / "new.emb"),
+            ]
+        )
+        assert code == 2
+        assert not (tmp_path / "out.state").exists()
 
     def test_variant_label_without_its_preset_is_a_clean_error(self, tmp_path, capsys):
         # A config holds a variant's fields, not its name; `--variant` sets them.

@@ -234,12 +234,10 @@ class TestIngestSession:
         for i, v in docs:
             assert codes[i] == cb.quantize(v)
 
-    def test_session_counter_and_regression_check(self):
+    def test_session_counter(self):
         cb, _ = base_codebook()
         out, _, _ = ingest_session(cb, [], RandomSource(0))
-        assert out.session == 1
-        with pytest.raises(InvalidStateError):
-            ingest_session(cb, [], RandomSource(0), target_session=5)
+        assert (cb.session, out.session) == (0, 1)
 
     def test_dimension_mismatch(self):
         cb, _ = base_codebook()

@@ -9,8 +9,6 @@ from ipqgr import rehearsal
 from ipqgr.codebook import Codebook, SubCodebook
 from ipqgr.rehearsal import (
     CodeIndex,
-    MemoryBank,
-    MemoryBankEntry,
     build_memory_bank,
     generate_pseudo_queries,
     max_perturb_dims,
@@ -50,19 +48,15 @@ def reference_perturb_codes(code, o, c, cb, rng):
     return out
 
 
-def reference_build_memory_bank(new_codes, index, c, cb, rng, session):
-    """A stream per new document, and from it one per flip count."""
-    bank = MemoryBank(session=session)
+def reference_bank_ids(new_codes, index, c, cb, rng):
+    """The old ids in the order the draws first find them: a stream per new document, and from it one per flip count."""
+    ids = []
     for doc_id, code in new_codes.items():
         doc_rng = rng.derive(doc_id)
-        found = set()
         for o in range(1, max_perturb_dims(cb.n_groups) + 1):
             for cand in reference_perturb_codes(code, o, c, cb, doc_rng.derive(o)):
-                for old_id in index.lookup(cand):
-                    if old_id not in found:
-                        found.add(old_id)
-                        bank.entries.append(MemoryBankEntry(old_id, doc_id, o))
-    return bank
+                ids += [old_id for old_id in index.lookup(cand) if old_id not in ids]
+    return ids
 
 
 class TestMaxPerturbDims:
@@ -137,7 +131,6 @@ class TestBuildMemoryBank:
     def test_empty_index_gives_empty_bank(self):
         cb = toy_codebook([2, 2, 2, 2])
         bank = build_memory_bank({0: (0, 0, 0, 0)}, CodeIndex(), 5, cb, RandomSource(0), session=1)
-        assert bank.entries == []
         assert bank.doc_ids() == []
 
     def test_contents_within_hamming_ball(self):
@@ -190,21 +183,23 @@ class TestBuildMemoryBank:
             new_codes[f"new-{i}" if i % 3 else 500 + i] = tuple(new.tolist())
         index = CodeIndex.from_codes(old_codes)
         bank = build_memory_bank(new_codes, index, 100, cb, RandomSource(11), session=2)
-        want = reference_build_memory_bank(new_codes, index, 100, cb, RandomSource(11), session=2)
-        assert len(bank.entries) >= 20
-        assert {e.o for e in bank.entries} == {1, 2}
-        assert bank == want
+        want = reference_bank_ids(new_codes, index, 100, cb, RandomSource(11))
+        assert len(bank.doc_ids()) >= 20
+        # Some bank documents are two positions from every new code: o=2 found them.
+        nearest = {min(hamming(old_codes[i], nc) for nc in new_codes.values()) for i in bank.doc_ids()}
+        assert nearest == {1, 2}
+        assert bank.doc_ids() == want
 
-    def test_duplicates_keep_smallest_o(self):
-        cb = toy_codebook([2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2])  # M=12 -> o_max=2
-        old_codes = {7: (1,) + (0,) * 11}  # Hamming distance 1 from the new code
-        new_codes = {100: (0,) * 12}
-        bank = build_memory_bank(
-            new_codes, CodeIndex.from_codes(old_codes), 500, cb, RandomSource(9), session=1
-        )
-        entries = [e for e in bank.entries if e.old_id == 7]
-        assert len(entries) == 1
-        assert entries[0].o == 1
+    def test_a_doc_found_at_two_flip_counts_appears_once(self):
+        cb = toy_codebook([2] * 12)  # M=12 -> o_max=2
+        old_codes = {7: (1,) + (0,) * 11}
+        new_codes = {100: (0,) * 12, 101: (1, 1, 1) + (0,) * 9}  # one and two positions from doc 7
+        index = CodeIndex.from_codes(old_codes)
+        for new_id, code in new_codes.items():
+            alone = build_memory_bank({new_id: code}, index, 500, cb, RandomSource(9), session=1)
+            assert alone.doc_ids() == [7]
+        bank = build_memory_bank(new_codes, index, 500, cb, RandomSource(9), session=1)
+        assert bank.doc_ids() == [7]
 
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=12), st.integers(1, 50),
            st.integers(0, 2**32 - 1))
@@ -221,7 +216,7 @@ class TestBuildMemoryBank:
         new_codes = {(f"new-{i}" if i % 2 else 100 + i): code() for i in range(6)}
         index = CodeIndex.from_codes(old_codes)
         bank = build_memory_bank(new_codes, index, c, cb, RandomSource(seed), session=3)
-        assert bank == reference_build_memory_bank(new_codes, index, c, cb, RandomSource(seed), 3)
+        assert bank.doc_ids() == reference_bank_ids(new_codes, index, c, cb, RandomSource(seed))
 
 
 class TestGeneratePseudoQueries:

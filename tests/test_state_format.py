@@ -61,7 +61,6 @@ def build_state(ids, sizes, sub_dim, projector_hidden, seed, history=(), session
         projector = ProjectorParams(rng.normal(size=(h, e)), rng.normal(size=h),
                                     rng.normal(size=(dim, h)), rng.normal(size=dim))
     return EngineState(
-        session=session,
         codebook=Codebook(session, dim, groups),
         codes={i: tuple(code) for i, code in zip(ids, codes.tolist())},
         decoder=DecoderParams([rng.normal(size=(k, dim)) for k in sizes],
@@ -82,7 +81,6 @@ def all_bit_equal(xs, ys) -> bool:
 
 def assert_same_state(a: EngineState, b: EngineState) -> None:
     assert (a.session, a.codebook.dim) == (b.session, b.codebook.dim)
-    assert b.codebook.session == b.session
     assert [(type(i), i) for i in a.codes] == [(type(i), i) for i in b.codes]
     assert list(a.codes.values()) == list(b.codes.values())
     assert all(type(c) is int for code in b.codes.values() for c in code)
@@ -327,12 +325,16 @@ def test_metadata_holds_only_the_counts(saved_state):
     assert list(meta["codebook"]) == ["dim", "sizes"] and meta["projector"] is None
 
 
-def test_version_3_is_refused_by_name(tmp_path, saved_state):
+def test_version_3_is_refused_by_name(tmp_path, capsys, saved_state):
     # Version 3 listed every array's dtype and shape; version 4 derives them.
     path = tmp_path / "v3.state"
     path.write_bytes(saved_state[:4] + struct.pack("<I", 3) + saved_state[8:])
     with pytest.raises(ValueError, match="state version 3 holds a per-array table"):
         load_state(path)
+    code = cli.main(["evaluate", "--state", str(path), "--queries", str(tmp_path / "q.emb"),
+                     "--out", str(tmp_path / "run.tsv")])
+    assert code == 2
+    assert "state version 3 holds a per-array table" in capsys.readouterr().err
 
 
 def test_version_4_is_refused_by_name(tmp_path, capsys, saved_state):
