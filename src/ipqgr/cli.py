@@ -57,28 +57,20 @@ def _judged(path, n_rows: int, option: str) -> dict:
 
 
 def _load_inputs(args) -> ExperimentInputs:
+    if args.train_queries and not args.train_qrels:
+        raise ValueError("--train-queries needs --train-qrels, the qrels that judge them")
+    if args.train_qrels and not args.train_queries:
+        raise ValueError("--train-qrels needs --train-queries, the queries it judges")
     docs = io_formats.read_embeddings(args.docs)
     queries = io_formats.read_embeddings(args.queries)
-    doc_ids = list(range(docs.shape[0]))
-    query_ids = list(range(queries.shape[0]))
-    test_qrels = _judged(args.qrels, len(query_ids), "--queries")
-    train_query_ids, train_embs, train_qrels = [], None, {}
+    test_qrels = _judged(args.qrels, queries.shape[0], "--queries")
+    train_embs, train_qrels = None, {}
     if args.train_queries:
         train_embs = io_formats.read_embeddings(args.train_queries)
-        train_query_ids = list(range(train_embs.shape[0]))
-        train_qrels = _judged(args.train_qrels, len(train_query_ids), "--train-queries")
+        train_qrels = _judged(args.train_qrels, train_embs.shape[0], "--train-queries")
     token_docs = io_formats.read_token_docs(args.tokens) if getattr(args, "tokens", None) else None
-    return ExperimentInputs(
-        doc_ids=doc_ids,
-        doc_embs=docs,
-        test_query_ids=query_ids,
-        test_query_embs=queries,
-        test_qrels=test_qrels,
-        train_query_ids=train_query_ids,
-        train_query_embs=train_embs,
-        train_qrels=train_qrels,
-        token_docs=token_docs,
-    )
+    return ExperimentInputs(docs, queries, test_qrels, train_query_embs=train_embs,
+                            train_qrels=train_qrels, token_docs=token_docs)
 
 
 def cmd_gen_synthetic(args) -> int:

@@ -157,21 +157,20 @@ class ExperimentConfig:
         return cls(**{**d, "fractions": tuple(d.get("fractions", cls.fractions))})
 
 
-def split_benchmark(ids: list, fractions, rng: RandomSource) -> list[list]:
-    """Disjoint random split of ids into per-session groups of exact sizes.
+def split_benchmark(n: int, fractions, rng: RandomSource) -> list[list]:
+    """Disjoint random split of the rows 0..n-1 into per-session groups of exact sizes.
 
     Sizes are floor(fraction * n) with leftovers assigned by largest
     fractional remainder (ties to the earlier session). The fractions are
     ones `ExperimentConfig.validate` accepts.
     """
-    n = len(ids)
     raw = [f * n for f in fractions]
     sizes = [math.floor(r) for r in raw]
     leftovers = n - sum(sizes)
     order = sorted(range(len(fractions)), key=lambda i: (-(raw[i] - sizes[i]), i))
     for i in order[:leftovers]:
         sizes[i] += 1
-    return [[ids[i] for i in part] for part in split_rows(rng.permutation(n), sizes)]
+    return [part.tolist() for part in split_rows(rng.permutation(n), sizes)]
 
 
 @dataclass
@@ -500,9 +499,10 @@ def _check_rows(what: str, rows, dim: int, whose: str) -> None:
         raise ValueError(f"{what} row {i} holds a {_problem(rows[i])}")
 
 
-def _check_session(doc_ids, issued, doc_embs, token_docs) -> None:
+def _check_session(doc_ids, issued, doc_embs, token_docs, token_dim=None) -> None:
     """Refuse rows that do not pair with the ids, an id a state file cannot hold, issued already or
-    repeated, or a token document holding a value `_problem` names."""
+    repeated, or a token document that is not a matrix of tokens `token_dim` wide (the first
+    document's width if None) or holds a value `_problem` names."""
     for what, given in (("embedding rows", doc_embs), ("token docs", token_docs)):
         if given is not None and len(given) != len(doc_ids):
             raise ValueError(f"{len(doc_ids)} doc ids but {len(given)} {what}")
@@ -512,7 +512,17 @@ def _check_session(doc_ids, issued, doc_embs, token_docs) -> None:
         if i in issued or i in seen:
             raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
         seen.add(i)
+    whose = "the projector takes"
     for i, doc in zip(doc_ids, token_docs or ()):
+        shape = np.shape(doc)
+        if len(shape) != 2:
+            raise ValueError(f"document {i!r} is a {len(shape)}-D array, not one row per token")
+        if not math.prod(shape):
+            raise ValueError(f"document {i!r} holds no token values")
+        if token_dim is None:
+            token_dim, whose = shape[1], f"document {i!r} has"
+        if shape[1] != token_dim:
+            raise ValueError(f"document {i!r} has tokens {shape[1]} wide, but {whose} {token_dim}")
         problem = _problem(doc)
         if problem:
             raise ValueError(f"document {i!r} holds a token {problem}")
@@ -593,7 +603,8 @@ class Engine:
         for name, have in (("dim", st.codebook.dim), ("m_groups", st.codebook.n_groups)):
             if getattr(cfg, name) != have:
                 raise ValueError(f"the config's {name} is {getattr(cfg, name)}, but the state's is {have}")
-        _check_session(doc_ids, st.codes, doc_embs, token_docs)
+        _check_session(doc_ids, st.codes, doc_embs, token_docs,
+                       None if st.projector is None else st.projector.in_dim)
         if (token_docs is None) == (st.projector is not None):
             raise ValueError("this state embeds documents with its projector, so ingest needs token docs"
                              if token_docs is None else "token docs given, but the state has no projector")
@@ -672,6 +683,9 @@ class Engine:
             raise InvalidStateError("cannot evaluate from no state")
         if len(query_ids) != len(query_embs):
             raise ValueError(f"{len(query_ids)} query ids but {len(query_embs)} query rows")
+        repeated = [q for q, n in Counter(query_ids).items() if n > 1]
+        if repeated:
+            raise ValueError(f"query id {repeated[0]!r} is repeated; each query gets one ranking")
         queries = _decoder_queries("queries", query_embs, st.projector, st.codebook.dim, "the state's")
         rankings = search(queries, st.decoder, DocidTrie.from_codes(st.codes), self.config.top_n)
         return dict(zip(query_ids, rankings))
@@ -699,7 +713,9 @@ def run_experiment(
     t_start = time.perf_counter()
     engine = Engine(config, state=resume_state)  # which validates the config
     root = RandomSource(config.seed)
-    doc_splits = split_benchmark(list(inputs.doc_ids), config.fractions, root.derive("split-docs"))
+    doc_embs = np.asarray(inputs.doc_embs, dtype=float)
+    query_embs = np.asarray(inputs.test_query_embs, dtype=float)
+    doc_splits = split_benchmark(len(doc_embs), config.fractions, root.derive("split-docs"))
     n_sessions = len(config.fractions)
     doc_arrival = {d: s for s, ids in enumerate(doc_splits) for d in ids}
     for what, judged in (("test", inputs.test_qrels), ("training", inputs.train_qrels)):
@@ -711,12 +727,9 @@ def run_experiment(
     # Session-specific query sets follow their relevant document's arrival, so
     # Q_i is answerable exactly from session i onward; unjudged queries are not scored.
     query_splits = [
-        [q for q in inputs.test_query_ids if q in qrels and qrels[q].session == s]
+        [q for q in range(len(query_embs)) if q in qrels and qrels[q].session == s]
         for s in range(n_sessions)
     ]
-    emb_of = {d: e for d, e in zip(inputs.doc_ids, np.asarray(inputs.doc_embs, dtype=float))}
-    qemb_of = dict(zip(inputs.test_query_ids, np.asarray(inputs.test_query_embs, dtype=float)))
-    tokens_of = None if inputs.token_docs is None else dict(zip(inputs.doc_ids, inputs.token_docs))
 
     def metric(ranked, judged):
         return mrr_at(ranked, judged, CUTOFF)
@@ -724,17 +737,16 @@ def run_experiment(
     start = 0 if resume_state is None else resume_state.session + 1
     for t in range(start, n_sessions):
         ids = doc_splits[t]
-        embs = np.stack([emb_of[d] for d in ids]) if ids else np.zeros((0, config.dim))
-        tokens = [tokens_of[d] for d in ids] if tokens_of else None
+        tokens = None if inputs.token_docs is None else [inputs.token_docs[d] for d in ids]
         if t == 0:
             train_embs = () if inputs.train_query_embs is None else np.asarray(inputs.train_query_embs, dtype=float)
-            train_pairs = [(qe, inputs.train_qrels.get(qid)) for qid, qe in zip(inputs.train_query_ids, train_embs)]
-            info = engine.build_base(ids, embs, train_pairs, token_docs=tokens)
+            train_pairs = [(qe, inputs.train_qrels.get(q)) for q, qe in enumerate(train_embs)]
+            info = engine.build_base(ids, doc_embs[ids], train_pairs, token_docs=tokens)
         else:
-            info, _ = engine.ingest(t, ids, embs, token_docs=tokens)
+            info, _ = engine.ingest(t, ids, doc_embs[ids], token_docs=tokens)
 
         eval_qids = [q for i in range(t + 1) for q in query_splits[i]]
-        scored = engine.evaluate(eval_qids, [qemb_of[q] for q in eval_qids])
+        scored = engine.evaluate(eval_qids, query_embs[eval_qids])
         run = {qid: [d for d, _ in ranking] for qid, ranking in scored.items()}
         info["metrics"] = {
             "vert": vert(run, qrels, metric, max_session=t),
@@ -754,8 +766,8 @@ def run_experiment(
     report = {
         "schema": REPORT_SCHEMA,
         "config": config.to_dict(),
-        "n_docs": len(inputs.doc_ids),
-        "n_test_queries": len(inputs.test_query_ids),
+        "n_docs": len(doc_embs),
+        "n_test_queries": len(query_embs),
         "sessions": history,
         "session_matrix": matrix,
         "continual": {"ap": ap, "bwt": bwt, "fwt": fwt},
@@ -770,24 +782,18 @@ def run_synthetic_benchmark(
     variant: str,
     seed: int,
     n_docs: int = 500,
-    dim: int = 16,
-    m_groups: int = 4,
-    k_clusters: int = 8,
     n_clusters: int = 25,
     **config_overrides,
 ):
-    """Full protocol on a generated corpus; returns the report.
+    """Full protocol on a corpus generated at the config's `dim`; returns the report.
 
     Benchmark defaults differ from ExperimentConfig in two places: a smaller
     per-session training budget (100 steps) and a saturated perturbation
     budget (c=50), chosen so the rehearsal effects are visible at this corpus
-    size; both can be overridden.
+    size; every config field, these two included, is a keyword override.
     """
-    cfg = ExperimentConfig(
-        dim=dim, m_groups=m_groups, k_clusters=k_clusters, seed=seed,
-        decoder_steps=100, c_repeats=50,
-    )
+    cfg = ExperimentConfig(seed=seed, decoder_steps=100, c_repeats=50)
     cfg = dataclasses.replace(cfg, **config_overrides).with_variant(variant)
-    data = synthetic.generate(n_docs, dim, n_clusters, RandomSource(seed).derive("synthetic"))
+    data = synthetic.generate(n_docs, cfg.dim, n_clusters, RandomSource(seed).derive("synthetic"))
     report, _ = run_experiment(cfg, data)
     return report

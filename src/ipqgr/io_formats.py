@@ -111,7 +111,10 @@ def read_qrels(path) -> dict:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            qrels[_parse_id(parts[0])] = QrelEntry(_parse_id(parts[1]), int(parts[2]))
+            qid = _parse_id(parts[0])
+            if qid in qrels:  # a query has one relevant document
+                raise FormatError(f"{path}:{lineno}: query {qid!r} is judged on an earlier line too")
+            qrels[qid] = QrelEntry(_parse_id(parts[1]), int(parts[2]))
     return qrels
 
 

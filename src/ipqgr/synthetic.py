@@ -25,15 +25,26 @@ CLUSTER_SCALE = 1.0
 
 @dataclass
 class ExperimentInputs:
-    doc_ids: list
+    """A corpus whose documents and queries are numbered by their rows."""
+
     doc_embs: np.ndarray
-    test_query_ids: list
     test_query_embs: np.ndarray
-    test_qrels: dict  # query id -> relevant doc id
-    train_query_ids: list = field(default_factory=list)
+    test_qrels: dict  # query row -> relevant doc row
     train_query_embs: np.ndarray | None = None
     train_qrels: dict = field(default_factory=dict)
     token_docs: list | None = None
+
+    @property
+    def doc_ids(self) -> list:
+        return list(range(len(self.doc_embs)))
+
+    @property
+    def test_query_ids(self) -> list:
+        return list(range(len(self.test_query_embs)))
+
+    @property
+    def train_query_ids(self) -> list:
+        return [] if self.train_query_embs is None else list(range(len(self.train_query_embs)))
 
     @classmethod
     def from_synthetic(cls, data: "ExperimentInputs") -> "ExperimentInputs":
@@ -68,12 +79,9 @@ def generate(
             noise = TOKEN_NOISE * tok_rng.derive(i, "vals").normal((n_tok, dim))
             token_docs.append(doc_embs[i] + noise)
     return ExperimentInputs(
-        doc_ids=list(ids),
         doc_embs=doc_embs,
-        test_query_ids=list(ids),
         test_query_embs=test_embs,
         test_qrels=dict(zip(ids, ids)),
-        train_query_ids=list(ids),
         train_query_embs=train_embs,
         train_qrels=dict(zip(ids, ids)),
         token_docs=token_docs,

@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment driver, persistence, and the CLI."""
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -53,21 +54,21 @@ def payload_bytes(state) -> bytes:
 
 class TestSplitBenchmark:
     def test_default_fractions_give_exact_sizes(self):
-        splits = split_benchmark(list(range(100)), (0.6, 0.1, 0.1, 0.1, 0.1), RandomSource(0))
+        splits = split_benchmark(100, (0.6, 0.1, 0.1, 0.1, 0.1), RandomSource(0))
         assert [len(s) for s in splits] == [60, 10, 10, 10, 10]
         assert sorted(d for s in splits for d in s) == list(range(100))
 
     def test_sizes_with_remainders(self):
-        splits = split_benchmark(list(range(7)), (0.5, 0.5), RandomSource(1))
+        splits = split_benchmark(7, (0.5, 0.5), RandomSource(1))
         assert sorted(len(s) for s in splits) == [3, 4]
 
     def test_single_fraction(self):
-        (only,) = split_benchmark(list(range(10)), (1.0,), RandomSource(2))
+        (only,) = split_benchmark(10, (1.0,), RandomSource(2))
         assert sorted(only) == list(range(10))
 
     def test_deterministic(self):
-        a = split_benchmark(list(range(50)), (0.6, 0.4), RandomSource(3))
-        b = split_benchmark(list(range(50)), (0.6, 0.4), RandomSource(3))
+        a = split_benchmark(50, (0.6, 0.4), RandomSource(3))
+        b = split_benchmark(50, (0.6, 0.4), RandomSource(3))
         assert a == b
 
 
@@ -349,6 +350,15 @@ class TestRunExperiment:
         assert type(data) is ExperimentInputs is synthetic.ExperimentInputs
         copy = ExperimentInputs.from_synthetic(data)
         assert copy is not data and copy == data and copy.doc_embs is data.doc_embs
+
+    def test_inputs_are_numbered_by_their_rows(self):
+        # The ids are read from the arrays, so no stored list can disagree with them.
+        data = synthetic.generate(20, 16, 3, RandomSource(0).derive("synthetic"))
+        names = {f.name for f in dataclasses.fields(ExperimentInputs)}
+        assert not names & {"doc_ids", "test_query_ids", "train_query_ids"}
+        assert data.doc_ids == data.test_query_ids == data.train_query_ids == list(range(20))
+        unjudged = ExperimentInputs(data.doc_embs[:5], data.test_query_embs[:3], {})
+        assert (unjudged.doc_ids, unjudged.test_query_ids, unjudged.train_query_ids) == ([0, 1, 2, 3, 4], [0, 1, 2], [])
 
     def test_report_shape_and_schema(self):
         report, state = run_experiment(small_config(), small_inputs())
@@ -673,6 +683,65 @@ class TestEngineGuards:
             engine.build_base(data.doc_ids, None, [], token_docs=tokens)
         assert engine.state is None
 
+    def test_evaluate_refuses_a_repeated_query_id(self):
+        # Unchecked, the two rankings of query 0 merged into one.
+        data = small_inputs()
+        engine = Engine(small_config())
+        engine.build_base(data.doc_ids[:80], data.doc_embs[:80], [])
+        with pytest.raises(ValueError, match="^query id 0 is repeated; each query gets one ranking$"):
+            engine.evaluate([0, 0], data.test_query_embs[:2])
+
+    @staticmethod
+    def token_corpus():
+        return synthetic.generate(
+            40, 8, 5, RandomSource(1).derive("synthetic"), with_tokens=True, token_range=(5, 12)
+        )
+
+    @pytest.mark.parametrize("v_epochs", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.zeros((0, 8)), "document 3 holds no token values"),
+            (np.zeros((6, 0)), "document 3 holds no token values"),
+            (np.zeros(8), "document 3 is a 1-D array, not one row per token"),
+            (np.zeros((6, 12)), "document 3 has tokens 12 wide, but document 0 has 8"),
+        ],
+        ids=["no-token", "zero-wide", "1-D", "wider"],
+    )
+    def test_build_base_refuses_a_misshapen_token_document_by_id(self, v_epochs, bad, message):
+        # Unchecked, an empty document's NaN mean reached k-means' assertion, and
+        # a wider one failed in numpy's stacking without naming the document.
+        data = self.token_corpus()
+        tokens = [*data.token_docs[:3], bad, *data.token_docs[4:]]
+        engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=v_epochs, decoder_steps=5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                engine.build_base(data.doc_ids, None, [], token_docs=tokens)
+        assert engine.state is None
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.zeros((0, 8)), "document 32 holds no token values"),
+            (np.zeros((6, 6)), "document 32 has tokens 6 wide, but the projector takes 8"),
+        ],
+        ids=["no-token", "narrower"],
+    )
+    def test_ingest_refuses_a_misshapen_token_document_by_id(self, bad, message):
+        # Unchecked, an empty document warned "Mean of empty slice" and was then
+        # refused as a row that is not finite.
+        data = self.token_corpus()
+        engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
+        engine.build_base(data.doc_ids[:30], None, [], token_docs=data.token_docs[:30])
+        tokens = [*data.token_docs[30:32], bad, *data.token_docs[33:]]
+        before = payload_bytes(engine.state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                engine.ingest(1, data.doc_ids[30:], None, token_docs=tokens)
+        assert payload_bytes(engine.state) == before
+
     def test_rows_at_the_magnitude_bound_train_anchored_sessions(self):
         # A value of MAX_ABS (1e30) is accepted: the build and two anchored sessions
         # store only finite arrays, and no arithmetic warns (tier-1 raises on it).
@@ -859,6 +928,13 @@ RETIRED_KEYS = {
 }
 
 
+def judge_query_0_by(path, doc_id):
+    """Rewrite the qrels file `path` so that query 0 is judged by `doc_id` (its line comes first)."""
+    first, *rest = path.read_text().splitlines(keepends=True)
+    assert first.startswith("0\t")
+    path.write_text(f"0\t{doc_id}\t0\n" + "".join(rest))
+
+
 class TestCli:
     def gen(self, tmp_path, n_docs=80, dim=16, tokens=False):
         args = [
@@ -1005,6 +1081,44 @@ class TestCli:
         assert capsys.readouterr().err.strip() == "error: document 5 holds a token value that is not finite"
         assert not (tmp_path / "engine.state").exists()
 
+    @pytest.mark.parametrize("given, missing", [("--train-queries", "--train-qrels"),
+                                                ("--train-qrels", "--train-queries")])
+    @pytest.mark.parametrize("command", ["run", "build-base"])
+    def test_training_queries_and_their_qrels_come_as_a_pair(self, tmp_path, capsys, command, given, missing):
+        # Unchecked, --train-queries alone ended in a TypeError traceback and
+        # --train-qrels alone was ignored. No file is read first: none exists here.
+        args = [command, "--docs", str(tmp_path / "docs.emb"), "--queries", str(tmp_path / "queries.emb"),
+                "--qrels", str(tmp_path / "qrels.tsv"), given, str(tmp_path / "train")]
+        args += ["--out", str(tmp_path / "r.json")] if command == "run" else ["--state-out", str(tmp_path / "s")]
+        assert cli.main(args) == 2
+        judge = "the qrels that judge them" if given == "--train-queries" else "the queries it judges"
+        assert capsys.readouterr().err.strip() == f"error: {given} needs {missing}, {judge}"
+
+    @pytest.mark.parametrize("qrels", ["qrels.tsv", "train_qrels.tsv"])
+    def test_a_query_judged_twice_is_a_clean_error(self, tmp_path, capsys, qrels):
+        # Unchecked, the later line replaced the earlier one without a word.
+        self.gen(tmp_path)
+        path = tmp_path / qrels
+        with open(path, "a") as fh:
+            fh.write("0\t9\t0\n")
+        capsys.readouterr()
+        assert cli.main(self.base_args(tmp_path)) == 2
+        assert capsys.readouterr().err.strip() == f"error: {path}:81: query 0 is judged on an earlier line too"
+        assert not (tmp_path / "engine.state").exists()
+
+    def test_build_base_of_a_document_with_no_token_is_a_clean_error(self, tmp_path, capsys):
+        # Unchecked, its NaN mean reached k-means and ended in a bare AssertionError.
+        from ipqgr.io_formats import read_token_docs, write_token_docs
+
+        self.gen(tmp_path, tokens=True)
+        tokens = read_token_docs(tmp_path / "tokens.tok")
+        tokens[3] = tokens[3][:0]
+        write_token_docs(tmp_path / "tokens.tok", tokens)
+        capsys.readouterr()
+        assert cli.main([*self.base_args(tmp_path), "--tokens", str(tmp_path / "tokens.tok")]) == 2
+        assert capsys.readouterr().err.strip() == "error: document 3 holds no token values"
+        assert not (tmp_path / "engine.state").exists()
+
     def test_evaluate_takes_no_seed(self, capsys):
         # Evaluation draws no random numbers, so a seed would set nothing.
         with pytest.raises(SystemExit) as exc:
@@ -1032,8 +1146,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "build-base"])
     def test_a_test_qrel_naming_an_unknown_document_is_a_clean_error(self, tmp_path, capsys, command):
         self.gen(tmp_path)
-        with open(tmp_path / "qrels.tsv", "a") as fh:
-            fh.write("0\t9999\t0\n")  # a later line for query 0 replaces its earlier one
+        judge_query_0_by(tmp_path / "qrels.tsv", 9999)
         args = self.base_args(tmp_path)
         if command == "run":  # build-base's inputs, without its --state-out
             args = ["run", *args[1:-2], "--out", str(tmp_path / "r.json")]
@@ -1048,8 +1161,7 @@ class TestCli:
     def test_a_training_qrel_naming_an_unknown_document_is_a_clean_error(self, tmp_path, capsys, command):
         # Unchecked, the pair was dropped and build-base counted 79 of 80 training queries.
         self.gen(tmp_path)
-        with open(tmp_path / "train_qrels.tsv", "a") as fh:
-            fh.write("0\t9999\t0\n")
+        judge_query_0_by(tmp_path / "train_qrels.tsv", 9999)
         args = self.base_args(tmp_path)
         if command == "run":
             args = ["run", *args[1:-2], "--out", str(tmp_path / "r.json")]

@@ -1,5 +1,7 @@
 """Round-trip and corruption tests for the EMB1/TOK1 and TSV formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,13 @@ class TestQrels:
         path = tmp_path / "qrels.tsv"
         path.write_text("1\t2\t0\n\n3\t4\t1\n")
         assert read_qrels(path) == {1: QrelEntry(2, 0), 3: QrelEntry(4, 1)}
+
+    def test_a_query_judged_twice_is_refused(self, tmp_path):
+        # Metrics score one relevant document per query; the later line used to replace the earlier.
+        path = tmp_path / "qrels.tsv"
+        path.write_text("3\t7\t0\n3\t9\t0\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: query 3 is judged on an earlier line too$"):
+            read_qrels(path)
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "qrels.tsv"
