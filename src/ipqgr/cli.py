@@ -39,9 +39,9 @@ def _load_config(args) -> ExperimentConfig:
             cfg = ExperimentConfig.from_dict(json.load(fh))
     else:
         cfg = ExperimentConfig()
-    if getattr(args, "variant", None):
+    if args.variant:
         cfg = cfg.with_variant(args.variant)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
     return cfg
@@ -121,7 +121,7 @@ def cmd_ingest(args) -> int:
     cfg = _load_config(args)
     state = load_state(args.state)
     docs = io_formats.read_embeddings(args.docs)
-    first_id = max((i for i in state.codes if isinstance(i, int)), default=-1) + 1
+    first_id = max(state.codes, default=-1) + 1
     ids = list(range(first_id, first_id + docs.shape[0]))
     engine = Engine(cfg, state)
     info, log = engine.ingest(state.session + 1, ids, docs)
@@ -135,16 +135,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
     state = load_state(args.state)
     queries = io_formats.read_embeddings(args.queries)
-    query_ids = list(range(queries.shape[0]))
-    engine = Engine(cfg, state)
-    scored = engine.evaluate(query_ids, queries)
+    # Read before any scoring, so a bad qrels file leaves no run behind.
+    judged = _judged(args.qrels, len(queries), "--queries") if args.qrels else {}
+    scored = Engine(ExperimentConfig(), state).evaluate(range(len(queries)), queries)
     io_formats.write_run(args.out, scored)
     if args.qrels:
-        qrels = io_formats.read_qrels(args.qrels)
-        run = {q: [d for d, _ in ranking] for q, ranking in scored.items()}
+        run = {q: [d for d, _ in scored[q]] for q in judged}
+        qrels = {q: QrelEntry(d, 0) for q, d in judged.items()}
         scores = {f"mrr@{CUTOFF}": mrr_at(run, qrels, CUTOFF), f"hits@{CUTOFF}": hits_at(run, qrels, CUTOFF)}
         print(json.dumps(scores, sort_keys=True))
     return 0
@@ -201,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=cmd_ingest)
 
     e = sub.add_parser("evaluate", help="score queries against a saved state")
-    e.add_argument("--config", default=None)
     e.add_argument("--state", required=True)
     e.add_argument("--queries", required=True)
     e.add_argument("--qrels", default=None)

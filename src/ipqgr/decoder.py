@@ -323,9 +323,9 @@ def train_session(
 class DocidTrie:
     """The issued docids that decoding is constrained to, held flat.
 
-    `doc_ids` lists the ids in ascending order, ints before strings, and
-    column i of `codes` (M x N) is the code of `doc_ids[i]`. A column's
-    position is therefore its doc id's rank, which breaks ties in `search`.
+    `doc_ids` lists the ids in ascending order, and column i of `codes`
+    (M x N) is the code of `doc_ids[i]`. A column's position is therefore its
+    doc id's rank, which breaks ties in `search`.
     """
 
     def __init__(self, doc_ids=(), codes=None):
@@ -337,7 +337,7 @@ class DocidTrie:
         """The issued docids of a doc id -> code dict."""
         if not codes:
             return cls()
-        ids = sorted(codes, key=lambda d: (isinstance(d, str), d))
+        ids = sorted(codes)
         return cls(ids, np.array([codes[d] for d in ids], dtype=np.int64).T)
 
     def __len__(self) -> int:
@@ -356,9 +356,9 @@ def search(
     Every docid is scored as its summed per-group log-probability, in group
     order from zero, so a score equals `docid_log_prob` bit for bit. Returns,
     per query, up to top_n (doc_id, log-prob) entries sorted by score
-    descending, ties broken by ascending doc id, ints first; docids sharing
-    a code share its score. Queries go in blocks of about SEARCH_SCORES
-    scores, and a query's ranking does not depend on its block.
+    descending, ties broken by ascending doc id; docids sharing a code share
+    its score. Queries go in blocks of about SEARCH_SCORES scores, and a
+    query's ranking does not depend on its block.
     """
     queries = np.asarray(queries, dtype=float)
     results: list[list] = [[] for _ in range(len(queries))]

@@ -94,7 +94,6 @@ class ExperimentConfig:
     c_repeats: int = 10
     n_q: int = 3
     lam: float = 0.5
-    top_n: int = 10
     decoder_steps: int = 200
     seed: int = 0
     fractions: tuple = (0.6, 0.1, 0.1, 0.1, 0.1)
@@ -102,15 +101,16 @@ class ExperimentConfig:
     threshold_mode: str = "both"  # one of ipq.THRESHOLD_MODES, or "recluster" (k-means anew)
     random_bank: bool = False
 
+    @property
+    def top_n(self) -> int:  # not a field: a ranking stops at the metric cutoff
+        return CUTOFF
+
     def validate(self) -> None:
         # Below 1, each count fails late: m_groups divides by zero, and dim and
         # k_clusters fail inside k-means without naming the field.
         for name in ("dim", "m_groups", "k_clusters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        # Reports score MRR at the cutoff; a shorter ranking would report less under that name.
-        if self.top_n < CUTOFF:
-            raise ValueError(f"top_n must be at least the metric cutoff {CUTOFF}, got {self.top_n}")
         # Zero turns a part off (c_repeats, n_q) or skips its training. A negative
         # c_repeats or n_q would fail in `ingest` after it has issued the codes.
         for name in ("c_repeats", "n_q", "v_epochs", "decoder_steps"):
@@ -204,17 +204,6 @@ _META_FIELDS = {
 }
 
 
-def _stored_id(doc_id):
-    """`doc_id` as a state file holds it: an int or a str."""
-    if isinstance(doc_id, str):
-        return doc_id
-    if isinstance(doc_id, (int, np.integer)) and not isinstance(doc_id, bool):
-        return int(doc_id)
-    raise ValueError(
-        f"doc id {doc_id!r} has type {type(doc_id).__name__}; only int and str ids can be saved"
-    )
-
-
 def _array_layout(meta: dict) -> dict:
     """Name -> (dtype, shape) of each array the metadata calls for, in file order.
 
@@ -250,8 +239,6 @@ def _metadata(state: EngineState, history: list) -> dict:
     """The state file's metadata: the counts that fix every array's shape."""
     cb, projector = state.codebook, state.projector
     ids = list(state.codes)
-    if not all(type(i) is int or type(i) is str for i in ids):
-        ids = [_stored_id(i) for i in ids]
     for m, g in enumerate(cb.groups):
         if len(g.vecs) != len(ids):
             raise ValueError(f"{len(ids)} coded docs but {len(g.vecs)} rows of group {m}'s vectors")
@@ -390,8 +377,8 @@ def _decode(reader: _HashedReader, length: int) -> EngineState:
     sizes, dim, ids = cb["sizes"], cb["dim"], meta["ids"]
     if not sizes or dim % len(sizes):
         raise ValueError(f"codebook dim {dim} does not split into {len(sizes)} groups")
-    if not all(type(i) is int or type(i) is str for i in ids):
-        raise ValueError("doc ids must be integers or strings")
+    if not all(type(i) is int for i in ids):
+        raise ValueError("doc ids must be integers")
     if len(set(ids)) != len(ids):
         raise ValueError("doc ids repeat")
 
@@ -500,7 +487,7 @@ def _check_rows(what: str, rows, dim: int, whose: str) -> None:
 
 
 def _check_session(doc_ids, issued, doc_embs, token_docs, token_dim=None) -> None:
-    """Refuse rows that do not pair with the ids, an id a state file cannot hold, issued already or
+    """Refuse rows that do not pair with the ids, an id that is not an int, issued already or
     repeated, or a token document that is not a matrix of tokens `token_dim` wide (the first
     document's width if None) or holds a value `_problem` names."""
     for what, given in (("embedding rows", doc_embs), ("token docs", token_docs)):
@@ -508,7 +495,8 @@ def _check_session(doc_ids, issued, doc_embs, token_docs, token_dim=None) -> Non
             raise ValueError(f"{len(doc_ids)} doc ids but {len(given)} {what}")
     seen = set()
     for i in doc_ids:
-        _stored_id(i)
+        if type(i) is not int:
+            raise ValueError(f"doc id {i!r} has type {type(i).__name__}; doc ids are ints")
         if i in issued or i in seen:
             raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
         seen.add(i)
@@ -687,7 +675,7 @@ class Engine:
         if repeated:
             raise ValueError(f"query id {repeated[0]!r} is repeated; each query gets one ranking")
         queries = _decoder_queries("queries", query_embs, st.projector, st.codebook.dim, "the state's")
-        rankings = search(queries, st.decoder, DocidTrie.from_codes(st.codes), self.config.top_n)
+        rankings = search(queries, st.decoder, DocidTrie.from_codes(st.codes), CUTOFF)
         return dict(zip(query_ids, rankings))
 
 
@@ -714,6 +702,8 @@ def run_experiment(
     engine = Engine(config, state=resume_state)  # which validates the config
     root = RandomSource(config.seed)
     doc_embs = np.asarray(inputs.doc_embs, dtype=float)
+    if inputs.token_docs is not None and len(inputs.token_docs) != len(doc_embs):
+        raise ValueError(f"{len(inputs.token_docs)} token docs but {len(doc_embs)} document rows")
     query_embs = np.asarray(inputs.test_query_embs, dtype=float)
     doc_splits = split_benchmark(len(doc_embs), config.fractions, root.derive("split-docs"))
     n_sessions = len(config.fractions)

@@ -6,7 +6,7 @@ count*dim float32 values, row-major, little-endian.
 TOK1: magic "TOK1", uint32 doc count, uint32 token dim, then per document a
 uint32 token count followed by its token vectors as float32.
 
-qrels TSV: query_id <TAB> doc_id <TAB> arrival_session.
+qrels TSV: query_id <TAB> doc_id <TAB> arrival_session, all integers.
 run TSV:   query_id <TAB> doc_id <TAB> rank <TAB> score.
 """
 
@@ -91,10 +91,6 @@ def read_token_docs(path) -> list[np.ndarray]:
     return docs
 
 
-def _parse_id(text: str):
-    return int(text) if text.lstrip("-").isdigit() else text
-
-
 def write_qrels(path, qrels: dict) -> None:
     with open(path, "w") as fh:
         for qid, entry in qrels.items():
@@ -111,10 +107,13 @@ def read_qrels(path) -> dict:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            qid = _parse_id(parts[0])
+            try:
+                qid, doc_id, session = map(int, parts)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: expected 3 integer fields, got {line!r}") from None
             if qid in qrels:  # a query has one relevant document
-                raise FormatError(f"{path}:{lineno}: query {qid!r} is judged on an earlier line too")
-            qrels[qid] = QrelEntry(_parse_id(parts[1]), int(parts[2]))
+                raise FormatError(f"{path}:{lineno}: query {qid} is judged on an earlier line too")
+            qrels[qid] = QrelEntry(doc_id, session)
     return qrels
 
 

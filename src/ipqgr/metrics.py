@@ -12,7 +12,7 @@ CUTOFF = 10  # rank cutoff of the engine's reported MRR@N and Hits@N
 
 @dataclass(frozen=True)
 class QrelEntry:
-    doc_id: object
+    doc_id: int
     session: int  # session at which the relevant document arrived
 
 

@@ -696,9 +696,9 @@ class TestLossMemory:
 
 
 def exhaustive_ranking(q, params, codes, top_n):
-    """Every issued docid scored by `docid_log_prob`, ties by ascending id, ints first."""
+    """Every issued docid scored by `docid_log_prob`, ties by ascending id."""
     scored = ((d, docid_log_prob(q, c, params)) for d, c in codes.items())
-    return sorted(scored, key=lambda t: (-t[1], isinstance(t[0], str), t[0]))[:top_n]
+    return sorted(scored, key=lambda t: (-t[1], t[0]))[:top_n]
 
 
 @st.composite
@@ -712,13 +712,8 @@ def search_problems(draw):
         params = DecoderParams.zeros(sizes, dim)  # every score ties
     else:
         params = random_params(sizes, dim, seed=int(rng.integers(2**32)))
-    # Few distinct codes for many docs, so codes collide; ids are ints, strs or both.
-    n_docs = draw(st.integers(0, 30))
-    kind = draw(st.sampled_from(["int", "str", "mixed"]))
-    ids = [
-        i if kind == "int" or (kind == "mixed" and i % 2) else f"d{i}"
-        for i in rng.permutation(1000)[:n_docs].tolist()
-    ]
+    # Few distinct codes for many docs, so codes collide.
+    ids = rng.permutation(1000)[: draw(st.integers(0, 30))].tolist()
     codes = {d: tuple(int(rng.integers(k)) for k in sizes) for d in ids}
     block = draw(st.integers(1, 4))
     n_queries = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 2]))
@@ -729,8 +724,8 @@ def search_problems(draw):
 class TestSearch:
     @given(search_problems())
     @example((DecoderParams.zeros([2], dim=1), {}, np.zeros((2, 1)), 3, 1))  # from_codes({})
-    @example(  # all ties over mixed ids, colliding codes, top_n = N, two blocks
-        (DecoderParams.zeros([2, 3], dim=1), {"b": (0, 1), 7: (1, 2), "a": (0, 1), -1: (1, 0)},
+    @example(  # all ties, colliding codes, top_n = N, two blocks
+        (DecoderParams.zeros([2, 3], dim=1), {12: (0, 1), 7: (1, 2), 10: (0, 1), -1: (1, 0)},
          np.zeros((3, 1)), 4, 2)
     )
     @settings(max_examples=80, deadline=None)
@@ -823,18 +818,17 @@ class TestAlignAndTrie:
 
 @st.composite
 def code_dicts(draw):
-    """1-5 groups, 1-40 docs on few distinct codes, with all-int or all-str ids in any order."""
+    """1-5 groups, 1-40 docs on few distinct codes, with int ids in any order."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     n_docs = draw(st.integers(1, 40))
-    ids = st.integers(-(2**40), 2**40) if draw(st.booleans()) else st.text(max_size=4)
-    keys = draw(st.lists(ids, min_size=n_docs, max_size=n_docs, unique=True))
+    keys = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n_docs, max_size=n_docs, unique=True))
     code = st.tuples(*(st.integers(0, k - 1) for k in sizes))
     return {d: draw(code) for d in keys}
 
 
 class TestTrieBuild:
     @given(code_dicts())
-    @example({"a": (2, 0, 1)})  # one code
+    @example({5: (2, 0, 1)})  # one code
     @settings(max_examples=150, deadline=None)
     def test_columns_hold_the_codes_in_rank_order(self, codes):
         trie = DocidTrie.from_codes(codes)
@@ -846,9 +840,3 @@ class TestTrieBuild:
         trie = DocidTrie.from_codes({})
         assert len(trie) == 0 and len(DocidTrie()) == 0
         assert trie.doc_ids == [] and trie.codes.shape == (0, 0)
-
-    def test_mixed_ids_rank_ints_before_strings(self):
-        trie = DocidTrie.from_codes({"b": (0,), 7: (0,), "a": (0,), -1: (0,)})
-        assert trie.doc_ids == [-1, 7, "a", "b"]
-        out = constrained_beam_search(np.zeros(1), DecoderParams.zeros([1], dim=1), trie, 4, 4)
-        assert [doc for doc, _ in out] == [-1, 7, "a", "b"]

@@ -99,14 +99,11 @@ class TestExperimentConfig:
             ("m_groups", 0, "m_groups must be at least 1, got 0"),
             ("dim", 0, "dim must be at least 1, got 0"),
             ("k_clusters", 0, "k_clusters must be at least 1, got 0"),
-            ("top_n", 0, f"top_n must be at least the metric cutoff {CUTOFF}, got 0"),
-            ("top_n", CUTOFF - 1, f"top_n must be at least the metric cutoff {CUTOFF}, got {CUTOFF - 1}"),
         ],
-        ids=["m_groups-0", "dim-0", "k_clusters-0", "top_n-0", "top_n-below-cutoff"],
+        ids=["m_groups-0", "dim-0", "k_clusters-0"],
     )
     def test_counts_below_one_are_refused(self, field, value, message):
-        # dim and k_clusters used to fail inside k-means without naming the field,
-        # and a top_n below the cutoff scored shorter rankings as MRR at the cutoff.
+        # dim and k_clusters used to fail inside k-means without naming the field.
         with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig(**{field: value}).validate()
 
@@ -194,6 +191,17 @@ class TestExperimentConfig:
     def test_unknown_dict_keys_are_named(self):
         with pytest.raises(ValueError, match="unknown config keys: dimm, zeta"):
             ExperimentConfig.from_dict({"zeta": 1, "dim": 16, "dimm": 16})
+
+    def test_a_ranking_stops_at_the_metric_cutoff(self):
+        # Reports score MRR@CUTOFF, so the ranking depth is that cutoff, not a setting.
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert len(names) == 13 and "top_n" not in names
+        cfg = ExperimentConfig()
+        assert cfg.top_n == CUTOFF and "top_n" not in cfg.to_dict()
+        with pytest.raises(AttributeError):
+            cfg.top_n = 50
+        with pytest.raises(ValueError, match="^unknown config keys: top_n$"):
+            ExperimentConfig.from_dict({"top_n": 10})
 
     def test_misspelled_benchmark_override_is_refused(self):
         with pytest.raises(TypeError, match="decoder_stepz"):
@@ -404,6 +412,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             run_experiment(small_config(), data)
 
+    @pytest.mark.parametrize("n_tokens", [50, 70])
+    def test_token_docs_that_do_not_pair_with_the_rows_are_refused(self, n_tokens, monkeypatch):
+        # Unchecked, 50 token docs for 60 rows ended in an IndexError partway through
+        # the run, and 70 had their last 10 ignored without a word.
+        data = synthetic.generate(
+            n_tokens, 8, 5, RandomSource(1).derive("synthetic"), with_tokens=True, token_range=(5, 12)
+        )
+        rows = synthetic.generate(60, 8, 5, RandomSource(1).derive("synthetic"))
+        data = dataclasses.replace(rows, token_docs=data.token_docs)
+        monkeypatch.setattr(harness.Engine, "build_base", None)  # no session may start
+        cfg = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5)
+        with pytest.raises(ValueError, match=f"^{n_tokens} token docs but 60 document rows$"):
+            run_experiment(cfg, data)
+
     def test_timing_is_excluded_from_canonical_bytes(self):
         r, _ = run_experiment(small_config(), small_inputs(), include_timing=True)
         assert r["timing"]["wall_seconds"] > 0
@@ -483,7 +505,7 @@ class TestRunExperiment:
         data = synthetic.generate(
             60, 8, 5, RandomSource(2).derive("synthetic"), with_tokens=True, token_range=(5, 12)
         )
-        cfg = ExperimentConfig(dim=4, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=10, top_n=50)
+        cfg = ExperimentConfig(dim=4, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=10)
         engine = Engine(cfg)
         pairs = list(zip(data.train_query_embs[:50], data.doc_ids[:50]))
         engine.build_base(data.doc_ids[:50], None, pairs, token_docs=data.token_docs[:50])
@@ -497,7 +519,7 @@ class TestRunExperiment:
         for q, ranking in zip(st.projector.forward(queries), rankings.values()):
             oracle = sorted(((d, docid_log_prob(q, c, st.decoder)) for d, c in st.codes.items()),
                             key=lambda t: (-t[1], t[0]))
-            assert ranking == oracle
+            assert ranking == oracle[:CUTOFF]
         with pytest.raises(ValueError, match="^queries are 4 wide, but the projector's input dim is 8$"):
             engine.evaluate([0], projected[:1])
 
@@ -798,23 +820,6 @@ class TestEngineGuards:
             engine.build_base(data.doc_ids[:40], None if tokens else data.doc_embs, [], token_docs=data.token_docs)
         assert engine.state is None
 
-    def test_int_and_str_ids_evaluate_together(self):
-        # Equal scores rank int ids before str ids, which do not compare with each other.
-        cfg = small_config(top_n=500)
-        data = small_inputs()
-        engine = Engine(cfg)
-        engine.build_base(data.doc_ids[:80], data.doc_embs[:80], [])
-        engine.ingest(1, [f"new-{i}" for i in range(40)], data.doc_embs[80:])
-        queries = data.doc_embs[78:82]
-        rankings = engine.evaluate(range(4), queries)
-        state = engine.state
-        for q, ranking in zip(queries, rankings.values()):
-            oracle = sorted(
-                ((d, docid_log_prob(q, c, state.decoder)) for d, c in state.codes.items()),
-                key=lambda t: (-t[1], isinstance(t[0], str), t[0]),
-            )
-            assert ranking == oracle
-
 
 class TestSessionBatch:
     """The one batch an ingest trains on, and the pairs its Fisher is taken on."""
@@ -925,6 +930,7 @@ RETIRED_KEYS = {
     "metric": "hits",
     "variant": "base",
     "proj_inner_iters": 3,
+    "top_n": 10,
 }
 
 
@@ -1005,14 +1011,15 @@ class TestCli:
         assert len(log.read_text().strip().split("\n")) == 6 * 4  # docs x groups
         assert cli.main(
             [
-                "evaluate", "--config", str(tmp_path / "cfg.json"), "--state", str(state),
+                "evaluate", "--state", str(state),
                 "--queries", str(tmp_path / "queries.emb"),
                 "--qrels", str(tmp_path / "qrels.tsv"),
                 "--out", str(tmp_path / "run.tsv"),
             ]
         ) == 0
-        printed = capsys.readouterr().out
-        assert "mrr@10" in printed
+        out = capsys.readouterr()
+        assert "mrr@10" in out.out
+        assert out.err == ""  # every run query is judged, so none is skipped with a warning
         assert (tmp_path / "run.tsv").read_text().count("\n") > 0
 
     def test_build_base_indexes_every_document(self, tmp_path):
@@ -1126,6 +1133,53 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 4" in capsys.readouterr().err
 
+    def test_evaluate_takes_no_config(self, capsys):
+        # A ranking stops at the metric cutoff, and the state holds the rest, so a config would set nothing.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--config", "c.json", "--state", "s", "--queries", "q", "--out", "o"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config c.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("0\t9\t0", "{path}:81: query 0 is judged on an earlier line too"),
+        ("999\t3\t0", "{path} judges query 999, but --queries has 80 rows"),
+    ], ids=["judged-twice", "row-999"])
+    def test_evaluate_reads_its_qrels_before_it_scores(self, tmp_path, capsys, line, message):
+        # Unchecked, the run was written before the qrels were read, and a
+        # qrels line for a query not in --queries was skipped without a word.
+        self.gen(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
+        assert cli.main([*self.base_args(tmp_path), "--config", str(tmp_path / "cfg.json")]) == 0
+        path = tmp_path / "qrels.tsv"
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--state", str(tmp_path / "engine.state"),
+                         "--queries", str(tmp_path / "queries.emb"), "--qrels", str(path),
+                         "--out", str(tmp_path / "run.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: " + message.format(path=path)
+        assert not (tmp_path / "run.tsv").exists()
+
+    @pytest.mark.parametrize("n_tokens", [50, 70])
+    @pytest.mark.parametrize("command", ["run", "build-base"])
+    def test_token_docs_that_do_not_pair_with_the_rows_are_a_clean_error(
+            self, tmp_path, capsys, command, n_tokens):
+        from ipqgr.io_formats import read_token_docs, write_token_docs
+
+        self.gen(tmp_path, n_docs=60, dim=8, tokens=True)
+        tokens = read_token_docs(tmp_path / "tokens.tok")
+        write_token_docs(tmp_path / "tokens.tok", (tokens + tokens)[:n_tokens])
+        (tmp_path / "cfg.json").write_text(json.dumps({"dim": 8, "m_groups": 2, "decoder_steps": 5}))
+        args = [command, *self.base_args(tmp_path)[1:-2], "--config", str(tmp_path / "cfg.json"),
+                "--tokens", str(tmp_path / "tokens.tok"), "--state-out", str(tmp_path / "engine.state")]
+        if command == "run":
+            args += ["--out", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.strip() == f"error: {n_tokens} token docs but 60 document rows"
+        assert not (tmp_path / "engine.state").exists() and not (tmp_path / "r.json").exists()
+
     def test_ingest_under_a_config_unlike_the_state_is_a_clean_error(self, tmp_path, capsys):
         self.gen(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
@@ -1174,7 +1228,7 @@ class TestCli:
 
     @pytest.mark.parametrize("qrels, option", [("qrels.tsv", "--queries"), ("train_qrels.tsv", "--train-queries")])
     def test_a_qrel_for_a_query_the_file_lacks_is_a_clean_error(self, tmp_path, capsys, qrels, option):
-        # Unchecked, the line was ignored; `evaluate --qrels` scores the queries it is given, so it still runs.
+        # Unchecked, the line was ignored. `evaluate --qrels` refuses it too.
         self.gen(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 0}))
         assert cli.main([*self.base_args(tmp_path), "--config", str(tmp_path / "cfg.json")]) == 0
@@ -1191,7 +1245,7 @@ class TestCli:
                 "evaluate", "--state", str(tmp_path / "kept.state"), "--queries", str(tmp_path / "queries.emb"),
                 "--qrels", str(tmp_path / "qrels.tsv"), "--out", str(tmp_path / "run.tsv"),
             ]
-        ) == 0
+        ) == (2 if option == "--queries" else 0)
 
     def test_ingest_of_a_row_beyond_the_magnitude_bound_is_a_clean_error(self, tmp_path, capsys):
         from ipqgr.io_formats import read_embeddings, write_embeddings
@@ -1333,10 +1387,9 @@ class TestCli:
         (tmp_path / "cfg.json").write_text(json.dumps({"variant": "base"}))
         code = cli.main(
             [
-                "evaluate", "--config", str(tmp_path / "cfg.json"),
+                "ingest", "--config", str(tmp_path / "cfg.json"),
                 "--state", str(tmp_path / "engine.state"),
-                "--queries", str(tmp_path / "queries.emb"),
-                "--out", str(tmp_path / "run.tsv"),
+                "--docs", str(tmp_path / "new.emb"),
             ]
         )
         assert code == 2
@@ -1355,10 +1408,9 @@ class TestCli:
         (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
         code = cli.main(
             [
-                "evaluate", "--config", str(tmp_path / "cfg.json"),
+                "ingest", "--config", str(tmp_path / "cfg.json"),
                 "--state", str(tmp_path / "engine.state"),
-                "--queries", str(tmp_path / "queries.emb"),
-                "--out", str(tmp_path / "run.tsv"),
+                "--docs", str(tmp_path / "new.emb"),
             ]
         )
         assert code == 2

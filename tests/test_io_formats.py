@@ -91,7 +91,7 @@ class TestTokenDocs:
 
 class TestQrels:
     def test_round_trip(self, tmp_path):
-        qrels = {0: QrelEntry(10, 0), 5: QrelEntry(11, 3), "qx": QrelEntry("docy", 1)}
+        qrels = {0: QrelEntry(10, 0), 5: QrelEntry(11, 3), -2: QrelEntry(7, 1)}
         path = tmp_path / "qrels.tsv"
         write_qrels(path, qrels)
         assert read_qrels(path) == qrels
@@ -106,6 +106,16 @@ class TestQrels:
         path = tmp_path / "qrels.tsv"
         path.write_text("3\t7\t0\n3\t9\t0\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: query 3 is judged on an earlier line too$"):
+            read_qrels(path)
+
+    @pytest.mark.parametrize("line", ["doc-a\t2\t0", "1\tdoc-a\t0", "1\t2\tx", "1.0\t2\t0"])
+    def test_a_field_that_is_not_an_integer_is_refused(self, tmp_path, line):
+        # A str id used to be read as one and score as a silent miss; a bad session
+        # field raised int()'s message, which named neither the file nor the line.
+        path = tmp_path / "qrels.tsv"
+        path.write_text(f"1\t2\t0\n{line}\n")
+        message = f"{path}:2: expected 3 integer fields, got {line!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             read_qrels(path)
 
     def test_malformed_line_reports_position(self, tmp_path):
