@@ -133,6 +133,9 @@ def cluster_base(embeddings, m: int, k: int, rng: RandomSource) -> tuple[Codeboo
     groups, codes = [], np.empty((n, m), dtype=np.int64)
     for g in range(m):
         sub = embs[:, g * sub_dim : (g + 1) * sub_dim]
-        centroids, codes[:, g] = kmeans(sub, k, rng.derive("kmeans", g))
+        try:
+            centroids, codes[:, g] = kmeans(sub, k, rng.derive("kmeans", g))
+        except ValueError as exc:
+            raise ValueError(f"group {g} cannot be clustered into k_clusters={k}: {exc}") from None
         groups.append(SubCodebook(centroids, sub.copy(), member_rows(codes[:, g], np.arange(n), k)))
     return Codebook(session=0, dim=dim, groups=groups), codes

@@ -239,6 +239,9 @@ def _metadata(state: EngineState, history: list) -> dict:
     """The state file's metadata: the counts that fix every array's shape."""
     cb, projector = state.codebook, state.projector
     ids = list(state.codes)
+    for i in ids:
+        if type(i) is not int:
+            raise ValueError(f"cannot save doc id {i!r}: it has type {type(i).__name__}; doc ids are ints")
     for m, g in enumerate(cb.groups):
         if len(g.vecs) != len(ids):
             raise ValueError(f"{len(ids)} coded docs but {len(g.vecs)} rows of group {m}'s vectors")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .codebook import Codebook, SubCodebook
 from .rng import RandomSource
+from .vector_core import sq_dist_table
 
 
 class InvalidStateError(RuntimeError):
@@ -33,7 +34,7 @@ class UpdateKind(enum.Enum):
 THRESHOLD_MODES = ("none", "ad_only", "md_only", "both")
 
 # Documents per block of a group's squared distances to its centroids, which
-# bounds that computation's temporary to DIST_BLOCK x centroids x sub_dim floats.
+# bounds that table to DIST_BLOCK x (centroids + DIST_BLOCK) floats.
 DIST_BLOCK = 256
 
 
@@ -108,7 +109,7 @@ def ingest_session(
 def _ingest_group(group, m: int, ids: list, subs: np.ndarray, slack, mode: str) -> list[UpdateDecision]:
     """Group m's decision for each document, in order; updates `group` in place.
 
-    Squared distances to the centroids are one array expression per block of
+    Squared distances to the centroids are one `sq_dist_table` per block of
     DIST_BLOCK documents; a decision that moves or adds a centroid recomputes
     its column only. A cluster's (ad, max) is cached until a decision changes
     it. The documents' sub-vectors are appended to the group's, and a member
@@ -122,7 +123,7 @@ def _ingest_group(group, m: int, ids: list, subs: np.ndarray, slack, mode: str) 
     for lo in range(0, len(subs), DIST_BLOCK):
         block = subs[lo : lo + DIST_BLOCK]
         d2 = np.empty((len(block), k_now + len(block)))
-        d2[:, :k_now] = ((cents[None, :k_now] - block[:, None]) ** 2).sum(axis=2)
+        d2[:, :k_now] = sq_dist_table(block, cents[:k_now])
         for j, sub in enumerate(block):
             k = int(d2[j, :k_now].argmin())
             dist = math.sqrt(d2[j, k])

@@ -19,9 +19,43 @@ def beta_sample(alpha: float, beta: float, rng: RandomSource, size=None):
     return g1 / (g1 + g2)
 
 
+def sq_dist_table(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances, shape (N, K), bit-identical to `((points[:, None] - centroids[None]) ** 2).sum(axis=2)`.
+
+    The table is built one dimension at a time, and the d per-dimension tables
+    are added in the order numpy sums a contiguous axis: one after another
+    below 8 terms, in eight accumulators up to 128, by halves above that.
+    """
+    def term(j):
+        t = np.subtract.outer(points[:, j], centroids[:, j])
+        t *= t
+        return t
+
+    def pairwise(lo, n):
+        # numpy starts its sum at +0.0, which adds nothing to a square.
+        if n < 8:
+            acc = term(lo)
+            for j in range(lo + 1, lo + n):
+                acc += term(j)
+            return acc
+        if n <= 128:
+            r = [term(lo + j) for j in range(8)]
+            end = lo + n - n % 8
+            for j in range(lo + 8, end):
+                r[(j - lo) % 8] += term(j)
+            acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for j in range(end, lo + n):
+                acc += term(j)
+            return acc
+        half = n // 2 - n // 2 % 8
+        return pairwise(lo, half) + pairwise(lo + half, n - half)
+
+    return pairwise(0, points.shape[1])
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray):
     # Squared distances, shape (N, K). argmin breaks ties at the lowest index.
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = sq_dist_table(points, centroids)
     return d2.argmin(axis=1), d2
 
 
@@ -30,23 +64,40 @@ def _refill(pts: np.ndarray, centroids: np.ndarray, assign: np.ndarray, d2: np.n
 
     An empty cluster's centroid moves to the point farthest from it among
     the points whose cluster keeps another member, and that point joins it.
+    Such a move empties no cluster, so only the clusters empty on entry are
+    visited, in index order.
     """
-    k = len(centroids)
+    counts = np.bincount(assign, minlength=len(centroids))
     repaired = False
-    for c in range(k):
-        if (assign == c).any():
-            continue
-        counts = np.bincount(assign, minlength=k)
+    for c in np.flatnonzero(counts == 0):
         movable = counts[assign] > 1
         if not movable.any():
             continue
         cand = np.where(movable, d2[:, c], -np.inf)
         p = int(cand.argmax())
+        counts[assign[p]] -= 1
+        counts[c] += 1
         centroids[c] = pts[p]
         assign[p] = c
         d2[:, c] = ((pts - centroids[c]) ** 2).sum(axis=1)
         repaired = True
     return repaired
+
+
+def _means(pts: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Each cluster's `pts[assign == c].mean(axis=0)`, bit for bit; every cluster has a member.
+
+    numpy sums a mean's rows one after another from +0.0 when the rows are at
+    least 2 wide, as `bincount` does; a 1-wide column it sums pairwise, so that
+    case takes the mean of each cluster's contiguous run after one stable sort.
+    """
+    counts = np.bincount(assign, minlength=k)
+    if pts.shape[1] == 1:
+        col = pts[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        return np.array([col[e - c : e].mean(axis=0) for c, e in zip(counts, ends)])
+    sums = np.column_stack([np.bincount(assign, weights=pts[:, j], minlength=k) for j in range(pts.shape[1])])
+    return sums / counts[:, None]
 
 
 def kmeans(points, k: int, rng: RandomSource):
@@ -84,8 +135,7 @@ def kmeans(points, k: int, rng: RandomSource):
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
-        for c in range(k):
-            centroids[c] = pts[assign == c].mean(axis=0)
+        centroids = _means(pts, assign, k)
     # Each round lowers the inertia unless a reseeded point sat exactly on its
     # old centroid. The assignment this ends with is nearest and fills every cluster.
     final_assign, d2 = _nearest(pts, centroids)

@@ -96,7 +96,9 @@ class TestBuildBaseCodebook:
 @st.composite
 def grid_corpora(draw):
     """Embeddings on a small integer grid, where documents can tie between centroids."""
-    m, sub_dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(4, 40))
+    # Widths 8 and 9 take numpy's eight-accumulator sum, where k-means' table and
+    # `quantize` go through different code.
+    m, sub_dim, n = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 8, 9])), draw(st.integers(4, 40))
     embs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-2, 3, size=(n, m * sub_dim))
     embs = embs.astype(float)
     distinct = min(len(np.unique(sub, axis=0)) for sub in np.split(embs, m, axis=1))
@@ -115,6 +117,13 @@ class TestClusterBase:
         for g, want in zip(cb.groups, plain.groups):
             assert g.centroids.tobytes() == want.centroids.tobytes()
             assert [v.tobytes() for v in g.member_vecs] == [v.tobytes() for v in want.member_vecs]
+
+    def test_a_group_with_too_few_distinct_sub_vectors_is_named(self):
+        embs = np.random.default_rng(3).normal(size=(20, 4))
+        embs[:, 2:] = embs[np.arange(20) % 4, 2:]
+        message = r"^group 1 cannot be clustered into k_clusters=8: k=8 exceeds number of distinct points \(4\)$"
+        with pytest.raises(ValueError, match=message):
+            cluster_base(embs, 2, 8, RandomSource(0))
 
     def test_a_tie_goes_to_the_lowest_index(self):
         embs = np.array([[1.0, 0.0], [1.0, -1.0], [-2.0, 1.0], [-2.0, -2.0]])

@@ -820,6 +820,17 @@ class TestEngineGuards:
             engine.build_base(data.doc_ids[:40], None if tokens else data.doc_embs, [], token_docs=data.token_docs)
         assert engine.state is None
 
+    def test_build_base_names_a_group_with_too_few_distinct_sub_vectors(self):
+        # Group 2's sub-vectors take 4 values, fewer than the 8 centroids it needs.
+        data = small_inputs()
+        embs = np.array(data.doc_embs)
+        embs[:, 8:12] = embs[np.arange(len(embs)) % 4, 8:12]
+        engine = Engine(small_config())
+        message = r"^group 2 cannot be clustered into k_clusters=8: k=8 exceeds number of distinct points \(4\)$"
+        with pytest.raises(ValueError, match=message):
+            engine.build_base(data.doc_ids, embs, [])
+        assert engine.state is None
+
 
 class TestSessionBatch:
     """The one batch an ingest trains on, and the pairs its Fisher is taken on."""
@@ -1124,6 +1135,21 @@ class TestCli:
         capsys.readouterr()
         assert cli.main([*self.base_args(tmp_path), "--tokens", str(tmp_path / "tokens.tok")]) == 2
         assert capsys.readouterr().err.strip() == "error: document 3 holds no token values"
+        assert not (tmp_path / "engine.state").exists()
+
+    def test_build_base_with_too_few_distinct_sub_vectors_is_a_clean_error(self, tmp_path, capsys):
+        # kmeans alone said "k=8 exceeds number of distinct points (4)" without naming the group.
+        from ipqgr.io_formats import read_embeddings, write_embeddings
+
+        self.gen(tmp_path)
+        docs = read_embeddings(tmp_path / "docs.emb")
+        docs[:, 8:12] = docs[np.arange(len(docs)) % 4, 8:12]
+        write_embeddings(tmp_path / "docs.emb", docs)
+        capsys.readouterr()
+        assert cli.main(self.base_args(tmp_path)) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: group 2 cannot be clustered into k_clusters=8: k=8 exceeds number of distinct points (4)"
+        )
         assert not (tmp_path / "engine.state").exists()
 
     def test_evaluate_takes_no_seed(self, capsys):

@@ -155,20 +155,39 @@ class TestRoundTrip:
     @pytest.mark.parametrize("fisher", ["zeros", "drawn"], ids=["no-fisher", "fisher"])
     @pytest.mark.parametrize("projector", [None, (3, 5)], ids=["no-projector", "projector"])
     def test_id_kinds_and_optional_parts(self, tmp_path, ids, fisher, projector):
-        # Doc ids are ints. A file holding a str id, which only a hand-built
-        # state can hold, is refused on load.
+        # Doc ids are ints. A save refuses a state holding a str id, which only
+        # a hand-built state can hold, and a file edited to hold one is refused on load.
         state = build_state(ids, [3, 2], 2, projector, seed=len(ids),
                             history=[{"z": 1, "a": [0.1, None], "m": {"vert": 0.5}}])
         if fisher == "zeros":
             state.fisher = FisherDiag(np.zeros_like(state.fisher.w), np.zeros_like(state.fisher.b),
                                       layout=state.fisher.layout)
         path = tmp_path / "s.state"
-        save_state(state, path)
         if all(type(i) is int for i in ids):
+            save_state(state, path)
             assert_same_state(state, load_state(path))
-        else:
-            with pytest.raises(ValueError, match="malformed state: doc ids must be integers$"):
-                load_state(path)
+            return
+        bad = next(i for i in ids if type(i) is not int)
+        with pytest.raises(ValueError, match=f"^cannot save doc id {re.escape(repr(bad))}: it has type str"):
+            save_state(state, path)
+        assert list(tmp_path.iterdir()) == []
+        state.codes = dict(enumerate(state.codes.values()))
+        save_state(state, path)
+        rewrite(path, lambda meta, arrays: meta.update(ids=ids))
+        with pytest.raises(ValueError, match="malformed state: doc ids must be integers$"):
+            load_state(path)
+
+    @pytest.mark.parametrize("bad", ["d7", True, np.int64(7)], ids=["str", "bool", "numpy-int"])
+    def test_save_refuses_an_id_that_is_not_an_int(self, tmp_path, bad):
+        # Unchecked, a str or bool id saved a file that load_state refuses, and
+        # a numpy integer failed inside json.dumps with a TypeError.
+        state = build_state([5, bad, 9], [3, 2], 2, None, seed=0)
+        message = f"^cannot save doc id {re.escape(repr(bad))}: it has type {type(bad).__name__}; doc ids are ints$"
+        with pytest.raises(ValueError, match=message):
+            save_state(state, tmp_path / "s.state")
+        with pytest.raises(ValueError, match=message):
+            state_core_bytes(state)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [(1, 2), 1.5, True, None, b"id", "d7", np.int64(7)])
     def test_engine_refuses_ids_a_file_cannot_hold(self, bad):
