@@ -1,14 +1,16 @@
 """Command-line driver for the continual indexing/retrieval engine.
 
 Subcommands:
-    gen-synthetic   write a synthetic corpus (EMB1 docs/queries, qrels TSV)
+    gen-synthetic   write a synthetic corpus (EMB1 or TOK1 docs, EMB1 queries, qrels TSV)
     run             execute the full multi-session protocol, emit a report
     build-base      index every document as session 0 and save the engine state
     ingest          index one more session of documents into a saved state
     evaluate        score queries against a saved state, emit a run TSV
 
-Documents and queries are identified by their row index in the EMB1 files; a
-qrels line names a query row and the document row that answers it.
+A --docs file is read by its magic: EMB1 embedding rows, or TOK1 token
+matrices, which a state with a projector (a TOK1 base's) ingests. Documents
+and queries are numbered by their rows; a qrels line names a query row and
+the document row that answers it.
 """
 
 from __future__ import annotations
@@ -61,30 +63,27 @@ def _load_inputs(args) -> ExperimentInputs:
         raise ValueError("--train-queries needs --train-qrels, the qrels that judge them")
     if args.train_qrels and not args.train_queries:
         raise ValueError("--train-qrels needs --train-queries, the queries it judges")
-    docs = io_formats.read_embeddings(args.docs)
+    docs = io_formats.read_docs(args.docs)
     queries = io_formats.read_embeddings(args.queries)
     test_qrels = _judged(args.qrels, queries.shape[0], "--queries")
     train_embs, train_qrels = None, {}
     if args.train_queries:
         train_embs = io_formats.read_embeddings(args.train_queries)
         train_qrels = _judged(args.train_qrels, train_embs.shape[0], "--train-queries")
-    token_docs = io_formats.read_token_docs(args.tokens) if getattr(args, "tokens", None) else None
-    return ExperimentInputs(docs, queries, test_qrels, train_query_embs=train_embs,
-                            train_qrels=train_qrels, token_docs=token_docs)
+    tokens = isinstance(docs, list)  # a TOK1 file's
+    return ExperimentInputs(None if tokens else docs, queries, test_qrels, train_query_embs=train_embs,
+                            train_qrels=train_qrels, token_docs=docs if tokens else None)
 
 
 def cmd_gen_synthetic(args) -> int:
     rng = RandomSource(args.seed).derive("synthetic")
-    data = synthetic.generate(
-        args.n_docs, args.dim, args.clusters, rng, with_tokens=args.tokens_out is not None
-    )
-    io_formats.write_embeddings(args.docs_out, data.doc_embs)
+    data = synthetic.generate(args.n_docs, args.dim, args.clusters, rng, with_tokens=args.tokens)
+    write = io_formats.write_token_docs if args.tokens else io_formats.write_embeddings
+    write(args.docs_out, data.token_docs if args.tokens else data.doc_embs)
     io_formats.write_embeddings(args.queries_out, data.test_query_embs)
     io_formats.write_embeddings(args.train_queries_out, data.train_query_embs)
     for path, qrels in ((args.qrels_out, data.test_qrels), (args.train_qrels_out, data.train_qrels)):
         io_formats.write_qrels(path, {q: QrelEntry(d, 0) for q, d in qrels.items()})
-    if args.tokens_out:
-        io_formats.write_token_docs(args.tokens_out, data.token_docs)
     print(f"wrote {args.n_docs} docs (dim {args.dim}) and matching query files")
     return 0
 
@@ -120,9 +119,9 @@ def cmd_build_base(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = _load_config(args)
     state = load_state(args.state)
-    docs = io_formats.read_embeddings(args.docs)
+    docs = io_formats.read_docs(args.docs)
     first_id = max(state.codes, default=-1) + 1
-    ids = list(range(first_id, first_id + docs.shape[0]))
+    ids = list(range(first_id, first_id + len(docs)))
     engine = Engine(cfg, state)
     info, log = engine.ingest(state.session + 1, ids, docs)
     engine.state.history.append(info)
@@ -163,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--train-queries-out", default="train_queries.emb")
     g.add_argument("--qrels-out", default="qrels.tsv")
     g.add_argument("--train-qrels-out", default="train_qrels.tsv")
-    g.add_argument("--tokens-out", default=None)
+    g.add_argument("--tokens", action="store_true", help="write --docs-out as TOK1 token matrices")
     g.set_defaults(func=cmd_gen_synthetic)
 
     def add_common(sp):
@@ -175,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--qrels", required=True)
         sp.add_argument("--train-queries", default=None)
         sp.add_argument("--train-qrels", default=None)
-        sp.add_argument("--tokens", default=None)
 
     r = sub.add_parser("run", help="run the full continual protocol")
     add_common(r)

@@ -1,8 +1,8 @@
 """Experiment driver: session splitting, engine state, variants, reports.
 
 A run covers a base session plus T incremental sessions. Session 0 builds the
-codebook (optionally via the discriminative two-step trainer when token
-documents are available) and trains the decoder on labeled query pairs; later
+codebook (via the discriminative two-step trainer when its documents are
+token matrices) and trains the decoder on labeled query pairs; later
 sessions arrive as documents only and are indexed incrementally, with
 rehearsal, pseudo queries, and an EWC anchor configurable per variant.
 """
@@ -469,33 +469,23 @@ def load_state(path) -> EngineState:
 MAX_ABS = 1e30
 
 
-def _problem(values) -> str | None:
-    """What unfits `values` for the engine's arithmetic: a value that is not finite or beyond ±MAX_ABS."""
-    if not np.isfinite(values).all():
-        return "value that is not finite"
-    if (np.abs(values) > MAX_ABS).any():
-        return f"value beyond ±{MAX_ABS:g}"
-    return None
-
-
 def _check_rows(what: str, rows, dim: int, whose: str) -> None:
-    """Refuse vectors of the wrong width, or the first row holding a value `_problem` names."""
+    """Refuse vectors of the wrong width, or the first row holding a value that is not finite or beyond ±MAX_ABS."""
     rows = np.asarray(rows, dtype=float)
     if len(rows) and rows.shape[-1] != dim:
         raise ValueError(f"{what} are {rows.shape[-1]} wide, but {whose} dim is {dim}")
     fit = (np.abs(rows) <= MAX_ABS).all(axis=-1)  # False where a value is NaN, too
     if not fit.all():
         i = int(fit.argmin())
-        raise ValueError(f"{what} row {i} holds a {_problem(rows[i])}")
+        problem = "that is not finite" if not np.isfinite(rows[i]).all() else f"beyond ±{MAX_ABS:g}"
+        raise ValueError(f"{what} row {i} holds a value {problem}")
 
 
-def _check_session(doc_ids, issued, doc_embs, token_docs, token_dim=None) -> None:
-    """Refuse rows that do not pair with the ids, an id that is not an int, issued already or
-    repeated, or a token document that is not a matrix of tokens `token_dim` wide (the first
-    document's width if None) or holds a value `_problem` names."""
-    for what, given in (("embedding rows", doc_embs), ("token docs", token_docs)):
-        if given is not None and len(given) != len(doc_ids):
-            raise ValueError(f"{len(doc_ids)} doc ids but {len(given)} {what}")
+def _check_session(doc_ids, issued, docs, ndim: int, takes: str) -> None:
+    """Refuse documents that do not pair with the ids, an id that is not an int, issued already or
+    repeated, or a document that is not an `ndim`-D array, the kind that `takes` names."""
+    if len(docs) != len(doc_ids):
+        raise ValueError(f"{len(doc_ids)} doc ids but {len(docs)} documents")
     seen = set()
     for i in doc_ids:
         if type(i) is not int:
@@ -503,20 +493,17 @@ def _check_session(doc_ids, issued, doc_embs, token_docs, token_dim=None) -> Non
         if i in issued or i in seen:
             raise ValueError(f"doc id {i!r} is already indexed or repeated in this session")
         seen.add(i)
-    whose = "the projector takes"
-    for i, doc in zip(doc_ids, token_docs or ()):
-        shape = np.shape(doc)
-        if len(shape) != 2:
-            raise ValueError(f"document {i!r} is a {len(shape)}-D array, not one row per token")
-        if not math.prod(shape):
+    for i, doc in zip(doc_ids, docs):
+        if np.ndim(doc) != ndim:
+            raise ValueError(f"document {i!r} is a {np.ndim(doc)}-D array, but {takes}")
+
+
+def _check_tokens(doc_ids, docs, dim: int, whose: str) -> None:
+    """Refuse a token document with no tokens, or whose tokens `_check_rows` refuses."""
+    for i, doc in zip(doc_ids, docs):
+        if not np.size(doc):
             raise ValueError(f"document {i!r} holds no token values")
-        if token_dim is None:
-            token_dim, whose = shape[1], f"document {i!r} has"
-        if shape[1] != token_dim:
-            raise ValueError(f"document {i!r} has tokens {shape[1]} wide, but {whose} {token_dim}")
-        problem = _problem(doc)
-        if problem:
-            raise ValueError(f"document {i!r} holds a token {problem}")
+        _check_rows(f"document {i!r}'s tokens", doc, dim, whose)
 
 
 def _decoder_queries(what: str, rows, projector, dim: int, whose: str) -> np.ndarray:
@@ -541,23 +528,25 @@ class Engine:
 
     # -- session 0 ---------------------------------------------------------
 
-    def build_base(self, doc_ids, doc_embs, train_query_pairs, token_docs=None) -> dict:
+    def build_base(self, doc_ids, docs, train_query_pairs) -> dict:
         """Construct codebook and decoder from the base corpus.
 
+        `docs` are token matrices, which train the projector, if the first is 2-D; else embedding rows.
         train_query_pairs is a list of (query embedding, relevant doc id);
         a pair whose id is not one of `doc_ids`, or None (unjudged), is dropped.
         """
         cfg = self.config
-        _check_session(doc_ids, {}, doc_embs, token_docs)
-        if token_docs is None:
-            _check_rows("documents", doc_embs, cfg.dim, "the config's")
         rng = self._rng("base")
         projector = None
-        if token_docs is not None:
+        if len(docs) and np.ndim(docs[0]) == 2:
+            _check_session(doc_ids, {}, docs, 2, "the base takes token matrices, as its first document is one")
+            _check_tokens(doc_ids, docs, np.shape(docs[0])[1], f"document {doc_ids[0]!r}'s token")
             projector, cb, code_rows, embs = iterative_train(
-                token_docs, cfg.m_groups, cfg.k_clusters, cfg.v_epochs, rng.derive("repr"), out_dim=cfg.dim)
+                docs, cfg.m_groups, cfg.k_clusters, cfg.v_epochs, rng.derive("repr"), out_dim=cfg.dim)
         else:
-            embs = np.asarray(doc_embs, dtype=float)
+            _check_session(doc_ids, {}, docs, 1, "the base takes embedding rows, unless its first is a token matrix")
+            _check_rows("documents", docs, cfg.dim, "the config's")
+            embs = np.asarray(docs, dtype=float)
             cb, code_rows = cluster_base(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"))
         codes = dict(zip(doc_ids, map(tuple, code_rows.tolist())))
 
@@ -584,8 +573,9 @@ class Engine:
 
     # -- sessions >= 1 -----------------------------------------------------
 
-    def ingest(self, t: int, doc_ids, doc_embs, token_docs=None) -> tuple[dict, list]:
-        """Index one session of new documents and retrain the decoder."""
+    def ingest(self, t: int, doc_ids, docs) -> tuple[dict, list]:
+        """Index one session of new documents, token matrices if the state has a projector, else
+        embedding rows, and retrain the decoder."""
         cfg = self.config
         st = self.state
         if st is None or st.session != t - 1:
@@ -594,13 +584,13 @@ class Engine:
         for name, have in (("dim", st.codebook.dim), ("m_groups", st.codebook.n_groups)):
             if getattr(cfg, name) != have:
                 raise ValueError(f"the config's {name} is {getattr(cfg, name)}, but the state's is {have}")
-        _check_session(doc_ids, st.codes, doc_embs, token_docs,
-                       None if st.projector is None else st.projector.in_dim)
-        if (token_docs is None) == (st.projector is not None):
-            raise ValueError("this state embeds documents with its projector, so ingest needs token docs"
-                             if token_docs is None else "token docs given, but the state has no projector")
-        embs = (np.asarray(doc_embs, dtype=float) if token_docs is None
-                else np.array([doc_embedding(d, st.projector) for d in token_docs]))
+        if st.projector is None:
+            _check_session(doc_ids, st.codes, docs, 1, "this state has no projector, so it takes embedding rows")
+            embs = np.asarray(docs, dtype=float)
+        else:
+            _check_session(doc_ids, st.codes, docs, 2, "this state has a projector, so it takes token matrices")
+            _check_tokens(doc_ids, docs, st.projector.in_dim, "the projector's input")
+            embs = np.array([doc_embedding(d, st.projector) for d in docs])
         _check_rows("documents", embs, st.codebook.dim, "the state's")
         embs = embs.reshape(len(doc_ids), st.codebook.dim)  # an empty session may come as []
 
@@ -704,11 +694,9 @@ def run_experiment(
     t_start = time.perf_counter()
     engine = Engine(config, state=resume_state)  # which validates the config
     root = RandomSource(config.seed)
-    doc_embs = np.asarray(inputs.doc_embs, dtype=float)
-    if inputs.token_docs is not None and len(inputs.token_docs) != len(doc_embs):
-        raise ValueError(f"{len(inputs.token_docs)} token docs but {len(doc_embs)} document rows")
+    docs = np.asarray(inputs.doc_embs, dtype=float) if inputs.token_docs is None else inputs.token_docs
     query_embs = np.asarray(inputs.test_query_embs, dtype=float)
-    doc_splits = split_benchmark(len(doc_embs), config.fractions, root.derive("split-docs"))
+    doc_splits = split_benchmark(len(docs), config.fractions, root.derive("split-docs"))
     n_sessions = len(config.fractions)
     doc_arrival = {d: s for s, ids in enumerate(doc_splits) for d in ids}
     for what, judged in (("test", inputs.test_qrels), ("training", inputs.train_qrels)):
@@ -730,13 +718,13 @@ def run_experiment(
     start = 0 if resume_state is None else resume_state.session + 1
     for t in range(start, n_sessions):
         ids = doc_splits[t]
-        tokens = None if inputs.token_docs is None else [inputs.token_docs[d] for d in ids]
+        session_docs = docs[ids] if isinstance(docs, np.ndarray) else [docs[d] for d in ids]
         if t == 0:
             train_embs = () if inputs.train_query_embs is None else np.asarray(inputs.train_query_embs, dtype=float)
             train_pairs = [(qe, inputs.train_qrels.get(q)) for q, qe in enumerate(train_embs)]
-            info = engine.build_base(ids, doc_embs[ids], train_pairs, token_docs=tokens)
+            info = engine.build_base(ids, session_docs, train_pairs)
         else:
-            info, _ = engine.ingest(t, ids, doc_embs[ids], token_docs=tokens)
+            info, _ = engine.ingest(t, ids, session_docs)
 
         eval_qids = [q for i in range(t + 1) for q in query_splits[i]]
         scored = engine.evaluate(eval_qids, query_embs[eval_qids])
@@ -759,7 +747,7 @@ def run_experiment(
     report = {
         "schema": REPORT_SCHEMA,
         "config": config.to_dict(),
-        "n_docs": len(doc_embs),
+        "n_docs": len(docs),
         "n_test_queries": len(query_embs),
         "sessions": history,
         "session_matrix": matrix,

@@ -91,6 +91,15 @@ def read_token_docs(path) -> list[np.ndarray]:
     return docs
 
 
+def read_docs(path):
+    """Documents by the file's magic: an EMB1 file's embedding rows, or a TOK1 file's token matrices."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+    if magic not in (b"EMB1", b"TOK1"):
+        raise FormatError(f"{path}: bad magic {magic!r} at byte 0, expected b'EMB1' or b'TOK1'")
+    return read_embeddings(path) if magic == b"EMB1" else read_token_docs(path)
+
+
 def write_qrels(path, qrels: dict) -> None:
     with open(path, "w") as fh:
         for qid, entry in qrels.items():

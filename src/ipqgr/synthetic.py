@@ -25,18 +25,22 @@ CLUSTER_SCALE = 1.0
 
 @dataclass
 class ExperimentInputs:
-    """A corpus whose documents and queries are numbered by their rows."""
+    """A corpus of embedding rows or of token matrices, numbered with its queries by their rows."""
 
-    doc_embs: np.ndarray
+    doc_embs: np.ndarray | None
     test_query_embs: np.ndarray
     test_qrels: dict  # query row -> relevant doc row
     train_query_embs: np.ndarray | None = None
     train_qrels: dict = field(default_factory=dict)
     token_docs: list | None = None
 
+    def __post_init__(self):
+        if (self.doc_embs is None) == (self.token_docs is None):
+            raise ValueError("a corpus holds doc_embs or token_docs, one of the two")
+
     @property
     def doc_ids(self) -> list:
-        return list(range(len(self.doc_embs)))
+        return list(range(len(self.doc_embs if self.token_docs is None else self.token_docs)))
 
     @property
     def test_query_ids(self) -> list:
@@ -59,9 +63,9 @@ def generate(
     with_tokens: bool = False,
     token_range: tuple[int, int] = (20, 60),
 ) -> ExperimentInputs:
-    """Build a clustered corpus with one train and one test query per doc."""
-    if n_docs < 1 or n_clusters < 1:
-        raise ValueError("n_docs and n_clusters must be positive")
+    """Build a clustered corpus with one train and one test query per doc; its docs are token matrices `with_tokens`."""
+    if min(n_docs, dim, n_clusters) < 1:
+        raise ValueError(f"n_docs, dim and n_clusters must be positive, got {n_docs}, {dim}, {n_clusters}")
     centers = CLUSTER_SCALE * rng.derive("centers").normal((n_clusters, dim))
     assign = rng.derive("assign").integers(n_clusters, size=n_docs)
     doc_embs = centers[assign] + DOC_NOISE * rng.derive("docs").normal((n_docs, dim))
@@ -79,7 +83,7 @@ def generate(
             noise = TOKEN_NOISE * tok_rng.derive(i, "vals").normal((n_tok, dim))
             token_docs.append(doc_embs[i] + noise)
     return ExperimentInputs(
-        doc_embs=doc_embs,
+        doc_embs=None if with_tokens else doc_embs,
         test_query_embs=test_embs,
         test_qrels=dict(zip(ids, ids)),
         train_query_embs=train_embs,

@@ -15,6 +15,7 @@ import pytest
 
 from ipqgr import cli, harness, synthetic, vector_core
 from ipqgr.decoder import docid_log_prob
+from ipqgr.repr_learner import doc_embedding
 from ipqgr.metrics import CUTOFF
 from ipqgr.rehearsal import build_memory_bank, generate_pseudo_queries, max_perturb_dims
 from ipqgr.harness import (
@@ -368,6 +369,22 @@ class TestRunExperiment:
         unjudged = ExperimentInputs(data.doc_embs[:5], data.test_query_embs[:3], {})
         assert (unjudged.doc_ids, unjudged.test_query_ids, unjudged.train_query_ids) == ([0, 1, 2, 3, 4], [0, 1, 2], [])
 
+    def test_a_token_corpus_is_its_tokens(self):
+        # generate(with_tokens=True) returns no rows, and the ids count the token docs.
+        data = synthetic.generate(20, 8, 3, RandomSource(0).derive("synthetic"), with_tokens=True)
+        assert data.doc_embs is None and len(data.token_docs) == 20
+        assert data.doc_ids == data.test_query_ids == list(range(20))
+        tokens = ExperimentInputs(None, data.test_query_embs[:3], {}, token_docs=data.token_docs[:4])
+        assert tokens.doc_ids == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("given", ["both", "neither"])
+    def test_a_corpus_holds_rows_or_tokens(self, given):
+        # Unchecked, rows beside token docs were never read, and no documents failed at the first session.
+        rows = np.zeros((4, 8)) if given == "both" else None
+        tokens = [np.zeros((3, 8))] * 4 if given == "both" else None
+        with pytest.raises(ValueError, match="^a corpus holds doc_embs or token_docs, one of the two$"):
+            ExperimentInputs(rows, np.zeros((2, 8)), {}, token_docs=tokens)
+
     def test_report_shape_and_schema(self):
         report, state = run_experiment(small_config(), small_inputs())
         assert report["schema"].startswith("ipqgr-report/")
@@ -411,20 +428,6 @@ class TestRunExperiment:
         message = f"^test query {q} is judged by document 9999, which is not in the corpus$"
         with pytest.raises(ValueError, match=message):
             run_experiment(small_config(), data)
-
-    @pytest.mark.parametrize("n_tokens", [50, 70])
-    def test_token_docs_that_do_not_pair_with_the_rows_are_refused(self, n_tokens, monkeypatch):
-        # Unchecked, 50 token docs for 60 rows ended in an IndexError partway through
-        # the run, and 70 had their last 10 ignored without a word.
-        data = synthetic.generate(
-            n_tokens, 8, 5, RandomSource(1).derive("synthetic"), with_tokens=True, token_range=(5, 12)
-        )
-        rows = synthetic.generate(60, 8, 5, RandomSource(1).derive("synthetic"))
-        data = dataclasses.replace(rows, token_docs=data.token_docs)
-        monkeypatch.setattr(harness.Engine, "build_base", None)  # no session may start
-        cfg = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5)
-        with pytest.raises(ValueError, match=f"^{n_tokens} token docs but 60 document rows$"):
-            run_experiment(cfg, data)
 
     def test_timing_is_excluded_from_canonical_bytes(self):
         r, _ = run_experiment(small_config(), small_inputs(), include_timing=True)
@@ -482,7 +485,7 @@ class TestRunExperiment:
         )
         cfg = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=2)
         engine = Engine(cfg)
-        engine.build_base(data.doc_ids, None, [], token_docs=data.token_docs)
+        engine.build_base(data.doc_ids, data.token_docs, [])
         st, d = engine.state, engine.state.codebook.sub_dim
         vectors = st.codebook.vectors()
         for g, group in enumerate(st.codebook.groups):
@@ -508,7 +511,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(dim=4, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=10)
         engine = Engine(cfg)
         pairs = list(zip(data.train_query_embs[:50], data.doc_ids[:50]))
-        engine.build_base(data.doc_ids[:50], None, pairs, token_docs=data.token_docs[:50])
+        engine.build_base(data.doc_ids[:50], data.token_docs[:50], pairs)
         st = engine.state
         (batch,) = batches
         projected = st.projector.forward(data.train_query_embs[:50])
@@ -538,8 +541,9 @@ class TestEngineGuards:
         cfg = small_config()
         _, state = run_experiment(cfg, small_inputs(), stop_after_session=1)
         issued = dict(state.codes)
-        with pytest.raises(ValueError, match="^token docs given, but the state has no projector$"):
-            Engine(cfg, state).ingest(2, [900], np.zeros((1, 16)), token_docs=[np.zeros((6, 16))])
+        message = "^document 901 is a 2-D array, but this state has no projector, so it takes embedding rows$"
+        with pytest.raises(ValueError, match=message):
+            Engine(cfg, state).ingest(2, [900, 901], [np.zeros(16), np.zeros((6, 16))])
         assert state.session == 1
         assert state.codes == issued
 
@@ -657,10 +661,12 @@ class TestEngineGuards:
         cfg = small_config()
         _, state = run_experiment(cfg, small_inputs(), stop_after_session=1)
         issued = dict(state.codes)
-        embs = np.random.default_rng(3).normal(size=(n_embs, 16))
-        tokens = None if n_tokens is None else [np.zeros((6, 16))] * n_tokens
-        with pytest.raises(ValueError, match="3 doc ids but"):
-            Engine(cfg, state).ingest(2, [900, 901, 902], embs, token_docs=tokens)
+        # Rows, or as many token docs as n_tokens: either way the documents do not pair with the ids.
+        docs = np.random.default_rng(3).normal(size=(n_embs, 16))
+        if n_tokens is not None:
+            docs = [np.zeros((6, 16))] * n_tokens
+        with pytest.raises(ValueError, match=f"^3 doc ids but {len(docs)} documents$"):
+            Engine(cfg, state).ingest(2, [900, 901, 902], docs)
         assert state.session == 1
         assert state.codes == issued
 
@@ -701,8 +707,8 @@ class TestEngineGuards:
         tokens[7][2, 3] = bad
         engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
         holds = "that is not finite" if not np.isfinite(bad) else "beyond ±1e+30"
-        with pytest.raises(ValueError, match=f"^document 7 holds a token value {re.escape(holds)}$"):
-            engine.build_base(data.doc_ids, None, [], token_docs=tokens)
+        with pytest.raises(ValueError, match=f"^document 7's tokens row 2 holds a value {re.escape(holds)}$"):
+            engine.build_base(data.doc_ids, tokens, [])
         assert engine.state is None
 
     def test_evaluate_refuses_a_repeated_query_id(self):
@@ -725,8 +731,8 @@ class TestEngineGuards:
         [
             (np.zeros((0, 8)), "document 3 holds no token values"),
             (np.zeros((6, 0)), "document 3 holds no token values"),
-            (np.zeros(8), "document 3 is a 1-D array, not one row per token"),
-            (np.zeros((6, 12)), "document 3 has tokens 12 wide, but document 0 has 8"),
+            (np.zeros(8), "document 3 is a 1-D array, but the base takes token matrices, as its first document is one"),
+            (np.zeros((6, 12)), "document 3's tokens are 12 wide, but document 0's token dim is 8"),
         ],
         ids=["no-token", "zero-wide", "1-D", "wider"],
     )
@@ -739,14 +745,14 @@ class TestEngineGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                engine.build_base(data.doc_ids, None, [], token_docs=tokens)
+                engine.build_base(data.doc_ids, tokens, [])
         assert engine.state is None
 
     @pytest.mark.parametrize(
         "bad, message",
         [
             (np.zeros((0, 8)), "document 32 holds no token values"),
-            (np.zeros((6, 6)), "document 32 has tokens 6 wide, but the projector takes 8"),
+            (np.zeros((6, 6)), "document 32's tokens are 6 wide, but the projector's input dim is 8"),
         ],
         ids=["no-token", "narrower"],
     )
@@ -755,13 +761,13 @@ class TestEngineGuards:
         # refused as a row that is not finite.
         data = self.token_corpus()
         engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
-        engine.build_base(data.doc_ids[:30], None, [], token_docs=data.token_docs[:30])
+        engine.build_base(data.doc_ids[:30], data.token_docs[:30], [])
         tokens = [*data.token_docs[30:32], bad, *data.token_docs[33:]]
         before = payload_bytes(engine.state)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                engine.ingest(1, data.doc_ids[30:], None, token_docs=tokens)
+                engine.ingest(1, data.doc_ids[30:], tokens)
         assert payload_bytes(engine.state) == before
 
     def test_rows_at_the_magnitude_bound_train_anchored_sessions(self):
@@ -791,13 +797,26 @@ class TestEngineGuards:
             40, 8, 5, RandomSource(1).derive("synthetic"), with_tokens=True, token_range=(5, 12)
         )
         engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
-        engine.build_base(data.doc_ids[:30], None, [], token_docs=data.token_docs[:30])
+        engine.build_base(data.doc_ids[:30], data.token_docs[:30], [])
         tokens = [d.copy() for d in data.token_docs[30:]]
         tokens[7][0, 0] = bad
         before = payload_bytes(engine.state)
-        with pytest.raises(ValueError, match="^document 37 holds a token value "):
-            engine.ingest(1, data.doc_ids[30:], None, token_docs=tokens)
+        with pytest.raises(ValueError, match="^document 37's tokens row 0 holds a value "):
+            engine.ingest(1, data.doc_ids[30:], tokens)
         assert payload_bytes(engine.state) == before
+
+    def test_ingest_extends_a_token_state(self):
+        # A state with a projector reads the session's documents as token matrices.
+        data = self.token_corpus()
+        engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
+        engine.build_base(data.doc_ids[:30], data.token_docs[:30], [])
+        issued = dict(engine.state.codes)
+        info, log = engine.ingest(1, data.doc_ids[30:], data.token_docs[30:])
+        st = engine.state
+        assert (st.session, info["n_new_docs"], len(log)) == (1, 10, 10 * 2)
+        assert {i: st.codes[i] for i in issued} == issued and sorted(st.codes) == data.doc_ids
+        embedded = np.array([doc_embedding(d, st.projector) for d in data.token_docs[30:]])
+        assert st.codebook.vectors()[30:].tobytes() == embedded.tobytes()
 
     def test_build_base_refuses_a_repeated_docid(self):
         # Unchecked, id 6 twice leaves 39 codes for 40 codebook rows, and the
@@ -815,9 +834,8 @@ class TestEngineGuards:
             41, 8, 5, RandomSource(1).derive("synthetic"), with_tokens=tokens, token_range=(5, 12)
         )
         engine = Engine(ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=5))
-        what = "token docs" if tokens else "embedding rows"
-        with pytest.raises(ValueError, match=f"^40 doc ids but 41 {what}$"):
-            engine.build_base(data.doc_ids[:40], None if tokens else data.doc_embs, [], token_docs=data.token_docs)
+        with pytest.raises(ValueError, match="^40 doc ids but 41 documents$"):
+            engine.build_base(data.doc_ids[:40], data.token_docs if tokens else data.doc_embs, [])
         assert engine.state is None
 
     def test_build_base_names_a_group_with_too_few_distinct_sub_vectors(self):
@@ -910,9 +928,9 @@ class TestSessionBatch:
         # An empty list of vectors, or of token docs, has no width; the session still advances.
         data = synthetic.generate(100, 16, 10, RandomSource(0).derive("synthetic"), with_tokens=tokens)
         engine = Engine(small_config(threshold_mode=mode))
-        engine.build_base(data.doc_ids, data.doc_embs, [], token_docs=data.token_docs)
+        engine.build_base(data.doc_ids, data.token_docs if tokens else data.doc_embs, [])
         decoder = engine.state.decoder
-        info, _ = engine.ingest(1, [], [], token_docs=[] if tokens else None)
+        info, _ = engine.ingest(1, [], [])
         assert (info["n_new_docs"], info["bank_size"], info["n_pseudo_pairs"]) == (0, 0, 0)
         assert engine.state.session == 1 and len(engine.state.codes) == 100
         assert engine.state.decoder.w.tobytes() == decoder.w.tobytes()
@@ -953,18 +971,18 @@ def judge_query_0_by(path, doc_id):
 
 
 class TestCli:
-    def gen(self, tmp_path, n_docs=80, dim=16, tokens=False):
+    def gen(self, tmp_path, n_docs=80, dim=16, tokens=False, seed=3, code=0):
+        """A corpus whose documents are docs.emb, or tokens.tok with `tokens`; `code` is the exit code."""
         args = [
             "gen-synthetic", "--n-docs", str(n_docs), "--dim", str(dim), "--clusters", "8",
-            "--seed", "3",
-            "--docs-out", str(tmp_path / "docs.emb"),
+            "--seed", str(seed), *(["--tokens"] if tokens else []),
+            "--docs-out", str(tmp_path / ("tokens.tok" if tokens else "docs.emb")),
             "--queries-out", str(tmp_path / "queries.emb"),
             "--train-queries-out", str(tmp_path / "train_queries.emb"),
             "--qrels-out", str(tmp_path / "qrels.tsv"),
             "--train-qrels-out", str(tmp_path / "train_qrels.tsv"),
-            *(["--tokens-out", str(tmp_path / "tokens.tok")] if tokens else []),
         ]
-        assert cli.main(args) == 0
+        assert cli.main(args) == code
 
     def test_full_run_writes_canonical_report(self, tmp_path):
         self.gen(tmp_path)
@@ -1072,21 +1090,76 @@ class TestCli:
         assert [rec["session"] for rec in history] == [0, 1, 2]
         assert history[2]["n_new_docs"] == 4
 
+    def token_state(self, tmp_path):
+        """Build engine.state from tokens.tok; returns the options that built it."""
+        self.gen(tmp_path, tokens=True)
+        (tmp_path / "cfg.json").write_text(json.dumps({"decoder_steps": 5, "v_epochs": 1}))
+        common = ["--config", str(tmp_path / "cfg.json"), "--seed", "3"]
+        assert cli.main([*self.base_args(tmp_path, docs="tokens.tok"), *common]) == 0
+        return common
+
     def test_ingest_of_vectors_into_a_token_state_is_refused(self, tmp_path, capsys):
         # A token state codes documents in its projector's space, which raw vectors are not in.
-        self.gen(tmp_path, tokens=True)
-        cfg = {"decoder_steps": 5, "v_epochs": 1}
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        common = ["--config", str(tmp_path / "cfg.json"), "--seed", "3"]
+        from ipqgr.io_formats import write_embeddings
+
+        common = self.token_state(tmp_path)
         state = tmp_path / "engine.state"
-        assert cli.main([*self.base_args(tmp_path), *common, "--tokens", str(tmp_path / "tokens.tok")]) == 0
+        write_embeddings(tmp_path / "docs.emb", np.ones((3, 16)))
         before = state.read_bytes()
+        capsys.readouterr()
         code = cli.main(["ingest", *common, "--state", str(state), "--docs", str(tmp_path / "docs.emb")])
         assert code == 2
         assert capsys.readouterr().err.strip() == (
-            "error: this state embeds documents with its projector, so ingest needs token docs"
+            "error: document 80 is a 1-D array, but this state has a projector, so it takes token matrices"
         )
         assert state.read_bytes() == before
+
+    def test_ingest_extends_a_token_state(self, tmp_path, capsys):
+        # The state reads a TOK1 --docs file's documents through its projector; no option says so.
+        common = self.token_state(tmp_path)
+        state = tmp_path / "engine.state"
+        new = tmp_path / "new"
+        new.mkdir()
+        self.gen(new, n_docs=12, tokens=True, seed=5)
+        log = tmp_path / "decisions.jsonl"
+        assert cli.main(["ingest", *common, "--state", str(state), "--docs", str(new / "tokens.tok"),
+                         "--decision-log", str(log)]) == 0
+        loaded = load_state(state)
+        assert [rec["session"] for rec in loaded.history] == [0, 1]
+        assert loaded.history[1]["n_new_docs"] == 12 and sorted(loaded.codes) == list(range(92))
+        assert loaded.projector is not None
+        assert len(log.read_text().splitlines()) == 12 * 4
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--state", str(state), "--queries", str(tmp_path / "queries.emb"),
+                         "--qrels", str(tmp_path / "qrels.tsv"), "--out", str(tmp_path / "run.tsv")]) == 0
+        assert "mrr@10" in capsys.readouterr().out
+
+    def test_a_docs_file_of_unknown_magic_is_a_clean_error(self, tmp_path, capsys):
+        self.gen(tmp_path)
+        (tmp_path / "docs.emb").write_bytes(b"EMB2" + (tmp_path / "docs.emb").read_bytes()[4:])
+        capsys.readouterr()
+        assert cli.main(self.base_args(tmp_path)) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: {tmp_path / 'docs.emb'}: bad magic b'EMB2' at byte 0, expected b'EMB1' or b'TOK1'"
+        )
+        assert not (tmp_path / "engine.state").exists()
+
+    @pytest.mark.parametrize("command", ["run", "build-base"])
+    def test_tokens_is_not_an_option(self, tmp_path, capsys, command):
+        # --docs takes TOK1 documents itself.
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--docs", "d", "--queries", "q", "--qrels", "r", "--tokens", "t.tok",
+                      "--out" if command == "run" else "--state-out", "o"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tokens t.tok" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_gen_synthetic_of_a_dim_below_1_is_a_clean_error(self, tmp_path, capsys, dim):
+        # Unchecked, --dim 0 wrote 0-wide EMB1 files that no command could index.
+        self.gen(tmp_path, dim=dim, code=2)
+        message = f"error: n_docs, dim and n_clusters must be positive, got 80, {dim}, 8"
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "docs.emb").exists()
 
     def test_build_base_of_a_nan_token_is_a_clean_error(self, tmp_path, capsys):
         from ipqgr.io_formats import read_token_docs, write_token_docs
@@ -1095,8 +1168,9 @@ class TestCli:
         docs = read_token_docs(tmp_path / "tokens.tok")
         docs[5][0, 1] = np.nan
         write_token_docs(tmp_path / "tokens.tok", docs)
-        assert cli.main([*self.base_args(tmp_path), "--tokens", str(tmp_path / "tokens.tok")]) == 2
-        assert capsys.readouterr().err.strip() == "error: document 5 holds a token value that is not finite"
+        capsys.readouterr()
+        assert cli.main(self.base_args(tmp_path, docs="tokens.tok")) == 2
+        assert capsys.readouterr().err.strip() == "error: document 5's tokens row 0 holds a value that is not finite"
         assert not (tmp_path / "engine.state").exists()
 
     @pytest.mark.parametrize("given, missing", [("--train-queries", "--train-qrels"),
@@ -1133,7 +1207,7 @@ class TestCli:
         tokens[3] = tokens[3][:0]
         write_token_docs(tmp_path / "tokens.tok", tokens)
         capsys.readouterr()
-        assert cli.main([*self.base_args(tmp_path), "--tokens", str(tmp_path / "tokens.tok")]) == 2
+        assert cli.main(self.base_args(tmp_path, docs="tokens.tok")) == 2
         assert capsys.readouterr().err.strip() == "error: document 3 holds no token values"
         assert not (tmp_path / "engine.state").exists()
 
@@ -1186,25 +1260,6 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: " + message.format(path=path)
         assert not (tmp_path / "run.tsv").exists()
-
-    @pytest.mark.parametrize("n_tokens", [50, 70])
-    @pytest.mark.parametrize("command", ["run", "build-base"])
-    def test_token_docs_that_do_not_pair_with_the_rows_are_a_clean_error(
-            self, tmp_path, capsys, command, n_tokens):
-        from ipqgr.io_formats import read_token_docs, write_token_docs
-
-        self.gen(tmp_path, n_docs=60, dim=8, tokens=True)
-        tokens = read_token_docs(tmp_path / "tokens.tok")
-        write_token_docs(tmp_path / "tokens.tok", (tokens + tokens)[:n_tokens])
-        (tmp_path / "cfg.json").write_text(json.dumps({"dim": 8, "m_groups": 2, "decoder_steps": 5}))
-        args = [command, *self.base_args(tmp_path)[1:-2], "--config", str(tmp_path / "cfg.json"),
-                "--tokens", str(tmp_path / "tokens.tok"), "--state-out", str(tmp_path / "engine.state")]
-        if command == "run":
-            args += ["--out", str(tmp_path / "r.json")]
-        capsys.readouterr()
-        assert cli.main(args) == 2
-        assert capsys.readouterr().err.strip() == f"error: {n_tokens} token docs but 60 document rows"
-        assert not (tmp_path / "engine.state").exists() and not (tmp_path / "r.json").exists()
 
     def test_ingest_under_a_config_unlike_the_state_is_a_clean_error(self, tmp_path, capsys):
         self.gen(tmp_path)

@@ -7,6 +7,7 @@ import pytest
 
 from ipqgr.io_formats import (
     FormatError,
+    read_docs,
     read_embeddings,
     read_qrels,
     read_token_docs,
@@ -87,6 +88,33 @@ class TestTokenDocs:
     def test_inconsistent_token_dims_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_token_docs(tmp_path / "x.tok", [np.ones((2, 2)), np.ones((2, 3))])
+
+
+class TestDocs:
+    """A documents file is read by its magic."""
+
+    def test_each_format_is_read_by_its_magic(self, tmp_path):
+        rows, tokens = np.arange(6.0).reshape(2, 3), [np.ones((2, 3)), np.zeros((4, 3))]
+        write_embeddings(tmp_path / "docs", rows)
+        write_token_docs(tmp_path / "docs.emb", tokens)  # the name does not decide
+        got_rows, got_tokens = read_docs(tmp_path / "docs"), read_docs(tmp_path / "docs.emb")
+        assert type(got_rows) is np.ndarray and got_rows.tobytes() == rows.tobytes()
+        assert type(got_tokens) is list and [d.tobytes() for d in got_tokens] == [d.tobytes() for d in tokens]
+
+    @pytest.mark.parametrize("head", [b"TOK2", b"EM", b""])
+    def test_an_unknown_magic_names_both_formats(self, tmp_path, head):
+        path = tmp_path / "docs.emb"
+        path.write_bytes(head + b"\x00" * 20 if len(head) == 4 else head)
+        message = f"{path}: bad magic {head!r} at byte 0, expected b'EMB1' or b'TOK1'"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read_docs(path)
+
+    def test_a_corrupt_file_is_refused_by_its_format(self, tmp_path):
+        path = tmp_path / "t.tok"
+        write_token_docs(path, [np.ones((2, 2))])
+        path.write_bytes(path.read_bytes() + b"xx")
+        with pytest.raises(FormatError, match="trailing bytes"):
+            read_docs(path)
 
 
 class TestQrels:

@@ -1,13 +1,16 @@
 """A state machine over one small engine's lifecycle, fed valid and hostile sessions.
 
 Hypothesis draws sequences of `build_base`, `ingest`, save -> load and
-`evaluate`, some of them hostile: ids that are not ints or are issued
-already, rows that do not pair with the ids, rows of the wrong width or
-holding a NaN, an infinity or a value beyond `harness.MAX_ABS`, and token
-documents for an embedding state. After every step it checks what no
-sequence may break.
+`evaluate`. The base draws the kind of its documents: embedding rows, or token
+matrices that give the state a projector. Some ingests are hostile: ids that
+are not ints or are issued already, documents that do not pair with the ids,
+of the wrong width or holding a NaN, an infinity or a value beyond
+`harness.MAX_ABS`, documents of the other kind than the state's, and a config
+whose `dim` or `m_groups` is not the state's. After every step it checks what
+no sequence may break.
 """
 
+import dataclasses
 import shutil
 import tempfile
 
@@ -22,9 +25,11 @@ from ipqgr.harness import Engine, ExperimentConfig, load_state, save_state
 from ipqgr.metrics import CUTOFF
 from ipqgr.rng import RandomSource
 
-CONFIG = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=0, decoder_steps=3)
+CONFIG = ExperimentConfig(dim=8, m_groups=2, k_clusters=4, v_epochs=1, decoder_steps=3)
 MAX_DOCS = 60
 POOL = synthetic.generate(MAX_DOCS + 10, 8, 5, RandomSource(0).derive("synthetic"))
+TOKEN_POOL = synthetic.generate(MAX_DOCS + 10, 8, 5, RandomSource(0).derive("synthetic"), with_tokens=True,
+                                token_range=(3, 6))
 
 
 def payload_bytes(state) -> bytes:
@@ -32,26 +37,33 @@ def payload_bytes(state) -> bytes:
     return b"".join(bytes(memoryview(b)) for b in harness._payload(state, state.history))
 
 
-def poisoned(rows, value):
-    rows = rows.copy()
-    rows[-1, 0] = value
-    return rows
+def documents(ids, tokens: bool):
+    """Documents `ids` of the pools: token matrices, or embedding rows."""
+    return [TOKEN_POOL.token_docs[i] for i in ids] if tokens else POOL.doc_embs[ids]
 
 
-# Each hostile ingest, as (ids, rows, token docs) from a fresh session's, the
-# state's issued ids, and the reason the engine gives.
+def poisoned(docs, value):
+    """A copy of `docs` as a list, whose last document's last value is `value`."""
+    docs = [np.array(d) for d in docs]
+    docs[-1][(-1,) * docs[-1].ndim] = value
+    return docs
+
+
+# Each hostile ingest, as (ids, documents) from a fresh session's, the state's
+# issued ids, and the reason the engine gives.
 HOSTILE_INGESTS = {
-    "str id": (lambda ids, rows, issued: ([*ids[:-1], str(ids[-1])], rows, None), "has type str"),
-    "bool id": (lambda ids, rows, issued: ([*ids[:-1], True], rows, None), "has type bool"),
-    "numpy id": (lambda ids, rows, issued: ([*ids[:-1], np.int64(ids[-1])], rows, None), "has type int64"),
-    "repeated id": (lambda ids, rows, issued: ([*ids[:-1], ids[0]], rows, None), "repeated in this session"),
-    "issued id": (lambda ids, rows, issued: ([*ids[:-1], min(issued)], rows, None), "already indexed"),
-    "unpaired rows": (lambda ids, rows, issued: (ids[:-1], rows, None), "doc ids but"),
-    "wrong width": (lambda ids, rows, issued: (ids, rows[:, :6], None), "6 wide"),
-    "nan": (lambda ids, rows, issued: (ids, poisoned(rows, np.nan), None), "not finite"),
-    "inf": (lambda ids, rows, issued: (ids, poisoned(rows, np.inf), None), "not finite"),
-    "overflow": (lambda ids, rows, issued: (ids, poisoned(rows, 1e200), None), "beyond"),
-    "token docs": (lambda ids, rows, issued: (ids, rows, [np.ones((3, 8))] * len(ids)), "no projector"),
+    "str id": (lambda ids, docs, issued: ([*ids[:-1], str(ids[-1])], docs), "has type str"),
+    "bool id": (lambda ids, docs, issued: ([*ids[:-1], True], docs), "has type bool"),
+    "numpy id": (lambda ids, docs, issued: ([*ids[:-1], np.int64(ids[-1])], docs), "has type int64"),
+    "repeated id": (lambda ids, docs, issued: ([*ids[:-1], ids[0]], docs), "repeated in this session"),
+    "issued id": (lambda ids, docs, issued: ([*ids[:-1], min(issued)], docs), "already indexed"),
+    "unpaired docs": (lambda ids, docs, issued: (ids[:-1], docs), "doc ids but"),
+    "wrong width": (lambda ids, docs, issued: (ids, [d[..., :6] for d in docs]), "6 wide"),
+    "nan": (lambda ids, docs, issued: (ids, poisoned(docs, np.nan)), "not finite"),
+    "inf": (lambda ids, docs, issued: (ids, poisoned(docs, np.inf)), "not finite"),
+    "overflow": (lambda ids, docs, issued: (ids, poisoned(docs, 1e200)), "beyond"),
+    "other kind": (lambda ids, docs, issued: (ids, documents(ids, isinstance(docs, np.ndarray))),
+                   r"-D array, but this state has (a|no) projector"),
 }
 
 HOSTILE_EVALUATES = {
@@ -72,9 +84,9 @@ class EngineLifecycle(RuleBasedStateMachine):
         shutil.rmtree(self.dir)
 
     def fresh(self, n):
-        """The next `n` ids and their document rows."""
+        """The next `n` ids and their documents, of the state's kind."""
         ids = list(range(len(self.issued), len(self.issued) + n))
-        return ids, POOL.doc_embs[ids]
+        return ids, documents(ids, self.engine.state is not None and self.engine.state.projector is not None)
 
     def refused(self, call, reason):
         """Check that `call` raises naming `reason` and leaves the state's bytes as they were."""
@@ -84,18 +96,19 @@ class EngineLifecycle(RuleBasedStateMachine):
         assert payload_bytes(self.engine.state) == before
 
     @precondition(lambda self: self.engine.state is None)
-    @rule(n=st.integers(CONFIG.k_clusters, 20))  # k-means refuses fewer documents than centroids
-    def build_base(self, n):
-        ids, rows = self.fresh(n)
-        self.engine.build_base(ids, rows, list(zip(POOL.train_query_embs[ids], ids)))
+    @rule(n=st.integers(CONFIG.k_clusters, 20), tokens=st.booleans())  # k-means refuses fewer documents than centroids
+    def build_base(self, n, tokens):
+        ids = list(range(n))
+        self.engine.build_base(ids, documents(ids, tokens), list(zip(POOL.train_query_embs[ids], ids)))
+        assert (self.engine.state.projector is not None) == tokens
         self.issued.update(self.engine.state.codes)
 
     @precondition(lambda self: self.engine.state is not None)
     @rule(n=st.integers(0, 10))
     def ingest(self, n):
-        ids, rows = self.fresh(min(n, MAX_DOCS - len(self.issued)))
+        ids, docs = self.fresh(min(n, MAX_DOCS - len(self.issued)))
         t = self.engine.state.session + 1
-        self.engine.ingest(t, ids, rows)
+        self.engine.ingest(t, ids, docs)
         codes = self.engine.state.codes
         self.issued.update({i: codes[i] for i in ids})
 
@@ -103,9 +116,18 @@ class EngineLifecycle(RuleBasedStateMachine):
     @rule(n=st.integers(2, 10), kind=st.sampled_from(sorted(HOSTILE_INGESTS)))
     def hostile_ingest(self, n, kind):
         make, reason = HOSTILE_INGESTS[kind]
-        ids, rows, tokens = make(*self.fresh(n), self.issued)
+        ids, docs = make(*self.fresh(n), self.issued)
         t = self.engine.state.session + 1
-        self.refused(lambda: self.engine.ingest(t, ids, rows, token_docs=tokens), reason)
+        self.refused(lambda: self.engine.ingest(t, ids, docs), reason)
+
+    @precondition(lambda self: self.engine.state is not None)
+    @rule(n=st.integers(0, 10), field=st.sampled_from(["dim", "m_groups"]))
+    def ingest_under_another_config(self, n, field):
+        cfg = dataclasses.replace(CONFIG, **{field: 2 * getattr(CONFIG, field)})
+        ids, docs = self.fresh(n)
+        t = self.engine.state.session + 1
+        self.refused(lambda: Engine(cfg, self.engine.state).ingest(t, ids, docs),
+                     f"^the config's {field} is {getattr(cfg, field)}, but the state's is {getattr(CONFIG, field)}$")
 
     @precondition(lambda self: self.engine.state is not None)
     @rule()
@@ -141,6 +163,8 @@ class EngineLifecycle(RuleBasedStateMachine):
         if st_ is not None:
             arrays = [st_.codebook.vectors(), st_.decoder.w, st_.decoder.b, st_.fisher.w, st_.fisher.b]
             arrays += [g.centroids for g in st_.codebook.groups]
+            if st_.projector is not None:
+                arrays += [st_.projector.w1, st_.projector.b1, st_.projector.w2, st_.projector.b2]
             assert all(np.isfinite(a).all() for a in arrays)
 
     @invariant()
