@@ -16,6 +16,7 @@ the document row that answers it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -44,8 +45,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.variant:
         cfg = cfg.with_variant(args.variant)
     if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.validate()
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -66,20 +66,18 @@ def _load_inputs(args) -> ExperimentInputs:
     docs = io_formats.read_docs(args.docs)
     queries = io_formats.read_embeddings(args.queries)
     test_qrels = _judged(args.qrels, queries.shape[0], "--queries")
-    train_embs, train_qrels = None, {}
+    train_embs, train_qrels = queries[:0], {}
     if args.train_queries:
         train_embs = io_formats.read_embeddings(args.train_queries)
         train_qrels = _judged(args.train_qrels, train_embs.shape[0], "--train-queries")
-    tokens = isinstance(docs, list)  # a TOK1 file's
-    return ExperimentInputs(None if tokens else docs, queries, test_qrels, train_query_embs=train_embs,
-                            train_qrels=train_qrels, token_docs=docs if tokens else None)
+    return ExperimentInputs(docs, queries, test_qrels, train_embs, train_qrels)
 
 
 def cmd_gen_synthetic(args) -> int:
     rng = RandomSource(args.seed).derive("synthetic")
     data = synthetic.generate(args.n_docs, args.dim, args.clusters, rng, with_tokens=args.tokens)
     write = io_formats.write_token_docs if args.tokens else io_formats.write_embeddings
-    write(args.docs_out, data.token_docs if args.tokens else data.doc_embs)
+    write(args.docs_out, data.docs)
     io_formats.write_embeddings(args.queries_out, data.test_query_embs)
     io_formats.write_embeddings(args.train_queries_out, data.train_query_embs)
     for path, qrels in ((args.qrels_out, data.test_qrels), (args.train_qrels_out, data.train_qrels)):
@@ -106,10 +104,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_build_base(args) -> int:
-    cfg = _load_config(args)
-    inputs = _load_inputs(args)
     # One session over every document; `fractions` splits only a `run`.
-    cfg.fractions = (1.0,)
+    cfg = dataclasses.replace(_load_config(args), fractions=(1.0,))
+    inputs = _load_inputs(args)
     _, state = run_experiment(cfg, inputs)
     save_state(state, args.state_out)
     print(f"base state (session 0) written to {args.state_out}")
@@ -165,10 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tokens", action="store_true", help="write --docs-out as TOK1 token matrices")
     g.set_defaults(func=cmd_gen_synthetic)
 
-    def add_common(sp):
+    def add_config(sp):
         sp.add_argument("--config", default=None, help="JSON experiment config")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--variant", choices=sorted(VARIANTS), help="set this preset's fields over the config's")
+
+    def add_common(sp):
+        add_config(sp)
         sp.add_argument("--docs", required=True)
         sp.add_argument("--queries", required=True)
         sp.add_argument("--qrels", required=True)
@@ -188,9 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_build_base)
 
     i = sub.add_parser("ingest", help="index one session of new documents")
-    i.add_argument("--config", default=None)
-    i.add_argument("--seed", type=int, default=None)
-    i.add_argument("--variant", choices=sorted(VARIANTS), help="set this preset's fields over the config's")
+    add_config(i)
     i.add_argument("--state", required=True)
     i.add_argument("--state-out", default=None)
     i.add_argument("--docs", required=True)

@@ -85,7 +85,7 @@ _KINDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dim: int = 16
     m_groups: int = 4
@@ -105,7 +105,7 @@ class ExperimentConfig:
     def top_n(self) -> int:  # not a field: a ranking stops at the metric cutoff
         return CUTOFF
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # Below 1, each count fails late: m_groups divides by zero, and dim and
         # k_clusters fail inside k-means without naming the field.
         for name in ("dim", "m_groups", "k_clusters"):
@@ -162,7 +162,7 @@ def split_benchmark(n: int, fractions, rng: RandomSource) -> list[list]:
 
     Sizes are floor(fraction * n) with leftovers assigned by largest
     fractional remainder (ties to the earlier session). The fractions are
-    ones `ExperimentConfig.validate` accepts.
+    ones an `ExperimentConfig` holds.
     """
     raw = [f * n for f in fractions]
     sizes = [math.floor(r) for r in raw]
@@ -469,9 +469,17 @@ def load_state(path) -> EngineState:
 MAX_ABS = 1e30
 
 
-def _check_rows(what: str, rows, dim: int, whose: str) -> None:
-    """Refuse vectors of the wrong width, or the first row holding a value that is not finite or beyond ±MAX_ABS."""
-    rows = np.asarray(rows, dtype=float)
+def _check_rows(what: str, rows, dim: int, whose: str) -> np.ndarray:
+    """`rows` as floats. Refuses vectors of the wrong width, or the first row holding a value that is not finite or
+    beyond ±MAX_ABS."""
+    try:
+        rows = np.asarray(rows, dtype=float)
+    except ValueError:  # rows that do not stack: name the first that is not `dim` wide
+        for i, row in enumerate(rows):
+            if np.shape(row) != (dim,):
+                width = f"{len(row)} wide" if np.ndim(row) == 1 else f"a {np.ndim(row)}-D array"
+                raise ValueError(f"{what} row {i} is {width}, but {whose} dim is {dim}") from None
+        raise
     if len(rows) and rows.shape[-1] != dim:
         raise ValueError(f"{what} are {rows.shape[-1]} wide, but {whose} dim is {dim}")
     fit = (np.abs(rows) <= MAX_ABS).all(axis=-1)  # False where a value is NaN, too
@@ -479,6 +487,7 @@ def _check_rows(what: str, rows, dim: int, whose: str) -> None:
         i = int(fit.argmin())
         problem = "that is not finite" if not np.isfinite(rows[i]).all() else f"beyond ±{MAX_ABS:g}"
         raise ValueError(f"{what} row {i} holds a value {problem}")
+    return rows
 
 
 def _check_session(doc_ids, issued, docs, ndim: int, takes: str) -> None:
@@ -510,8 +519,7 @@ def _decoder_queries(what: str, rows, projector, dim: int, whose: str) -> np.nda
     """Query rows as the decoder reads them: through the projector as one-token documents, if there is one."""
     if projector is not None:
         dim, whose = projector.in_dim, "the projector's input"
-    _check_rows(what, rows, dim, whose)
-    rows = np.asarray(rows, dtype=float).reshape(len(rows), dim)  # no queries may come as []
+    rows = _check_rows(what, rows, dim, whose).reshape(len(rows), dim)  # no queries may come as []
     return rows if projector is None else projector.forward(rows)
 
 
@@ -519,7 +527,6 @@ class Engine:
     """Stateful continual-indexing engine driven session by session."""
 
     def __init__(self, config: ExperimentConfig, state: EngineState | None = None):
-        config.validate()
         self.config = config
         self.state = state
 
@@ -545,8 +552,7 @@ class Engine:
                 docs, cfg.m_groups, cfg.k_clusters, cfg.v_epochs, rng.derive("repr"), out_dim=cfg.dim)
         else:
             _check_session(doc_ids, {}, docs, 1, "the base takes embedding rows, unless its first is a token matrix")
-            _check_rows("documents", docs, cfg.dim, "the config's")
-            embs = np.asarray(docs, dtype=float)
+            embs = _check_rows("documents", docs, cfg.dim, "the config's")
             cb, code_rows = cluster_base(embs, cfg.m_groups, cfg.k_clusters, rng.derive("cluster"))
         codes = dict(zip(doc_ids, map(tuple, code_rows.tolist())))
 
@@ -586,12 +592,12 @@ class Engine:
                 raise ValueError(f"the config's {name} is {getattr(cfg, name)}, but the state's is {have}")
         if st.projector is None:
             _check_session(doc_ids, st.codes, docs, 1, "this state has no projector, so it takes embedding rows")
-            embs = np.asarray(docs, dtype=float)
+            embs = docs
         else:
             _check_session(doc_ids, st.codes, docs, 2, "this state has a projector, so it takes token matrices")
             _check_tokens(doc_ids, docs, st.projector.in_dim, "the projector's input")
             embs = np.array([doc_embedding(d, st.projector) for d in docs])
-        _check_rows("documents", embs, st.codebook.dim, "the state's")
+        embs = _check_rows("documents", embs, st.codebook.dim, "the state's")
         embs = embs.reshape(len(doc_ids), st.codebook.dim)  # an empty session may come as []
 
         # Nothing is written to the state until the session has succeeded. `codes` maps
@@ -692,9 +698,9 @@ def run_experiment(
     `resume_state` to continue the identical run.
     """
     t_start = time.perf_counter()
-    engine = Engine(config, state=resume_state)  # which validates the config
+    engine = Engine(config, state=resume_state)
     root = RandomSource(config.seed)
-    docs = np.asarray(inputs.doc_embs, dtype=float) if inputs.token_docs is None else inputs.token_docs
+    docs = inputs.docs
     query_embs = np.asarray(inputs.test_query_embs, dtype=float)
     doc_splits = split_benchmark(len(docs), config.fractions, root.derive("split-docs"))
     n_sessions = len(config.fractions)
@@ -720,8 +726,7 @@ def run_experiment(
         ids = doc_splits[t]
         session_docs = docs[ids] if isinstance(docs, np.ndarray) else [docs[d] for d in ids]
         if t == 0:
-            train_embs = () if inputs.train_query_embs is None else np.asarray(inputs.train_query_embs, dtype=float)
-            train_pairs = [(qe, inputs.train_qrels.get(q)) for q, qe in enumerate(train_embs)]
+            train_pairs = [(qe, inputs.train_qrels.get(q)) for q, qe in enumerate(inputs.train_query_embs)]
             info = engine.build_base(ids, session_docs, train_pairs)
         else:
             info, _ = engine.ingest(t, ids, session_docs)

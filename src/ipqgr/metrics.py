@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-
-logger = logging.getLogger(__name__)
 
 CUTOFF = 10  # rank cutoff of the engine's reported MRR@N and Hits@N
 
@@ -21,25 +18,21 @@ RunResult = dict  # query id -> ranked list of doc ids
 
 
 def _per_query_ranks(run: RunResult, qrels: Qrels, n: int):
-    """Yield the relevant doc's rank (or None for a miss) per scored query."""
-    skipped = 0
+    """Yield the relevant doc's rank (or None for a miss) per scored query; every scored query must be judged."""
     for qid, ranking in run.items():
         entry = qrels.get(qid)
         if entry is None:
-            skipped += 1
-            continue
+            raise ValueError(f"query {qid!r} is scored but not judged; the qrels have no entry for it")
         rank = None
         for pos, doc_id in enumerate(ranking[:n], start=1):
             if doc_id == entry.doc_id:
                 rank = pos
                 break
         yield rank
-    if skipped:
-        logger.warning("%d run queries missing from qrels were skipped", skipped)
 
 
 def mrr_at(run: RunResult, qrels: Qrels, n: int) -> float:
-    """Mean reciprocal rank at cutoff n over queries present in the qrels."""
+    """Mean reciprocal rank at cutoff n over the run's queries."""
     if n < 1:
         raise ValueError("cutoff must be >= 1")
     ranks = list(_per_query_ranks(run, qrels, n))

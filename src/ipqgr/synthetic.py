@@ -25,22 +25,21 @@ CLUSTER_SCALE = 1.0
 
 @dataclass
 class ExperimentInputs:
-    """A corpus of embedding rows or of token matrices, numbered with its queries by their rows."""
+    """A corpus, numbered with its queries by their rows; its documents are embedding rows or token matrices."""
 
-    doc_embs: np.ndarray | None
+    docs: np.ndarray | list  # (N x D) rows, or N (tokens x D) matrices
     test_query_embs: np.ndarray
     test_qrels: dict  # query row -> relevant doc row
-    train_query_embs: np.ndarray | None = None
+    train_query_embs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     train_qrels: dict = field(default_factory=dict)
-    token_docs: list | None = None
 
-    def __post_init__(self):
-        if (self.doc_embs is None) == (self.token_docs is None):
-            raise ValueError("a corpus holds doc_embs or token_docs, one of the two")
+    @property
+    def doc_embs(self):  # the name perfbench reads the rows by
+        return self.docs
 
     @property
     def doc_ids(self) -> list:
-        return list(range(len(self.doc_embs if self.token_docs is None else self.token_docs)))
+        return list(range(len(self.docs)))
 
     @property
     def test_query_ids(self) -> list:
@@ -48,7 +47,7 @@ class ExperimentInputs:
 
     @property
     def train_query_ids(self) -> list:
-        return [] if self.train_query_embs is None else list(range(len(self.train_query_embs)))
+        return list(range(len(self.train_query_embs)))
 
     @classmethod
     def from_synthetic(cls, data: "ExperimentInputs") -> "ExperimentInputs":
@@ -73,20 +72,13 @@ def generate(
     train_embs = doc_embs + QUERY_NOISE * rng.derive("train-queries").normal((n_docs, dim))
 
     ids = range(n_docs)  # document i's queries are query i of each set
-    token_docs = None
+    docs = doc_embs
     if with_tokens:
         tok_rng = rng.derive("tokens")
         lo, hi = token_range
-        token_docs = []
+        docs = []
         for i in range(n_docs):
             n_tok = lo + int(tok_rng.derive(i, "len").integers(hi - lo + 1))
             noise = TOKEN_NOISE * tok_rng.derive(i, "vals").normal((n_tok, dim))
-            token_docs.append(doc_embs[i] + noise)
-    return ExperimentInputs(
-        doc_embs=None if with_tokens else doc_embs,
-        test_query_embs=test_embs,
-        test_qrels=dict(zip(ids, ids)),
-        train_query_embs=train_embs,
-        train_qrels=dict(zip(ids, ids)),
-        token_docs=token_docs,
-    )
+            docs.append(doc_embs[i] + noise)
+    return ExperimentInputs(docs, test_embs, dict(zip(ids, ids)), train_embs, dict(zip(ids, ids)))

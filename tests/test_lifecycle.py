@@ -4,10 +4,13 @@ Hypothesis draws sequences of `build_base`, `ingest`, save -> load and
 `evaluate`. The base draws the kind of its documents: embedding rows, or token
 matrices that give the state a projector. Some ingests are hostile: ids that
 are not ints or are issued already, documents that do not pair with the ids,
-of the wrong width or holding a NaN, an infinity or a value beyond
-`harness.MAX_ABS`, documents of the other kind than the state's, and a config
-whose `dim` or `m_groups` is not the state's. After every step it checks what
-no sequence may break.
+of the wrong width (all of them, or one among others) or holding a NaN, an
+infinity or a value beyond `harness.MAX_ABS`, documents of the other kind than
+the state's, and a config whose `dim` or `m_groups` is not the state's. Some
+bases are hostile too, with no state or over one: besides the ingests' defects,
+documents that k-means cannot cluster, misshapen token documents and bad
+training queries. A hostile call must be refused by name and leave the state as
+it was. After every step it checks what no sequence may break.
 """
 
 import dataclasses
@@ -39,7 +42,7 @@ def payload_bytes(state) -> bytes:
 
 def documents(ids, tokens: bool):
     """Documents `ids` of the pools: token matrices, or embedding rows."""
-    return [TOKEN_POOL.token_docs[i] for i in ids] if tokens else POOL.doc_embs[ids]
+    return [TOKEN_POOL.docs[i] for i in ids] if tokens else POOL.docs[ids]
 
 
 def poisoned(docs, value):
@@ -59,6 +62,7 @@ HOSTILE_INGESTS = {
     "issued id": (lambda ids, docs, issued: ([*ids[:-1], min(issued)], docs), "already indexed"),
     "unpaired docs": (lambda ids, docs, issued: (ids[:-1], docs), "doc ids but"),
     "wrong width": (lambda ids, docs, issued: (ids, [d[..., :6] for d in docs]), "6 wide"),
+    "one of mixed widths": (lambda ids, docs, issued: (ids, [*docs[:-1], docs[-1][..., :6]]), "6 wide"),
     "nan": (lambda ids, docs, issued: (ids, poisoned(docs, np.nan)), "not finite"),
     "inf": (lambda ids, docs, issued: (ids, poisoned(docs, np.inf)), "not finite"),
     "overflow": (lambda ids, docs, issued: (ids, poisoned(docs, 1e200)), "beyond"),
@@ -70,6 +74,40 @@ HOSTILE_EVALUATES = {
     "repeated query id": (lambda qids, rows: ([*qids[:-1], qids[0]], rows), "is repeated"),
     "unpaired rows": (lambda qids, rows: (qids[:-1], rows), "query ids but"),
     "wrong width": (lambda qids, rows: (qids, rows[:, :6]), "6 wide"),
+    "one of mixed widths": (lambda qids, rows: (qids, [*rows[:-1], rows[-1][:6]]), r"row \d+ is 6 wide"),
+}
+
+
+def tokens_but_last(ids, change):
+    """Token documents `ids`, the last of them passed through `change`."""
+    return [*documents(ids[:-1], True), change(TOKEN_POOL.docs[ids[-1]])]
+
+
+# Each hostile base, as (ids, documents, training pairs) from a valid base's of
+# the drawn kind, and the reason the engine gives. The first document decides
+# the kind, so a token-only defect builds token documents whatever was drawn.
+HOSTILE_BASES = {
+    **{name: (lambda ids, docs, pairs, make=make: (*make(ids, docs, set()), pairs), reason)
+       for name, (make, reason) in HOSTILE_INGESTS.items()
+       if name not in ("issued id", "other kind", "wrong width")},
+    "rows 6 wide": (lambda ids, docs, pairs: (ids, documents(ids, False)[:, :6], pairs),
+                    "^documents are 6 wide, but the config's dim is 8$"),
+    "fewer docs than centroids": (lambda ids, docs, pairs: (ids[:3], docs[:3], pairs),
+                                  "^need at least k=4 documents, got 3$"),
+    "one distinct sub-vector": (lambda ids, docs, pairs: (ids, [docs[0]] * len(ids), pairs),
+                                "cannot be clustered into k_clusters=4: k=4 exceeds number of distinct points"),
+    "empty token document": (lambda ids, docs, pairs: (ids, tokens_but_last(ids, lambda d: d[:0]), pairs),
+                             r"^document \d+ holds no token values$"),
+    "token widths mixed": (lambda ids, docs, pairs: (ids, tokens_but_last(ids, lambda d: d[:, :6]), pairs),
+                           r"^document \d+'s tokens are 6 wide"),
+    "a row among tokens": (lambda ids, docs, pairs: (ids, tokens_but_last(ids, lambda d: d[0]), pairs),
+                           r"^document \d+ is a 1-D array, but the base takes token matrices"),
+    "one-token document": (lambda ids, docs, pairs: (ids, tokens_but_last(ids, lambda d: d[:1]), pairs),
+                           r"has 1 token\(s\); a proper span needs at least 2$"),
+    "nan query": (lambda ids, docs, pairs: (ids, docs, [*pairs[:-1], (np.full(8, np.nan), ids[-1])]),
+                  r"^training queries row \d+ holds a value that is not finite$"),
+    "query of mixed widths": (lambda ids, docs, pairs: (ids, docs, [*pairs[:-1], (pairs[-1][0][:6], ids[-1])]),
+                              r"^training queries row \d+ is 6 wide, but the (config's|projector's input) dim is 8$"),
 }
 
 
@@ -89,19 +127,30 @@ class EngineLifecycle(RuleBasedStateMachine):
         return ids, documents(ids, self.engine.state is not None and self.engine.state.projector is not None)
 
     def refused(self, call, reason):
-        """Check that `call` raises naming `reason` and leaves the state's bytes as they were."""
-        before = payload_bytes(self.engine.state)
+        """Check that `call` raises naming `reason` and leaves the state, or its bytes, as they were."""
+        state = self.engine.state
+        before = state and payload_bytes(state)
         with pytest.raises(ValueError, match=reason):
             call()
-        assert payload_bytes(self.engine.state) == before
+        assert self.engine.state is state and (state and payload_bytes(state)) == before
+
+    @staticmethod
+    def base_session(n, tokens):
+        ids = list(range(n))
+        return ids, documents(ids, tokens), list(zip(POOL.train_query_embs[ids], ids))
 
     @precondition(lambda self: self.engine.state is None)
     @rule(n=st.integers(CONFIG.k_clusters, 20), tokens=st.booleans())  # k-means refuses fewer documents than centroids
     def build_base(self, n, tokens):
-        ids = list(range(n))
-        self.engine.build_base(ids, documents(ids, tokens), list(zip(POOL.train_query_embs[ids], ids)))
+        self.engine.build_base(*self.base_session(n, tokens))
         assert (self.engine.state.projector is not None) == tokens
         self.issued.update(self.engine.state.codes)
+
+    @rule(n=st.integers(CONFIG.k_clusters, 20), tokens=st.booleans(), kind=st.sampled_from(sorted(HOSTILE_BASES)))
+    def hostile_build_base(self, n, tokens, kind):
+        make, reason = HOSTILE_BASES[kind]
+        session = make(*self.base_session(n, tokens))
+        self.refused(lambda: self.engine.build_base(*session), reason)
 
     @precondition(lambda self: self.engine.state is not None)
     @rule(n=st.integers(0, 10))

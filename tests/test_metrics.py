@@ -44,12 +44,13 @@ class TestMrr:
                 total += rr
             assert abs(mrr_at(run, qrels, n) - total / len(run)) < 1e-12
 
-    def test_queries_missing_from_qrels_are_skipped(self, caplog):
+    @pytest.mark.parametrize("metric", [mrr_at, hits_at])
+    def test_a_scored_query_must_be_judged(self, metric):
+        # It used to be dropped with a logged warning, so the mean ran over fewer queries than were scored.
         run = {0: [1], 99: [1]}
         qrels = {0: QrelEntry(1, 0)}
-        with caplog.at_level("WARNING"):
-            assert mrr_at(run, qrels, 10) == 1.0
-        assert "skipped" in caplog.text
+        with pytest.raises(ValueError, match="^query 99 is scored but not judged; the qrels have no entry for it$"):
+            metric(run, qrels, 10)
 
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):

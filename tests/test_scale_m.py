@@ -2,7 +2,8 @@
 
 The run is chained through the state file: after each session the state is
 saved, loaded, and the run resumes from the loaded state up to the next
-session. Its report must equal that of the same run done in one go.
+session. Its report must equal that of the same run done in one go. CI runs the
+same check at scale L (N=8000) through `check_chained_run`.
 """
 
 import numpy as np
@@ -20,16 +21,16 @@ from ipqgr.harness import (
 from ipqgr.rng import RandomSource
 
 
-def m_run(seed):
-    """The M corpus and config, as `run_synthetic_benchmark` builds them with `decoder_steps=30`."""
+def scale_run(n_docs, n_clusters, seed):
+    """A corpus and config at D=32, M=8, K=32, as `run_synthetic_benchmark` builds them with `decoder_steps=30`."""
     cfg = ExperimentConfig(dim=32, m_groups=8, k_clusters=32, seed=seed, decoder_steps=30, c_repeats=50)
-    data = synthetic.generate(2000, 32, 100, RandomSource(seed).derive("synthetic"))
+    data = synthetic.generate(n_docs, 32, n_clusters, RandomSource(seed).derive("synthetic"))
     return cfg, data
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_chained_run_keeps_the_invariants_and_matches_a_straight_run(tmp_path, seed):
-    cfg, data = m_run(seed)
+def check_chained_run(cfg, data, tmp_path):
+    """Check the invariants of `cfg`'s run on `data`, chained through a state file in `tmp_path`, after
+    every session, and that its report equals the straight run's; returns the final state."""
     straight, _ = run_experiment(cfg, data)
     # Every tenth test query: enough to compare rankings without dominating the run time.
     qids, qembs = data.test_query_ids[::10], data.test_query_embs[::10]
@@ -48,3 +49,9 @@ def test_chained_run_keeps_the_invariants_and_matches_a_straight_run(tmp_path, s
         )
         issued, state = dict(state.codes), loaded
     assert canonical_report_bytes(report) == canonical_report_bytes(straight)
+    return state
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chained_run_keeps_the_invariants_and_matches_a_straight_run(tmp_path, seed):
+    check_chained_run(*scale_run(2000, 100, seed), tmp_path)

@@ -197,12 +197,12 @@ class TestRoundTrip:
         data = synthetic.generate(60, 16, 5, RandomSource(0).derive("synthetic"))
         engine = Engine(cfg)
         with pytest.raises(ValueError, match=f"has type {type(bad).__name__}"):
-            engine.build_base([*data.doc_ids[:-1], bad], data.doc_embs, [])
+            engine.build_base([*data.doc_ids[:-1], bad], data.docs, [])
         assert engine.state is None
-        engine.build_base(data.doc_ids[:50], data.doc_embs[:50], [])
+        engine.build_base(data.doc_ids[:50], data.docs[:50], [])
         issued = dict(engine.state.codes)
         with pytest.raises(ValueError, match=f"has type {type(bad).__name__}"):
-            engine.ingest(1, [100, bad], data.doc_embs[50:52])
+            engine.ingest(1, [100, bad], data.docs[50:52])
         assert engine.state.session == 0 and engine.state.codes == issued
 
 
