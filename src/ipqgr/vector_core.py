@@ -63,14 +63,18 @@ def _refill(pts: np.ndarray, centroids: np.ndarray, assign: np.ndarray, d2: np.n
     """Reseed each empty cluster in place; returns whether any was reseeded.
 
     An empty cluster's centroid moves to the point farthest from it among
-    the points whose cluster keeps another member, and that point joins it.
-    Such a move empties no cluster, so only the clusters empty on entry are
-    visited, in index order.
+    the points whose cluster keeps another member and that lie off their
+    centroid, and that point joins it. Such a move empties no cluster, so
+    only the clusters empty on entry are visited, in index order. A point on
+    its centroid is never moved: the next assignment would hand it back to
+    the lower index of the two equal centroids, and a repair loop could
+    alternate between such points forever.
     """
     counts = np.bincount(assign, minlength=len(centroids))
+    off = d2[np.arange(len(assign)), assign] > 0
     repaired = False
     for c in np.flatnonzero(counts == 0):
-        movable = counts[assign] > 1
+        movable = (counts[assign] > 1) & off
         if not movable.any():
             continue
         cand = np.where(movable, d2[:, c], -np.inf)
@@ -79,6 +83,7 @@ def _refill(pts: np.ndarray, centroids: np.ndarray, assign: np.ndarray, d2: np.n
         counts[c] += 1
         centroids[c] = pts[p]
         assign[p] = c
+        off[p] = False
         d2[:, c] = ((pts - centroids[c]) ** 2).sum(axis=1)
         repaired = True
     return repaired
@@ -136,8 +141,10 @@ def kmeans(points, k: int, rng: RandomSource):
             break
         prev_assign = assign
         centroids = _means(pts, assign, k)
-    # Each round lowers the inertia unless a reseeded point sat exactly on its
-    # old centroid. The assignment this ends with is nearest and fills every cluster.
+    # Each round moves a point off its centroid onto one and moves no point
+    # farther from its own, so the rounds end. While a cluster is empty, k
+    # distinct points leave one off its centroid in a cluster of two or more.
+    # The assignment this ends with is nearest and fills every cluster.
     final_assign, d2 = _nearest(pts, centroids)
     while _refill(pts, centroids, final_assign, d2):
         final_assign, d2 = _nearest(pts, centroids)

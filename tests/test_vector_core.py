@@ -22,7 +22,8 @@ def reference_refill(pts: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
     """Reseed each empty cluster in place; returns whether any was reseeded.
 
     An empty cluster's centroid moves to the point farthest from it among
-    the points whose cluster keeps another member, and that point joins it.
+    the points whose cluster keeps another member and that lie off their
+    centroid, and that point joins it.
     """
     k = len(centroids)
     repaired = False
@@ -30,7 +31,8 @@ def reference_refill(pts: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
         if (assign == c).any():
             continue
         counts = np.bincount(assign, minlength=k)
-        movable = counts[assign] > 1
+        own = np.array([((pts[i] - centroids[assign[i]]) ** 2).sum() for i in range(len(pts))])
+        movable = (counts[assign] > 1) & (own > 0)
         if not movable.any():
             continue
         cand = np.where(movable, d2[:, c], -np.inf)
@@ -201,6 +203,32 @@ class TestKmeans:
         assert any(repairs)
         want = reference_kmeans(pts, k, RandomSource(seed))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    # Corpora of repeated points whose last repairs, when they could move a
+    # point sitting on its own centroid, handed two such points back and
+    # forth forever. A round puts a point off its centroid onto one for
+    # good, so the repairs after the Lloyd rounds number at most n + 1.
+    @pytest.mark.parametrize("seed", [9782, 81731])
+    def test_repairs_end_and_fill_every_cluster(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n, width = int(rng.integers(4, 30)), int(rng.choice([1, 2]))
+        pool = rng.integers(-4, 5, size=(int(rng.integers(2, n + 1)), width)).astype(float)
+        pts = pool[rng.integers(0, len(pool), size=n)]
+        k = int(rng.integers(1, len(np.unique(pts, axis=0)) + 1))
+        calls = []
+        refill = vector_core._refill
+
+        def counted(*a):
+            calls.append(0)
+            assert len(calls) <= vector_core.KMEANS_MAX_ITERS + n + 1, "the repairs do not end"
+            return refill(*a)
+
+        monkeypatch.setattr(vector_core, "_refill", counted)
+        centroids, assign = kmeans(pts, k, RandomSource(seed))
+        assert np.bincount(assign, minlength=k).all()
+        assert np.array_equal(assign, reference_nearest(pts, centroids)[0])
+        want = reference_kmeans(pts, k, RandomSource(seed))
+        assert [a.tobytes() for a in (centroids, assign)] == [a.tobytes() for a in want]
 
     @given(kmeans_inputs(), st.data())
     @settings(max_examples=200, deadline=None)
